@@ -31,7 +31,7 @@ from .beam_fem import (
     coefficient_from_spec,
 )
 from .errors import NumericalError, ToolkitError, ValidationError
-from .generator import DiscreteGenerator
+from .generator import DiscreteGenerator, energy_coordinates
 from .models import (
     MODEL_KINDS,
     HydraulicParameters,
@@ -260,7 +260,7 @@ def _fmt(x: Any) -> str:
         if not np.isfinite(x):  # JSON has no literal for nan/inf
             return json.dumps(str(x))
         return format(x, ".17g")
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -305,11 +305,20 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+#: rows formatted per write; bounds the temporary row objects to about a MB.
+CSV_CHUNK_ROWS = 4096
+
+
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Columns side by side as CSV, floats with 17 significant digits."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = min((c.shape[0] for c in columns), default=0)
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for values in zip(*columns):
-            fh.write(",".join(format(float(v), ".17g") for v in values) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([row_format % row for row in zip(*chunk)]))
 
 
 class Runner:
@@ -448,12 +457,9 @@ class Runner:
     def check_kernel(self) -> None:
         if self._skip("kernel"):
             return
-        dim, smin = kernel_check(self.gen)
-        from scipy.linalg import svdvals
-
-        from .generator import energy_coordinates
-
-        smax = float(svdvals(energy_coordinates(self.gen).T)[0])
+        coords = energy_coordinates(self.gen)
+        dim, smin = kernel_check(self.gen, _coords=coords)
+        smax = coords.norm_A
         ok = dim == 0 and smin > 1e-8 * smax
         self._record(
             "kernel", "pass" if ok else "fail", dimension=dim, sigma_min=smin,

@@ -189,15 +189,20 @@ def eigen_report(
     )
 
 
-def kernel_check(gen: DiscreteGenerator, tol: float = KERNEL_TOL) -> tuple[int, float]:
+def kernel_check(
+    gen: DiscreteGenerator,
+    tol: float = KERNEL_TOL,
+    _coords: EnergyCoordinates | None = None,
+) -> tuple[int, float]:
     """Estimate the kernel dimension from the energy-norm singular spectrum.
 
     Returns ``(dimension_estimate, sigma_min)`` where singular values below
     ``tol * sigma_max`` count towards the kernel; ``sigma_min`` is the
     reciprocal of the energy-norm resolvent at zero frequency when the
-    generator is invertible.
+    generator is invertible.  ``sigma_max`` is ``energy_coordinates(gen).norm_A``;
+    a caller that needs it passes those coordinates as ``_coords``.
     """
-    ec = energy_coordinates(gen)
+    ec = _coords if _coords is not None else energy_coordinates(gen)
     sv = sla.svdvals(ec.T)
     dimension = int(np.count_nonzero(sv < tol * sv[0]))
     return dimension, float(sv[-1])

@@ -128,6 +128,24 @@ class TestPartialRuns:
         assert report["checks"]["conditions"]["status"] == "pass"
 
 
+class TestRendering:
+    def test_numpy_bool_rendered_as_json_literal(self):
+        assert cli.render_json({"ok": np.bool_(True), "bad": np.bool_(False)}) == (
+            '{\n  "bad": false,\n  "ok": true\n}'
+        )
+
+    def test_columns_csv_matches_per_value_formatting(self, tmp_path):
+        n = cli.CSV_CHUNK_ROWS + 3
+        x = np.linspace(-1.0, 1.0, n)
+        x[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+        columns = [x, np.arange(n), 1.0 / 3.0 * x]
+        cli.write_columns_csv(tmp_path / "c.csv", ["a", "b", "c"], columns)
+        expected = "a,b,c\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns)
+        )
+        assert (tmp_path / "c.csv").read_text() == expected
+
+
 class TestAssemble:
     def test_matrices_serialized_with_header(self, tmp_path):
         path = write_config(tmp_path)

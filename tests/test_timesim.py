@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import towerstab as ts
+from towerstab import timesim
 
 
 def scalar_generator():
@@ -80,6 +81,80 @@ class TestSimulate:
             ts.simulate(gen, np.zeros(3), 1.0, 0.1)
         with pytest.raises(ts.ValidationError, match="dt"):
             ts.simulate(gen, np.zeros(gen.dim), 1.0, 0.0)
+
+
+def reference_midpoint(gen, z0, n_steps, dt):
+    """The midpoint integrator as a plain loop over ``sla.lu_solve``."""
+    M, F = gen.gram, gen.flux
+    lhs = sla.lu_factor(M - 0.5 * dt * F)
+    z = z0.copy()
+    energies = [0.5 * float(z @ (M @ z))]
+    channels = {ch.name: [ch.vector @ z] for ch in gen.damping_channels}
+    midpoints = {ch.name: [] for ch in gen.damping_channels}
+    for _ in range(n_steps):
+        d = dt * sla.lu_solve(lhs, F @ z)
+        z_mid = z + 0.5 * d
+        z_next = z + d
+        for ch in gen.damping_channels:
+            midpoints[ch.name].append(ch.vector @ z_mid)
+            channels[ch.name].append(ch.vector @ z_next)
+        energies.append(energies[-1] + float(d @ (M @ z_mid)))
+        z = z_next
+    return np.array(energies), channels, midpoints, z
+
+
+def force_path(monkeypatch, gen, path):
+    """Select the dense or the sparse factorization for ``gen``."""
+    threshold = gen.dim + 1 if path == "dense" else gen.dim
+    monkeypatch.setattr(timesim, "SPARSE_MIN_DIM", threshold)
+
+
+class TestKernel:
+    def test_dense_path_reproduces_lu_solve_loop_bitwise(self, desk_models, monkeypatch):
+        gen = desk_models["tmd"]
+        force_path(monkeypatch, gen, "dense")
+        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+        dt = ts.default_timestep(gen, 12)
+        traj = ts.simulate(gen, z0, 300 * dt, dt)
+        energies, channels, midpoints, z = reference_midpoint(gen, z0, 300, dt)
+        assert np.array_equal(traj.energies, energies)
+        assert np.array_equal(traj.final_state, z)
+        for name in channels:
+            assert np.array_equal(traj.channels[name], channels[name])
+            assert np.array_equal(traj.midpoint_channels[name], midpoints[name])
+
+    def test_sparse_path_agrees_with_dense_path(self, desk_params, monkeypatch):
+        """Each path's energy change equals its dissipated energy up to
+        dt * (its per-step identity residual) per step, and the contractive
+        midpoint map keeps the two states, hence the dissipated energies, at
+        roundoff distance: the energy changes agree to the summed residuals.
+        E(0) itself is a dense or a CSR quadratic form, which agree to the
+        dot-product rounding bound dim * eps * |z0|^T |M| |z0|."""
+        gen = ts.assemble_combined(ts.build_beam_matrices(desk_params, 64), desk_params, 1.0, 1.0)
+        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+        dt = ts.default_timestep(gen, 12)
+        runs = {}
+        for path in ("dense", "sparse"):
+            force_path(monkeypatch, gen, path)
+            runs[path] = ts.simulate(gen, z0, 500 * dt, dt)
+        n_steps = runs["dense"].times.size - 1
+        residuals = [ts.verify_dissipation_identity(gen, t) for t in runs.values()]
+        dense, sparse = runs["dense"].energies, runs["sparse"].energies
+        change_gap = np.abs((dense - dense[0]) - (sparse - sparse[0])).max()
+        assert 0.0 < change_gap <= n_steps * dt * sum(residuals)
+        rounding = gen.dim * np.finfo(float).eps * (np.abs(z0) @ np.abs(gen.gram) @ np.abs(z0))
+        assert abs(dense[0] - sparse[0]) <= rounding
+
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    def test_blow_up_names_the_step(self, monkeypatch, path):
+        """A = 1, dt = 6: every step maps z to -2 z exactly, so the energy
+        increment 1.5 z_k^2 = 1.5 * 4^k first overflows at k = 512."""
+        gen = ts.DiscreteGenerator(A=np.array([[1.0]]), gram=np.array([[1.0]]), labels=["x"])
+        force_path(monkeypatch, gen, path)
+        with np.errstate(over="ignore"), pytest.raises(ts.NumericalError, match=r"step 512$"):
+            ts.simulate(gen, np.array([1.0]), 6000.0, 6.0)
+        with pytest.raises(ts.NumericalError, match=r"step 0$"):
+            ts.simulate(gen, np.array([np.nan]), 60.0, 6.0)
 
 
 class TestInitialData:
