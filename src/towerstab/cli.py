@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -31,7 +32,7 @@ from .beam_fem import (
     coefficient_from_spec,
 )
 from .errors import NumericalError, ToolkitError, ValidationError
-from .generator import DiscreteGenerator, energy_coordinates
+from .generator import DISSIPATIVITY_TOL, DiscreteGenerator, energy_coordinates
 from .models import (
     MODEL_KINDS,
     HydraulicParameters,
@@ -69,23 +70,28 @@ EXIT_VALIDATION = 2
 EXIT_CHECK_FAILED = 3
 EXIT_NUMERICAL = 4
 
-CHECK_NAMES = (
-    "dissipativity",
-    "passivity",
-    "transfer_cross_validation",
-    "conditions",
-    "spectrum",
-    "scan",
-    "kernel",
-    "routh_hurwitz",
-    "coupling_bound",
-    "dissipation_identity",
-    "decay",
-    "hydraulic_positivity",
+#: The checks in report order: (subcommand that runs them besides
+#: verify-all, their report names, the ``Runner`` method recording them).
+CHECKS = (
+    ("check", ("dissipativity",), "check_dissipativity"),
+    ("check", ("passivity",), "check_passivity"),
+    ("check", ("transfer_cross_validation",), "check_transfer"),
+    ("check", ("conditions",), "check_conditions"),
+    ("eigens", ("spectrum",), "check_spectrum"),
+    ("scan", ("scan",), "check_scan"),
+    ("check", ("kernel",), "check_kernel"),
+    ("check", ("routh_hurwitz",), "check_routh"),
+    (None, ("coupling_bound",), "check_coupling"),
+    ("simulate", ("dissipation_identity", "decay"), "check_simulation"),
+    ("check", ("hydraulic_positivity",), "check_positivity"),
 )
+CHECK_NAMES = tuple(name for _, names, _ in CHECKS for name in names)
 
 _POSITIVE = "must be strictly positive"
 _NONNEGATIVE = "must be nonnegative"
+#: JSON types accepted for each annotated field type; ``Any`` fields are
+#: coefficient specs, checked by ``coefficient_from_spec``.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
 
 
 @dataclass
@@ -126,7 +132,6 @@ class RunConfig:
     checks: dict = field(default_factory=dict)
     seed: int = 0
     out_dir: str = "out"
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "RunConfig":
@@ -139,6 +144,15 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if kind not in _FIELD_TYPES or (value is None and kind != f.type):
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ValidationError(f"{f.name}: expected {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValidationError(f"{f.name}: must be finite, got {value!r}")
         if self.model not in MODEL_KINDS:
             raise ValidationError(
                 f"model: {self.model!r} is not one of {sorted(MODEL_KINDS)}"
@@ -161,6 +175,12 @@ class RunConfig:
             raise ValidationError("n_points: must be at least 2")
         if self.spacing not in ("log", "linear"):
             raise ValidationError(f"spacing: must be 'log' or 'linear', got {self.spacing!r}")
+        if (self.fit_lo is None) != (self.fit_hi is None):
+            raise ValidationError("fit_lo, fit_hi: give both or neither")
+        if self.fit_lo is not None and not self.fit_lo < self.fit_hi:
+            raise ValidationError(
+                f"fit_hi: must exceed fit_lo, got [{self.fit_lo}, {self.fit_hi}]"
+            )
         if not self.T > 0:
             raise ValidationError(f"T: {_POSITIVE}, got {self.T}")
         if self.dt is not None and not self.dt > 0:
@@ -169,14 +189,15 @@ class RunConfig:
             raise ValidationError(f"profile: unknown profile {self.profile!r}")
         if self.k_modes < 1:
             raise ValidationError("k_modes: must be at least 1")
-        if self.threads < 1:
-            raise ValidationError("threads: must be at least 1")
         unknown_checks = set(self.checks) - set(CHECK_NAMES)
         if unknown_checks:
             raise ValidationError(f"checks: unknown toggles {sorted(unknown_checks)}")
+        for name, on in self.checks.items():
+            if not isinstance(on, bool):
+                raise ValidationError(f"checks: {name} must be true or false, not {on!r}")
 
     def enabled(self, check: str) -> bool:
-        return bool(self.checks.get(check, True))
+        return self.checks.get(check, True)
 
     def beam_parameters(self) -> BeamParameters:
         return BeamParameters(
@@ -349,7 +370,9 @@ class Runner:
             return
         defect = self.gen.dissipation_defect()
         self._record(
-            "dissipativity", "pass" if defect <= 1e-10 else "fail", defect=defect
+            "dissipativity",
+            "pass" if defect <= DISSIPATIVITY_TOL else "fail",
+            defect=defect,
         )
 
     def check_passivity(self) -> None:
@@ -437,12 +460,9 @@ class Runner:
             return
         cfg = self.cfg
         s_hi = cfg.s_hi if cfg.s_hi is not None else 0.5 * mesh_frequency(self.gen)
-        window = None
-        if cfg.fit_lo is not None and cfg.fit_hi is not None:
-            window = (cfg.fit_lo, cfg.fit_hi)
+        window = None if cfg.fit_lo is None else (cfg.fit_lo, cfg.fit_hi)
         scan = scan_resolvent(
-            self.gen, cfg.s_lo, s_hi, cfg.n_points, cfg.spacing,
-            fit_window=window, threads=cfg.threads,
+            self.gen, cfg.s_lo, s_hi, cfg.n_points, cfg.spacing, fit_window=window
         )
         self.scan = scan
         ok = len(scan.excluded) == 0 and np.all(np.isfinite(scan.norms))
@@ -457,9 +477,8 @@ class Runner:
     def check_kernel(self) -> None:
         if self._skip("kernel"):
             return
-        coords = energy_coordinates(self.gen)
-        dim, smin = kernel_check(self.gen, _coords=coords)
-        smax = coords.norm_A
+        dim, smin = kernel_check(self.gen)
+        smax = energy_coordinates(self.gen).norm_A
         ok = dim == 0 and smin > 1e-8 * smax
         self._record(
             "kernel", "pass" if ok else "fail", dimension=dim, sigma_min=smin,
@@ -575,17 +594,8 @@ class Runner:
     # orchestration --------------------------------------------------------
 
     def run_all(self) -> VerificationReport:
-        self.check_dissipativity()
-        self.check_passivity()
-        self.check_transfer()
-        self.check_conditions()
-        self.check_spectrum()
-        self.check_scan()
-        self.check_kernel()
-        self.check_routh()
-        self.check_coupling()
-        self.check_simulation()
-        self.check_positivity()
+        for _, _, method in CHECKS:
+            getattr(self, method)()
         return self.report()
 
     def report(self) -> VerificationReport:
@@ -654,16 +664,6 @@ def load_config(path: str | None, overrides: Mapping[str, Any]) -> RunConfig:
 
 SUBCOMMANDS = ("assemble", "check", "scan", "eigens", "simulate", "verify-all")
 
-_SUBCOMMAND_CHECKS = {
-    "check": (
-        "dissipativity", "passivity", "transfer_cross_validation", "conditions",
-        "kernel", "routh_hurwitz", "hydraulic_positivity",
-    ),
-    "scan": ("scan",),
-    "eigens": ("spectrum",),
-    "simulate": ("dissipation_identity", "decay"),
-}
-
 
 def run(subcommand: str, cfg: RunConfig) -> tuple[int, VerificationReport]:
     """Dispatch one subcommand; returns (exit status, report)."""
@@ -681,23 +681,9 @@ def run(subcommand: str, cfg: RunConfig) -> tuple[int, VerificationReport]:
     elif subcommand == "verify-all":
         report = runner.run_all()
     else:
-        wanted = _SUBCOMMAND_CHECKS[subcommand]
-        for name, method in (
-            ("dissipativity", runner.check_dissipativity),
-            ("passivity", runner.check_passivity),
-            ("transfer_cross_validation", runner.check_transfer),
-            ("conditions", runner.check_conditions),
-            ("spectrum", runner.check_spectrum),
-            ("scan", runner.check_scan),
-            ("kernel", runner.check_kernel),
-            ("routh_hurwitz", runner.check_routh),
-            ("coupling_bound", runner.check_coupling),
-            ("hydraulic_positivity", runner.check_positivity),
-        ):
-            if name in wanted:
-                method()
-        if subcommand == "simulate":
-            runner.check_simulation()
+        for sub, _, method in CHECKS:
+            if sub == subcommand:
+                getattr(runner, method)()
         report = runner.report()
     emit_report(report, cfg.out_dir, runner)
     status = EXIT_CHECK_FAILED if report.failed() else EXIT_OK
@@ -713,9 +699,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="path to a JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    overrides = {"out_dir": args.out, "seed": args.seed, "threads": args.threads}
+    overrides = {"out_dir": args.out, "seed": args.seed}
     try:
         cfg = load_config(args.config, overrides)
         status, report = run(args.subcommand, cfg)

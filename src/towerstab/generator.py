@@ -1,28 +1,29 @@
 """Semi-discrete generators with an energy Gram matrix.
 
-A :class:`DiscreteGenerator` is a square real matrix ``A`` together with a
+A :class:`DiscreteGenerator` is a square real generator together with a
 symmetric positive-definite Gram matrix ``M`` defining the state norm
 ``|z|^2 = z^T M z`` (twice the physical energy).  All stability notions in
 this toolkit (dissipativity, resolvent norms, spectra) are taken with
 respect to that norm.
 
-Generators are kept in descriptor form internally: alongside the explicit
-``A`` they carry ``flux = M A`` as assembled (skew blocks are stored once,
-so they cancel exactly in floating point).  Deriving ``M A`` by multiplying
-the explicit ``A`` would amplify mass-solve roundoff by the stiffness norm
-and swamp the 1e-10 dissipativity tolerances on fine meshes; all energy
-balance computations therefore go through ``flux``.
+Generators are flux-first: they store ``flux = M A`` as assembled (skew
+blocks are stored once, so they cancel exactly in floating point), and the
+explicit ``A`` is derived from it only when read.  Deriving ``M A`` by
+multiplying an explicit ``A`` would amplify mass-solve roundoff by the
+stiffness norm and swamp the 1e-10 dissipativity tolerances on fine meshes;
+all energy balance computations therefore go through ``flux``.  The energy
+coordinates, their singular values and their eigenvalues are computed once
+per generator and cached on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import DimensionError, NumericalError, SpectrumHit, ValidationError
 
 SYMMETRY_RTOL = 1e-12
 DISSIPATIVITY_TOL = 1e-10
@@ -75,47 +76,56 @@ def symmetric_part(F: np.ndarray) -> np.ndarray:
     return 0.5 * (F + F.conj().T)
 
 
-@dataclass(eq=False)
 class DiscreteGenerator:
-    """Square generator ``A`` with energy Gram ``gram`` and coordinate labels.
+    """Generator in descriptor form: energy Gram, assembled flux, coordinate labels.
 
-    ``flux`` is the assembled product ``gram @ A`` (defaults to the plain
-    matrix product); ``damping_channels`` carries the model's closed-form
-    dissipation identity so that ``sym(flux) = -sum gain_i v_i v_i^T``.
-    Instances are immutable by convention and safe to share read-only
-    across parallel workers.
+    ``flux`` is the assembled product ``gram @ A``; when it is omitted it is
+    formed from a given ``A``, which is then kept.  Otherwise ``A`` is derived
+    on first read by one Cholesky solve.  ``damping_channels`` carries the
+    model's closed-form dissipation identity so that
+    ``sym(flux) = -sum gain_i v_i v_i^T``.  Instances are immutable by
+    convention: the energy data of :func:`energy_coordinates` is computed
+    once and cached on the generator.
     """
 
-    A: np.ndarray
-    gram: np.ndarray
-    labels: Sequence[str]
-    damping_channels: tuple[DampingChannel, ...] = field(default_factory=tuple)
-    flux: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionError(f"A must be square, got {self.A.shape}")
-        check_spd(self.gram, "gram")
-        self.gram = np.asarray(self.gram, dtype=float)
-        if self.gram.shape != (n, n):
-            raise DimensionError("gram shape does not match A")
-        if self.flux is None:
-            self.flux = self.gram @ self.A
-        else:
-            self.flux = np.asarray(self.flux, dtype=float)
-            if self.flux.shape != (n, n):
-                raise DimensionError("flux shape does not match A")
-        self.labels = tuple(self.labels)
+    def __init__(
+        self,
+        A: np.ndarray | None = None,
+        gram: np.ndarray | None = None,
+        labels: Sequence[str] = (),
+        damping_channels: tuple[DampingChannel, ...] = (),
+        flux: np.ndarray | None = None,
+    ):
+        if flux is None and A is None:
+            raise ValidationError("a generator needs flux or A")
+        check_spd(gram, "gram")
+        self.gram = np.asarray(gram, dtype=float)
+        n = self.gram.shape[0]
+        self._A = None if A is None else np.asarray(A, dtype=float)
+        if self._A is not None and self._A.shape != (n, n):
+            raise DimensionError(f"A must be {n}x{n} like gram, got {self._A.shape}")
+        self.flux = np.asarray(self.gram @ self._A if flux is None else flux, dtype=float)
+        if self.flux.shape != (n, n):
+            raise DimensionError("flux shape does not match gram")
+        self.labels = tuple(labels)
         if len(self.labels) != n:
             raise DimensionError(f"expected {n} labels, got {len(self.labels)}")
         if len(set(self.labels)) != n:
             raise ValidationError("coordinate labels must be unique")
+        self.damping_channels = tuple(damping_channels)
+        self._coords: EnergyCoordinates | None = None
+        self._eigenvalues: np.ndarray | None = None
+
+    @property
+    def A(self) -> np.ndarray:
+        """Explicit generator ``gram^{-1} flux``."""
+        if self._A is None:
+            self._A = sla.cho_solve((check_spd(self.gram), False), self.flux)
+        return self._A
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.gram.shape[0]
 
     def index(self, label: str) -> int:
         """Coordinate index of a labelled state component."""
@@ -145,10 +155,12 @@ class EnergyCoordinates(NamedTuple):
 
     ``T = U A U^{-1}`` with ``M = U^T U``; energy operator norms of functions
     of ``A`` equal Euclidean norms of the same functions of ``T``.
+    ``singular_values`` is the descending singular spectrum of ``T`` and
+    ``norm_A`` its largest entry, the energy operator norm of ``A``.
     """
 
     T: np.ndarray
-    U: np.ndarray
+    singular_values: np.ndarray
     norm_A: float
 
 
@@ -165,9 +177,41 @@ def transform_flux(flux: np.ndarray, U: np.ndarray) -> np.ndarray:
         raise NumericalError(f"energy transform failed: {exc}") from exc
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def energy_coordinates(gen: DiscreteGenerator) -> EnergyCoordinates:
-    """Similarity transform of the generator by the Cholesky factor of the Gram."""
-    U = check_spd(gen.gram)
-    T = transform_flux(gen.flux, U)
-    norm_A = float(sla.svdvals(T)[0])
-    return EnergyCoordinates(T=T, U=U, norm_A=norm_A)
+    """Similarity transform of the generator by the Cholesky factor of the Gram.
+
+    Computed on the first call and cached on the generator; later calls
+    return the same object.
+    """
+    if gen._coords is None:
+        T = transform_flux(gen.flux, check_spd(gen.gram))
+        sv = sla.svdvals(T)
+        gen._coords = EnergyCoordinates(
+            T=_frozen(T), singular_values=_frozen(sv), norm_A=float(sv[0])
+        )
+    return gen._coords
+
+
+def _energy_eigenvalues(gen: DiscreteGenerator) -> np.ndarray:
+    """Eigenvalues of ``T`` in LAPACK order, computed once per generator."""
+    if gen._eigenvalues is None:
+        try:
+            lam = sla.eigvals(energy_coordinates(gen).T)
+        except sla.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed: {exc}") from exc
+        gen._eigenvalues = _frozen(lam)
+    return gen._eigenvalues
+
+
+def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
+    """``1 / sigma_min(is - T)``; raises :class:`SpectrumHit` when singular."""
+    sv = sla.svdvals(1j * s * np.eye(T.shape[0]) - T)
+    smin = float(sv[-1])
+    if smin <= 10.0 * np.finfo(float).eps * (abs(s) + norm_T):
+        raise SpectrumHit(s)
+    return 1.0 / smin

@@ -1,18 +1,23 @@
 """Assembly of the closed-loop tower generators and their closed forms.
 
-Every model shares the same beam core: the first-order system on (q, v)
-with Gram blkdiag(K, M) where M is the beam mass matrix with the nacelle
-mass and inertia added on the tip degrees of freedom.  Tip values are
-genuine degrees of freedom, so boundary feedback, the mass-damper states
-and the hydraulic drivetrain states all attach matrix-additively; no trace
-constraints need eliminating.
+Every model starts from the same lossless beam core: the first-order
+system on (q, v) with Gram blkdiag(K, M) where M is the beam mass matrix
+with the nacelle mass and inertia added on the tip degrees of freedom.
+Tip values are genuine degrees of freedom, so the core is closed in one of
+two power-preserving ways, each written once and in flux form only:
+static collocated feedback (combined, torque, force and the
+generator-torque loop of hydraulic_feedback) subtracts ``k g g^T`` from
+the flux, and the mass damper and the hydraulic transmission are passive
+blocks coupled to the core's tip port by
+:func:`~towerstab.passive_core.couple_systems`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,7 +25,7 @@ import scipy.linalg as sla
 from .beam_fem import BeamMatrices, BeamParameters
 from .errors import SpectrumHit, ValidationError
 from .generator import DampingChannel, DiscreteGenerator
-from .passive_core import PassiveSystem
+from .passive_core import PassiveSystem, couple_systems
 
 MODEL_KINDS = ("combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback")
 
@@ -71,68 +76,58 @@ class HydraulicParameters:
         return self.kleak_p + self.kleak_m
 
 
-class _BeamCore(NamedTuple):
-    """Shared first-order beam data for all model assemblies."""
+def _beam_core(beam: BeamMatrices, params: BeamParameters) -> DiscreteGenerator:
+    """Lossless first-order beam on (q, v) with Gram blkdiag(K, M_full).
 
-    n_dof: int
-    K: np.ndarray
-    M_full: np.ndarray
-    minv_ed: np.ndarray  # M_full^{-1} e_tip_disp
-    minv_er: np.ndarray  # M_full^{-1} e_tip_rot
-    A_open: np.ndarray
-    flux_open: np.ndarray
-    gram: np.ndarray
-    labels: list[str]
-    i_vtip: int  # state index of the tip velocity
-    i_vrot: int  # state index of the tip angular velocity
-
-
-def _beam_core(beam: BeamMatrices, params: BeamParameters) -> _BeamCore:
+    ``M_full`` is the beam mass matrix with the nacelle mass and inertia
+    added on the tip degrees of freedom; the flux holds the skew pair
+    ``+-K`` once, so its symmetric part is exactly zero.
+    """
     n = beam.n_dof
     K = 0.5 * (beam.K + beam.K.T)
     M_full = 0.5 * (beam.Mrho + beam.Mrho.T)
     M_full[beam.tip_disp_index, beam.tip_disp_index] += params.m
     M_full[beam.tip_rot_index, beam.tip_rot_index] += params.J
-    cho = sla.cho_factor(M_full)
-    minv_K = sla.cho_solve(cho, K)
-    e_d = np.zeros(n)
-    e_d[beam.tip_disp_index] = 1.0
-    e_r = np.zeros(n)
-    e_r[beam.tip_rot_index] = 1.0
-    A_open = np.zeros((2 * n, 2 * n))
-    A_open[:n, n:] = np.eye(n)
-    A_open[n:, :n] = -minv_K
-    flux_open = np.zeros((2 * n, 2 * n))
-    flux_open[:n, n:] = K
-    flux_open[n:, :n] = -K
+    flux = np.zeros((2 * n, 2 * n))
+    flux[:n, n:] = K
+    flux[n:, :n] = -K
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, :n] = K
     gram[n:, n:] = M_full
+    return DiscreteGenerator(gram=gram, labels=_beam_labels(beam), flux=flux)
+
+
+def _beam_labels(beam: BeamMatrices) -> list[str]:
     labels = []
     for i in range(1, beam.n_elements + 1):
         labels += [f"disp[{i}]", f"slope[{i}]"]
     for i in range(1, beam.n_elements):
         labels += [f"vel[{i}]", f"angvel[{i}]"]
-    labels += ["tip_velocity", "tip_angular_velocity"]
-    return _BeamCore(
-        n_dof=n,
-        K=K,
-        M_full=M_full,
-        minv_ed=sla.cho_solve(cho, e_d),
-        minv_er=sla.cho_solve(cho, e_r),
-        A_open=A_open,
-        flux_open=flux_open,
-        gram=gram,
-        labels=labels,
-        i_vtip=n + beam.tip_disp_index,
-        i_vrot=n + beam.tip_rot_index,
+    return labels + ["tip_velocity", "tip_angular_velocity"]
+
+
+def _with_channels(
+    gen: DiscreteGenerator, flux: np.ndarray, *channels: DampingChannel
+) -> DiscreteGenerator:
+    """``gen`` with a new flux and further damping channels appended."""
+    return DiscreteGenerator(
+        gram=gen.gram,
+        labels=gen.labels,
+        damping_channels=gen.damping_channels + channels,
+        flux=flux,
     )
 
 
-def _unit(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
+def _close_loops(gen: DiscreteGenerator, *loops: DampingChannel) -> DiscreteGenerator:
+    """Close collocated static loops ``u = -k g.z``, one per ``(name, k, g)``.
+
+    Each loop takes ``k g g^T`` off the flux and becomes the damping channel
+    ``-k (g.z)^2`` of the identity.
+    """
+    flux = gen.flux
+    for _, k, g in loops:
+        flux = flux - k * np.outer(g, g)
+    return _with_channels(gen, flux, *loops)
 
 
 def assemble_combined(
@@ -147,20 +142,11 @@ def assemble_combined(
     """
     if a < 0 or b < 0:
         raise ValidationError(f"feedback gains must be nonnegative, got a={a}, b={b}")
-    core = _beam_core(beam, params)
-    n, dim = core.n_dof, 2 * core.n_dof
-    A = core.A_open.copy()
-    A[n:, core.i_vtip] -= a * core.minv_ed
-    A[n:, core.i_vrot] -= b * core.minv_er
-    flux = core.flux_open.copy()
-    flux[core.i_vtip, core.i_vtip] -= a
-    flux[core.i_vrot, core.i_vrot] -= b
-    channels = (
-        DampingChannel("tip_velocity", a, _unit(dim, core.i_vtip)),
-        DampingChannel("tip_angular_velocity", b, _unit(dim, core.i_vrot)),
-    )
-    return DiscreteGenerator(
-        A=A, gram=core.gram, labels=core.labels, damping_channels=channels, flux=flux
+    gen = _beam_core(beam, params)
+    return _close_loops(
+        gen,
+        DampingChannel("tip_velocity", a, gen.unit_state("tip_velocity")),
+        DampingChannel("tip_angular_velocity", b, gen.unit_state("tip_angular_velocity")),
     )
 
 
@@ -169,48 +155,19 @@ def assemble_tmd(
 ) -> DiscreteGenerator:
     """Tower with a passive mass damper in the nacelle.
 
-    Appends the damper offset (relative to the nacelle) and the damper
-    velocity; the coupling acts only through the tip velocity row and
-    dissipates ``d1 |p_t - w_t(1)|^2``.
+    Couples the force port of the beam to :func:`tmd_block`, which appends
+    the damper offset (relative to the nacelle) and the damper velocity;
+    the coupling acts only through the tip velocity row and dissipates
+    ``d1 |p_t - w_t(1)|^2``.
     """
-    core = _beam_core(beam, params)
-    n = core.n_dof
-    dim = 2 * n + 2
-    i5, i6 = 2 * n, 2 * n + 1
-    m1, k1, d1 = tmd.m1, tmd.k1, tmd.d1
-    A = np.zeros((dim, dim))
-    A[: 2 * n, : 2 * n] = core.A_open
-    A[n : 2 * n, core.i_vtip] -= d1 * core.minv_ed
-    A[n : 2 * n, i5] = k1 * core.minv_ed
-    A[n : 2 * n, i6] = d1 * core.minv_ed
-    A[i5, core.i_vtip] = -1.0
-    A[i5, i6] = 1.0
-    A[i6, core.i_vtip] = d1 / m1
-    A[i6, i5] = -k1 / m1
-    A[i6, i6] = -d1 / m1
-    gram = np.zeros((dim, dim))
-    gram[: 2 * n, : 2 * n] = core.gram
-    gram[i5, i5] = k1
-    gram[i6, i6] = m1
-    e_d = _unit(n, beam.tip_disp_index)
-    flux = np.zeros((dim, dim))
-    flux[: 2 * n, : 2 * n] = core.flux_open
-    flux[n : 2 * n, core.i_vtip] -= d1 * e_d
-    flux[n : 2 * n, i5] = k1 * e_d
-    flux[n : 2 * n, i6] = d1 * e_d
-    flux[i5, core.i_vtip] = -k1
-    flux[i5, i6] = k1
-    flux[i6, core.i_vtip] = d1
-    flux[i6, i5] = -k1
-    flux[i6, i6] = -d1
-    labels = core.labels + ["tmd_offset", "tmd_velocity"]
-    channels = (
-        DampingChannel(
-            "tmd_relative_velocity", d1, _unit(dim, i6) - _unit(dim, core.i_vtip)
-        ),
+    gen = couple_systems(
+        scole_tip_block(beam, params, "displacement"),
+        tmd_block(tmd),
+        labels=_beam_labels(beam) + ["tmd_offset", "tmd_velocity"],
     )
-    return DiscreteGenerator(
-        A=A, gram=gram, labels=labels, damping_channels=channels, flux=flux
+    g = gen.unit_state("tmd_velocity") - gen.unit_state("tip_velocity")
+    return _with_channels(
+        gen, gen.flux, DampingChannel("tmd_relative_velocity", tmd.d1, g)
     )
 
 
@@ -219,7 +176,8 @@ def assemble_hydraulic(
 ) -> DiscreteGenerator:
     """Tower driven through a hydrostatic transmission in the side-side plane.
 
-    Appends the shifted pump speed, shifted motor speed and line pressure.
+    Couples the torque port of the beam to :func:`hydraulic_block`, which
+    appends the shifted pump speed, shifted motor speed and line pressure.
     The energy weight on the pressure is the fluid capacitance ``V/beta``
     (the weight that makes the assembled generator dissipative for every
     admissible parameter set); the identity is
@@ -232,63 +190,20 @@ def assemble_hydraulic(
             "require at least one nonzero damping coefficient",
             stacklevel=2,
         )
-    core = _beam_core(beam, params)
-    n = core.n_dof
-    dim = 2 * n + 3
-    i5, i6, i7 = 2 * n, 2 * n + 1, 2 * n + 2
-    Bp, Bm, Dp, Dm = hyd.Bp, hyd.Bm, hyd.Dp, hyd.Dm
-    k = hyd.kleak
-    bv = hyd.beta / hyd.V
-    A = np.zeros((dim, dim))
-    A[: 2 * n, : 2 * n] = core.A_open
-    A[n : 2 * n, core.i_vrot] -= (Bp + Bm) * core.minv_er
-    A[n : 2 * n, i5] = Bp * core.minv_er
-    A[n : 2 * n, i6] = -Bm * core.minv_er
-    A[n : 2 * n, i7] = (Dp + Dm) * core.minv_er
-    A[i5, core.i_vrot] = Bp / hyd.JT
-    A[i5, i5] = -Bp / hyd.JT
-    A[i5, i7] = -Dp / hyd.JT
-    A[i6, core.i_vrot] = -Bm / hyd.JG
-    A[i6, i6] = -Bm / hyd.JG
-    A[i6, i7] = Dm / hyd.JG
-    A[i7, core.i_vrot] = -bv * (Dp + Dm)
-    A[i7, i5] = bv * Dp
-    A[i7, i6] = -bv * Dm
-    A[i7, i7] = -bv * k
-    gram = np.zeros((dim, dim))
-    gram[: 2 * n, : 2 * n] = core.gram
-    gram[i5, i5] = hyd.JT
-    gram[i6, i6] = hyd.JG
-    gram[i7, i7] = hyd.V / hyd.beta
-    e_r = _unit(n, beam.tip_rot_index)
-    flux = np.zeros((dim, dim))
-    flux[: 2 * n, : 2 * n] = core.flux_open
-    flux[n : 2 * n, core.i_vrot] -= (Bp + Bm) * e_r
-    flux[n : 2 * n, i5] = Bp * e_r
-    flux[n : 2 * n, i6] = -Bm * e_r
-    flux[n : 2 * n, i7] = (Dp + Dm) * e_r
-    flux[i5, core.i_vrot] = Bp
-    flux[i5, i5] = -Bp
-    flux[i5, i7] = -Dp
-    flux[i6, core.i_vrot] = -Bm
-    flux[i6, i6] = -Bm
-    flux[i6, i7] = Dm
-    flux[i7, core.i_vrot] = -(Dp + Dm)
-    flux[i7, i5] = Dp
-    flux[i7, i6] = -Dm
-    flux[i7, i7] = -k
-    labels = core.labels + ["pump_speed_shift", "motor_speed_shift", "pressure"]
-    channels = (
-        DampingChannel(
-            "pump_velocity_mismatch", Bp, _unit(dim, core.i_vrot) - _unit(dim, i5)
-        ),
-        DampingChannel(
-            "motor_velocity_sum", Bm, _unit(dim, core.i_vrot) + _unit(dim, i6)
-        ),
-        DampingChannel("pressure", k, _unit(dim, i7)),
+    gen = couple_systems(
+        scole_tip_block(beam, params, "rotation"),
+        hydraulic_block(hyd),
+        labels=_beam_labels(beam)
+        + ["pump_speed_shift", "motor_speed_shift", "pressure"],
     )
-    return DiscreteGenerator(
-        A=A, gram=gram, labels=labels, damping_channels=channels, flux=flux
+    unit = gen.unit_state
+    w = unit("tip_angular_velocity")
+    return _with_channels(
+        gen,
+        gen.flux,
+        DampingChannel("pump_velocity_mismatch", hyd.Bp, w - unit("pump_speed_shift")),
+        DampingChannel("motor_velocity_sum", hyd.Bm, w + unit("motor_speed_shift")),
+        DampingChannel("pressure", hyd.kleak, unit("pressure")),
     )
 
 
@@ -314,27 +229,17 @@ def assemble_hydraulic_feedback(
 ) -> DiscreteGenerator:
     """Close the generator-torque loop ``u = -k y`` around the hydraulic model.
 
-    The input enters the tip angular-velocity equation with weight ``-1/J``
-    and the shifted motor speed with ``-1/JG``; the measurement is the
-    Gram-weighted adjoint of that input map, so the closed loop gains the
-    dissipation term ``-k |B' z|^2``.
+    The torque acts on the tip rotation and on the shifted motor speed; in
+    flux form its input map is ``g = -(e_tip_angular_velocity +
+    e_motor_speed_shift)`` exactly (the inertias ``J`` and ``JG`` sit in
+    ``gen.gram``, so the arguments are accepted for call compatibility and
+    not read).  The measurement is ``y = g.z`` and the closed loop gains
+    the dissipation term ``-k |g.z|^2``.
     """
     if k < 0:
         raise ValidationError(f"feedback gain must be nonnegative, got {k}")
-    _, v_idx = _state_blocks(gen)
-    M_full = gen.gram[np.ix_(v_idx, v_idx)]
-    e_r = np.zeros(v_idx.size)
-    e_r[v_idx.tolist().index(gen.index("tip_angular_velocity"))] = 1.0
-    B = np.zeros(gen.dim)
-    B[v_idx] = -sla.cho_solve(sla.cho_factor(M_full), e_r)
-    B[gen.index("motor_speed_shift")] = -1.0 / JG
-    g = gen.gram @ B
-    A = gen.A - k * np.outer(B, g)
-    flux = gen.flux - k * np.outer(g, g)
-    channels = gen.damping_channels + (DampingChannel("feedback", k, g),)
-    return DiscreteGenerator(
-        A=A, gram=gen.gram, labels=gen.labels, damping_channels=channels, flux=flux
-    )
+    g = -(gen.unit_state("tip_angular_velocity") + gen.unit_state("motor_speed_shift"))
+    return _close_loops(gen, DampingChannel("feedback", k, g))
 
 
 def scole_tip_block(
@@ -345,42 +250,43 @@ def scole_tip_block(
     ``port`` selects the tip channel: "displacement" drives the tip velocity
     row (force input, velocity output), "rotation" the tip angular-velocity
     row (torque input, angular velocity output).  The block is lossless:
-    its passivity defect vanishes identically.
+    its passivity defect vanishes identically.  Its assembled input map
+    ``gram @ B`` is the unit vector of the output row.
     """
-    core = _beam_core(beam, params)
-    if port == "displacement":
-        minv_e, i_out = core.minv_ed, core.i_vtip
-    elif port == "rotation":
-        minv_e, i_out = core.minv_er, core.i_vrot
-    else:
+    labels = {"displacement": "tip_velocity", "rotation": "tip_angular_velocity"}
+    if port not in labels:
         raise ValidationError(f"port must be 'displacement' or 'rotation', got {port!r}")
-    dim = 2 * core.n_dof
+    core = _beam_core(beam, params)
+    n, dim = beam.n_dof, core.dim
+    gram_B = core.unit_state(labels[port])[:, None]
+    cho = sla.cho_factor(core.gram[n:, n:])
+    A = np.zeros((dim, dim))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -sla.cho_solve(cho, core.gram[:n, :n])
     B = np.zeros((dim, 1))
-    B[core.n_dof :, 0] = minv_e
-    C = np.zeros((1, dim))
-    C[0, i_out] = 1.0
+    B[n:] = sla.cho_solve(cho, gram_B[n:])
     return PassiveSystem(
-        A=core.A_open,
+        A=A,
         B=B,
-        C=C,
+        C=gram_B.T,
         D=np.zeros((1, 1)),
         gram=core.gram,
-        flux=core.flux_open,
+        flux=core.flux,
+        gram_B=gram_B,
     )
 
 
 def tmd_block(tmd: TmdParameters) -> PassiveSystem:
     """Two-state mass-damper block, passive with defect ``d1 |z2 + u|^2``."""
     m1, k1, d1 = tmd.m1, tmd.k1, tmd.d1
-    A = np.array([[0.0, 1.0], [-k1 / m1, -d1 / m1]])
-    gram = np.diag([k1, m1])
     return PassiveSystem(
-        A=A,
+        A=np.array([[0.0, 1.0], [-k1 / m1, -d1 / m1]]),
         B=np.array([[1.0], [-d1 / m1]]),
         C=np.array([[k1, d1]]),
         D=np.array([[d1]]),
-        gram=gram,
+        gram=np.diag([k1, m1]),
         flux=np.array([[0.0, k1], [-k1, -d1]]),
+        gram_B=np.array([[k1], [-d1]]),
     )
 
 
@@ -388,30 +294,25 @@ def hydraulic_block(hyd: HydraulicParameters) -> PassiveSystem:
     """Three-state transmission block (shifted speeds and pressure).
 
     Passive with defect ``Bp |z1 + u|^2 + Bm |z2 - u|^2 + kleak |z3|^2``.
+    The Gram carries the turbine and generator inertias ``JT``, ``JG`` and
+    the fluid capacitance ``V/beta``.
     """
     Bp, Bm, Dp, Dm, k = hyd.Bp, hyd.Bm, hyd.Dp, hyd.Dm, hyd.kleak
-    bv = hyd.beta / hyd.V
-    A = np.array(
-        [
-            [-Bp, 0.0, -Dp],
-            [0.0, -Bm, Dm],
-            [bv * Dp, -bv * Dm, -bv * k],
-        ]
-    )
-    flux = np.array(
-        [
-            [-Bp, 0.0, -Dp],
-            [0.0, -Bm, Dm],
-            [Dp, -Dm, -k],
-        ]
-    )
+    JT, JG, bv = hyd.JT, hyd.JG, hyd.beta / hyd.V
     return PassiveSystem(
-        A=A,
-        B=np.array([[-Bp], [Bm], [bv * (Dp + Dm)]]),
+        A=np.array(
+            [
+                [-Bp / JT, 0.0, -Dp / JT],
+                [0.0, -Bm / JG, Dm / JG],
+                [bv * Dp, -bv * Dm, -bv * k],
+            ]
+        ),
+        B=np.array([[-Bp / JT], [Bm / JG], [bv * (Dp + Dm)]]),
         C=np.array([[Bp, -Bm, Dp + Dm]]),
         D=np.array([[Bm + Bp]]),
-        gram=np.diag([1.0, 1.0, hyd.V / hyd.beta]),
-        flux=flux,
+        gram=np.diag([JT, JG, hyd.V / hyd.beta]),
+        flux=np.array([[-Bp, 0.0, -Dp], [0.0, -Bm, Dm], [Dp, -Dm, -k]]),
+        gram_B=np.array([[-Bp], [Bm], [Dp + Dm]]),
     )
 
 
@@ -597,7 +498,8 @@ def state_space_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
         return np.array([[tmd.d1 * abs(x[1] + 1.0) ** 2]])
     if kind == "hydraulic":
         hyd = _as_hydraulic(params)
-        sys = hydraulic_block(hyd)
+        # the printed formulas assume unit turbine and generator inertias
+        sys = hydraulic_block(dataclasses.replace(hyd, JT=1.0, JG=1.0))
         x = _resolvent_apply(sys.A, s, sys.B)[:, 0]
         value = (
             hyd.Bp * abs(x[0] + 1.0) ** 2

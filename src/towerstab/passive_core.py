@@ -23,10 +23,12 @@ from .errors import DimensionError, NumericalError, SpectrumHit, ValidationError
 from .generator import (
     DISSIPATIVITY_TOL,
     DiscreteGenerator,
+    _resolvent_from_shift,
     check_spd,
     symmetric_part,
     transform_flux,
 )
+from .spectral import resolvent_norm
 
 PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -38,7 +40,9 @@ class PassiveSystem:
 
     Matrices may be complex (feedback transforms with complex gain produce
     complex blocks); the Gram is always real SPD.  ``flux`` is the assembled
-    ``gram @ A`` kept in descriptor form, exactly as for generators.
+    ``gram @ A`` and ``gram_B`` the assembled input map ``gram @ B``, both
+    kept in descriptor form exactly as for generators and defaulting to the
+    plain products.
     """
 
     A: np.ndarray
@@ -47,6 +51,7 @@ class PassiveSystem:
     D: np.ndarray
     gram: np.ndarray
     flux: np.ndarray | None = None
+    gram_B: np.ndarray | None = None
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A))
@@ -72,6 +77,11 @@ class PassiveSystem:
         self.flux = np.atleast_2d(np.asarray(self.flux))
         if self.flux.shape != (n, n):
             raise DimensionError("flux shape does not match A")
+        if self.gram_B is None:
+            self.gram_B = self.gram @ self.B
+        self.gram_B = np.atleast_2d(np.asarray(self.gram_B))
+        if self.gram_B.shape != self.B.shape:
+            raise DimensionError("gram_B shape does not match B")
 
     @property
     def n(self) -> int:
@@ -112,8 +122,7 @@ class PassivityReport:
 
 def _passivity_form(sys: PassiveSystem) -> np.ndarray:
     """Hermitian form whose negativity is equivalent to impedance passivity."""
-    MB = sys.gram @ sys.B
-    N = np.block([[sys.flux, MB], [-sys.C, -sys.D]])
+    N = np.block([[sys.flux, sys.gram_B], [-sys.C, -sys.D]])
     return symmetric_part(N)
 
 
@@ -271,14 +280,14 @@ def feedback_transform(
     IQD = np.eye(p) + Q @ sys.D
     gain = Q @ sla.solve(IDQ, sys.C)
     A_Q = sys.A - sys.B @ gain
-    flux_Q = sys.flux - (sys.gram @ sys.B) @ gain
     out = PassiveSystem(
         A=A_Q,
         B=sla.solve(IQD.T, sys.B.T).T,
         C=sla.solve(IDQ, sys.C),
         D=sla.solve(IDQ, sys.D),
         gram=sys.gram,
-        flux=flux_Q,
+        flux=sys.flux - sys.gram_B @ gain,
+        gram_B=sla.solve(IQD.T, sys.gram_B.T).T,
     )
     if certify:
         report = verify_passivity(out, n_samples=20, seed=1)
@@ -295,12 +304,14 @@ def couple_systems(
 ) -> DiscreteGenerator:
     """Power-preserving interconnection of two passive blocks.
 
-    Builds the block generator
+    Builds the flux of the block generator
 
         [[A1 - B1 D2 Q1 C1,  B1 Q1 C2     ],
          [-B2 Q1 C1,         A2 - B2 Q1 D1 C2]],   Q1 = (I + D1 D2)^{-1},
 
-    with the block-diagonal Gram, and certifies Gram-dissipativity.
+    from the blocks' assembled ``flux`` and ``gram_B`` (so every product
+    with a unit input map is exact), with the block-diagonal Gram, and
+    certifies Gram-dissipativity.
     """
     if sys1.p != sys2.p:
         raise DimensionError(
@@ -316,24 +327,18 @@ def couple_systems(
         )
     Q1 = sla.inv(IDD)
     n1, n2 = sys1.n, sys2.n
-    A = np.zeros((n1 + n2, n1 + n2), dtype=np.result_type(sys1.A, sys2.A))
-    A[:n1, :n1] = sys1.A - sys1.B @ (sys2.D @ (Q1 @ sys1.C))
-    A[:n1, n1:] = sys1.B @ (Q1 @ sys2.C)
-    A[n1:, :n1] = -sys2.B @ (Q1 @ sys1.C)
-    A[n1:, n1:] = sys2.A - sys2.B @ (Q1 @ (sys1.D @ sys2.C))
     gram = np.zeros((n1 + n2, n1 + n2))
     gram[:n1, :n1] = sys1.gram
     gram[n1:, n1:] = sys2.gram
-    MB1 = sys1.gram @ sys1.B
-    MB2 = sys2.gram @ sys2.B
-    flux = np.zeros_like(A)
+    MB1, MB2 = sys1.gram_B, sys2.gram_B
+    flux = np.zeros((n1 + n2, n1 + n2))
     flux[:n1, :n1] = sys1.flux - MB1 @ (sys2.D @ (Q1 @ sys1.C))
     flux[:n1, n1:] = MB1 @ (Q1 @ sys2.C)
     flux[n1:, :n1] = -MB2 @ (Q1 @ sys1.C)
     flux[n1:, n1:] = sys2.flux - MB2 @ (Q1 @ (sys1.D @ sys2.C))
     if labels is None:
         labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
-    gen = DiscreteGenerator(A=np.real(A), gram=gram, labels=labels, flux=np.real(flux))
+    gen = DiscreteGenerator(gram=gram, labels=labels, flux=flux)
     defect = gen.dissipation_defect()
     if defect > DISSIPATIVITY_TOL:
         raise NumericalError(
@@ -396,14 +401,8 @@ class _EnergySystem:
         self.D = sys.D
         self.norm_T = float(sla.svdvals(self.T)[0])
 
-    def _shift(self, s: float) -> np.ndarray:
-        return 1j * s * np.eye(self.T.shape[0]) - self.T
-
     def resolvent_norm(self, s: float) -> float:
-        sv = sla.svdvals(self._shift(s))
-        if sv[-1] <= 10 * np.finfo(float).eps * (abs(s) + self.norm_T):
-            raise SpectrumHit(s)
-        return 1.0 / float(sv[-1])
+        return _resolvent_from_shift(self.T, s, self.norm_T)
 
     def resolvent_input_norm(self, s: float) -> float:
         X = _resolvent_apply(self.T, s, self.B)
@@ -510,8 +509,6 @@ def check_coupled_resolvent_bound(
     coupled = couple_systems(sys1, sys2)
     es_k = _EnergySystem(sys_k)
     es_2 = _EnergySystem(sys2)
-    from .spectral import resolvent_norm  # local import to avoid a cycle
-
     s_ok, lhs_vals, rhs_vals, excluded = [], [], [], []
     for s in np.asarray(s_grid, dtype=float):
         try:

@@ -11,14 +11,17 @@ at zero frequency.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, SpectrumHit, ValidationError
-from .generator import DiscreteGenerator, EnergyCoordinates, energy_coordinates
+from .generator import (
+    DiscreteGenerator,
+    _energy_eigenvalues,
+    _resolvent_from_shift,
+    energy_coordinates,
+)
 
 #: scans and asymptotic fits are restricted to s below this fraction of the
 #: largest discrete eigenfrequency; the mesh misrepresents the band above.
@@ -54,15 +57,6 @@ class SpectrumReport:
     fit_band: tuple[float, float]
 
 
-def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
-    shift = 1j * s * np.eye(T.shape[0]) - T
-    sv = sla.svdvals(shift)
-    smin = float(sv[-1])
-    if smin <= 10.0 * np.finfo(float).eps * (abs(s) + norm_T):
-        raise SpectrumHit(s)
-    return 1.0 / smin
-
-
 def resolvent_norm(gen: DiscreteGenerator, s: float) -> float:
     """Energy operator norm of ``(is - A)^{-1}``.
 
@@ -75,8 +69,7 @@ def resolvent_norm(gen: DiscreteGenerator, s: float) -> float:
 
 def mesh_frequency(gen: DiscreteGenerator) -> float:
     """Largest discrete eigenfrequency (max |Im lambda| over the spectrum)."""
-    ec = energy_coordinates(gen)
-    return float(np.abs(sla.eigvals(ec.T).imag).max())
+    return float(np.abs(_energy_eigenvalues(gen).imag).max())
 
 
 def power_fit(x: np.ndarray, y: np.ndarray) -> float:
@@ -93,14 +86,10 @@ def scan_resolvent(
     n_points: int,
     spacing: str = "log",
     fit_window: tuple[float, float] | None = None,
-    threads: int = 1,
-    _coords: EnergyCoordinates | None = None,
 ) -> ResolventScan:
     """Evaluate the energy-norm resolvent on a frequency grid and fit its growth.
 
-    Grid points hitting the spectrum are excluded and reported.  Frequencies
-    are independent, so evaluation may run on ``threads`` workers; results
-    merge by grid index and are deterministic either way.
+    Grid points hitting the spectrum are excluded and reported.
     """
     if not s_lo > 0:
         raise ValidationError(f"s_lo must be positive, got {s_lo}")
@@ -114,7 +103,7 @@ def scan_resolvent(
         grid = np.linspace(s_lo, s_hi, n_points)
     else:
         raise ValidationError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-    ec = _coords if _coords is not None else energy_coordinates(gen)
+    ec = energy_coordinates(gen)
 
     def eval_point(s: float):
         try:
@@ -122,11 +111,7 @@ def scan_resolvent(
         except SpectrumHit:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(eval_point, grid))
-    else:
-        values = [eval_point(s) for s in grid]
+    values = [eval_point(s) for s in grid]
     keep = np.array([v is not None for v in values])
     s_ok = grid[keep]
     norms = np.array([v for v in values if v is not None])
@@ -159,13 +144,8 @@ def eigen_report(
         raise ValidationError(
             f"dense eigensolve limited to dimension 4000, got {gen.dim}"
         )
-    ec = energy_coordinates(gen)
-    try:
-        lam = sla.eigvals(ec.T)
-    except sla.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lam.imag, kind="stable")
-    lam = lam[order]
+    lam = _energy_eigenvalues(gen)
+    lam = lam[np.argsort(lam.imag, kind="stable")]
     gaps = np.column_stack([np.abs(lam.imag), np.abs(lam.real)])
     if fit_band is None:
         fit_band = (DEFAULT_FIT_LOW, RELIABLE_BAND_FRACTION * np.abs(lam.imag).max())
@@ -189,20 +169,14 @@ def eigen_report(
     )
 
 
-def kernel_check(
-    gen: DiscreteGenerator,
-    tol: float = KERNEL_TOL,
-    _coords: EnergyCoordinates | None = None,
-) -> tuple[int, float]:
+def kernel_check(gen: DiscreteGenerator, tol: float = KERNEL_TOL) -> tuple[int, float]:
     """Estimate the kernel dimension from the energy-norm singular spectrum.
 
     Returns ``(dimension_estimate, sigma_min)`` where singular values below
     ``tol * sigma_max`` count towards the kernel; ``sigma_min`` is the
     reciprocal of the energy-norm resolvent at zero frequency when the
-    generator is invertible.  ``sigma_max`` is ``energy_coordinates(gen).norm_A``;
-    a caller that needs it passes those coordinates as ``_coords``.
+    generator is invertible.  ``sigma_max`` is ``energy_coordinates(gen).norm_A``.
     """
-    ec = _coords if _coords is not None else energy_coordinates(gen)
-    sv = sla.svdvals(ec.T)
+    sv = energy_coordinates(gen).singular_values
     dimension = int(np.count_nonzero(sv < tol * sv[0]))
     return dimension, float(sv[-1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import towerstab.cli as cli
+from towerstab.generator import energy_coordinates
 
 
 def write_config(tmp_path, **overrides):
@@ -48,6 +49,38 @@ class TestConfigValidation:
         assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n_elements": 16.5}, "n_elements"),
+            ({"n_elements": "16"}, "n_elements"),
+            ({"k_modes": True}, "k_modes"),
+            ({"seed": 1.0}, "seed"),
+            ({"m": "1"}, "m"),
+            ({"a": True}, "a"),
+            ({"s_hi": "40"}, "s_hi"),
+            ({"a": float("nan")}, "a"),
+            ({"T": float("inf")}, "T"),
+            ({"checks": {"scan": "no"}}, "checks"),
+            ({"fit_lo": 3.0}, "fit_lo"),
+            ({"fit_hi": 30.0}, "fit_hi"),
+            ({"fit_lo": 30.0, "fit_hi": 3.0}, "fit_hi"),
+            ({"fit_lo": 3.0, "fit_hi": 3.0}, "fit_hi"),
+            ({"threads": 2}, "threads"),
+        ],
+    )
+    def test_mistyped_or_incomplete_values_rejected(
+        self, tmp_path, capsys, overrides, field
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+
+    def test_json_integer_accepted_for_float_field(self, tmp_path):
+        path = write_config(tmp_path, m=1, T=5)
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_OK
+
+
 class TestVerifyAll:
     def test_combined_desk_fixture_passes(self, tmp_path):
         path = write_config(tmp_path)
@@ -86,6 +119,15 @@ class TestVerifyAll:
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
+    @pytest.mark.parametrize("model", cli.MODEL_KINDS)
+    def test_rerun_is_byte_identical_for_every_model(self, tmp_path, model):
+        path = write_config(tmp_path, model=model, n_elements=4, T=0.5, n_points=20)
+        out = tmp_path / "out"
+        cli.main(["verify-all", "--config", str(path)])
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        cli.main(["verify-all", "--config", str(path)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_artifact_set(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["verify-all", "--config", str(path)])
@@ -101,6 +143,14 @@ class TestVerifyAll:
         assert set(report["checks"]) == set(cli.CHECK_NAMES)
         for entry in report["checks"].values():
             assert entry["status"] in ("pass", "fail", "not run")
+
+
+class TestKernelEvidence:
+    def test_sigma_max_is_the_energy_norm_of_the_generator(self, tmp_path):
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
+        runner.check_kernel()
+        evidence = runner.results[-1].evidence
+        assert evidence["sigma_max"] == energy_coordinates(runner.gen).norm_A
 
 
 class TestPartialRuns:
@@ -157,6 +207,13 @@ class TestAssemble:
         assert matrix.shape == (rows, cols)
         labels = (tmp_path / "out" / "labels.txt").read_text().split()
         assert len(labels) == rows
+
+    def test_explicit_generator_is_derived_from_flux(self, tmp_path):
+        path = write_config(tmp_path, model="tmd")
+        assert cli.main(["assemble", "--config", str(path)]) == cli.EXIT_OK
+        written = np.loadtxt(tmp_path / "out" / "A.csv", delimiter=",", skiprows=1)
+        gen = cli.build_generator(cli.load_config(str(path), {}))
+        assert np.array_equal(written, gen.A)
 
     def test_report_emitted_even_for_assemble(self, tmp_path):
         path = write_config(tmp_path)

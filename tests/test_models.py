@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -132,6 +133,18 @@ class TestHydraulic:
         assert gen.dissipation_defect() <= 1e-13
         assert np.abs(symmetric_part(gen.flux) - damping_form(gen)).max() <= 1e-15
 
+    def test_inertias_enter_only_the_gram(self, desk_beam, desk_params, desk_hydraulic):
+        """JT and JG weight the drivetrain energy; the assembled flux does not
+        depend on them and the transmission block stays passive."""
+        hyd = dataclasses.replace(desk_hydraulic, JT=2.0, JG=0.5)
+        gen = ts.assemble_hydraulic(desk_beam, desk_params, hyd)
+        unit = ts.assemble_hydraulic(desk_beam, desk_params, desk_hydraulic)
+        i5, i6 = gen.index("pump_speed_shift"), gen.index("motor_speed_shift")
+        assert gen.gram[i5, i5] == 2.0
+        assert gen.gram[i6, i6] == 0.5
+        assert np.array_equal(gen.flux, unit.flux)
+        assert ts.verify_passivity(ts.hydraulic_block(hyd), n_samples=50).passive
+
     def test_dissipation_identity_on_random_states(self, desk_models, desk_hydraulic):
         gen = desk_models["hydraulic"]
         rng = np.random.default_rng(44)
@@ -171,6 +184,17 @@ class TestHydraulicFeedback:
         # stability is left to the eigensolve; with Bm > 0 the desk fixture
         # is damped either way, feedback or not
         assert rep.max_real_part < 0
+
+    def test_feedback_channel_is_exact_unit_pair(self, feedback_fixture):
+        """The loop's input map is -(e_tip_angular_velocity + e_motor_speed_shift)
+        exactly, with no mass-solve roundoff fill."""
+        g = feedback_fixture.damping_channels[-1].vector
+        nonzero = np.flatnonzero(g)
+        assert sorted(nonzero) == sorted(
+            feedback_fixture.index(label)
+            for label in ("tip_angular_velocity", "motor_speed_shift")
+        )
+        assert np.all(g[nonzero] == -1.0)
 
     def test_feedback_adds_quadratic_damping_channel(self, feedback_fixture):
         names = [ch.name for ch in feedback_fixture.damping_channels]
@@ -296,3 +320,15 @@ def test_assembled_generators_always_dissipative(a, b, m, J):
     gen = ts.assemble_combined(beam, params, a, b)
     assert gen.dissipation_defect() <= 1e-10
     assert len(set(gen.labels)) == gen.dim
+
+
+@pytest.mark.parametrize(
+    "model", ["combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback"]
+)
+def test_derived_A_reproduces_flux(model, desk_models, feedback_fixture):
+    """The explicit A is gram^{-1} flux to within the normwise backward error
+    of a Cholesky solve."""
+    gen = feedback_fixture if model == "hydraulic_feedback" else desk_models[model]
+    residual = np.linalg.norm(gen.gram @ gen.A - gen.flux, 2)
+    scale = np.linalg.norm(gen.gram, 2) * np.linalg.norm(gen.A, 2)
+    assert residual <= gen.dim * np.finfo(float).eps * scale

@@ -98,12 +98,6 @@ class TestScan:
         with pytest.raises(ts.ValidationError, match="spacing"):
             ts.scan_resolvent(gen, 1.0, 10.0, 10, "cubic")
 
-    def test_threaded_scan_matches_sequential(self, desk_models):
-        gen = desk_models["tmd"]
-        seq = ts.scan_resolvent(gen, 1.0, 100.0, 30, "log", threads=1)
-        par = ts.scan_resolvent(gen, 1.0, 100.0, 30, "log", threads=4)
-        assert np.array_equal(seq.norms, par.norms)
-
     def test_fit_window_subrange(self, desk_models):
         gen = desk_models["combined"]
         scan = ts.scan_resolvent(gen, 1.0, 100.0, 50, "log", fit_window=(5.0, 50.0))
@@ -139,6 +133,24 @@ class TestEigenReport:
         rep = ts.eigen_report(desk_models["combined"])
         assert rep.spectral_gap_curve.shape == (rep.eigenvalues.size, 2)
         assert np.all(rep.spectral_gap_curve >= 0)
+
+
+class TestEnergyData:
+    def test_coordinates_computed_once_per_generator(self, desk_models):
+        gen = desk_models["tmd"]
+        assert energy_coordinates(gen) is energy_coordinates(gen)
+
+    def test_mesh_frequency_reuses_the_spectrum(self, desk_models):
+        gen = desk_models["hydraulic"]
+        lam = ts.eigen_report(gen).eigenvalues
+        assert ts.mesh_frequency(gen) == np.abs(lam.imag).max()
+
+    def test_kernel_singular_values_are_the_cached_ones(self, desk_models):
+        gen = desk_models["combined"]
+        ec = energy_coordinates(gen)
+        _, smin = ts.kernel_check(gen)
+        assert ec.norm_A == ec.singular_values[0]
+        assert smin == ec.singular_values[-1]
 
 
 class TestKernelCheck:
