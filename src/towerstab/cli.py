@@ -13,6 +13,7 @@ check failed, 4 numerical failure (factorization or eigensolver).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,15 +42,11 @@ from .models import (
     assemble_hydraulic,
     assemble_hydraulic_feedback,
     assemble_tmd,
-    combined_block,
+    control_block,
     cross_validate_reH2,
-    force_block,
-    hydraulic_block,
     hydraulic_characteristic,
     hydraulic_positivity_check,
     scole_tip_block,
-    tmd_block,
-    torque_block,
 )
 from .passive_core import (
     check_coupled_resolvent_bound,
@@ -228,6 +225,12 @@ class RunConfig:
             JG=self.JG,
         )
 
+    def block_parameters(self) -> dict:
+        """Parameters of every nacelle block, keyed as ``control_block`` reads them."""
+        names = ("a", "b", "m", "J", "m1", "k1", "d1")
+        hydraulic = dataclasses.asdict(self.hydraulic_parameters())
+        return {**{name: getattr(self, name) for name in names}, **hydraulic}
+
     def canonical(self) -> dict:
         out = {}
         for name in sorted(self.__dataclass_fields__):
@@ -379,15 +382,8 @@ class Runner:
         if self._skip("passivity"):
             return
         cfg = self.cfg
-        blocks = {
-            "combined": lambda: combined_block(cfg.a, cfg.b, cfg.m, cfg.J),
-            "torque": lambda: torque_block(cfg.b, cfg.J),
-            "force": lambda: force_block(cfg.a, cfg.m),
-            "tmd": lambda: tmd_block(TmdParameters(cfg.m1, cfg.k1, cfg.d1)),
-            "hydraulic": lambda: hydraulic_block(cfg.hydraulic_parameters()),
-            "hydraulic_feedback": lambda: hydraulic_block(cfg.hydraulic_parameters()),
-        }
-        report = verify_passivity(blocks[cfg.model](), n_samples=200, seed=cfg.seed)
+        block = control_block(cfg.model, cfg.block_parameters())
+        report = verify_passivity(block, n_samples=200, seed=cfg.seed)
         self._record(
             "passivity",
             "pass" if report.passive else "fail",
@@ -402,14 +398,8 @@ class Runner:
         if cfg.model == "hydraulic_feedback":
             self._record("transfer_cross_validation", "not run")
             return
-        params: Mapping[str, Any]
-        if cfg.model in ("hydraulic",):
-            params = cfg.hydraulic_parameters()
-        else:
-            params = {"a": cfg.a, "b": cfg.b, "m": cfg.m, "J": cfg.J,
-                      "m1": cfg.m1, "k1": cfg.k1, "d1": cfg.d1}
         grid = np.geomspace(0.01, 100.0, 400)
-        cv = cross_validate_reH2(cfg.model, params, grid)
+        cv = cross_validate_reH2(cfg.model, cfg.block_parameters(), grid)
         self._record(
             "transfer_cross_validation",
             "pass" if cv.matches else "fail",
@@ -510,16 +500,13 @@ class Runner:
         if self._skip("coupling_bound"):
             return
         cfg = self.cfg
-        beam = build_beam_matrices(self.params, cfg.n_elements)
-        if cfg.model == "tmd":
-            sys1 = scole_tip_block(beam, self.params, "displacement")
-            sys2 = tmd_block(TmdParameters(cfg.m1, cfg.k1, cfg.d1))
-        elif cfg.model == "hydraulic" and cfg.J == cfg.JG == cfg.JT == 1.0:
-            sys1 = scole_tip_block(beam, self.params, "rotation")
-            sys2 = hydraulic_block(cfg.hydraulic_parameters())
-        else:
+        ports = {"tmd": "displacement", "hydraulic": "rotation"}
+        if cfg.model not in ports:
             self._record("coupling_bound", "not run")
             return
+        beam = build_beam_matrices(self.params, cfg.n_elements)
+        sys1 = scole_tip_block(beam, self.params, ports[cfg.model])
+        sys2 = control_block(cfg.model, cfg.block_parameters())
         s_hi = cfg.s_hi if cfg.s_hi is not None else 0.5 * mesh_frequency(self.gen)
         grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))
         rep = check_coupled_resolvent_bound(sys1, sys2, np.eye(1), grid)

@@ -9,7 +9,8 @@ static collocated feedback (combined, torque, force and the
 generator-torque loop of hydraulic_feedback) subtracts ``k g g^T`` from
 the flux, and the mass damper and the hydraulic transmission are passive
 blocks coupled to the core's tip port by
-:func:`~towerstab.passive_core.couple_systems`.
+:func:`~towerstab.passive_core.couple_systems`, which lifts the
+dissipation channels every block declares onto the generator.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg as sla
 
 from .beam_fem import BeamMatrices, BeamParameters
 from .errors import SpectrumHit, ValidationError
 from .generator import DampingChannel, DiscreteGenerator
-from .passive_core import PassiveSystem, couple_systems
+from .passive_core import PassiveSystem, _resolvent_apply, couple_systems
 
 MODEL_KINDS = ("combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback")
 
@@ -106,18 +106,6 @@ def _beam_labels(beam: BeamMatrices) -> list[str]:
     return labels + ["tip_velocity", "tip_angular_velocity"]
 
 
-def _with_channels(
-    gen: DiscreteGenerator, flux: np.ndarray, *channels: DampingChannel
-) -> DiscreteGenerator:
-    """``gen`` with a new flux and further damping channels appended."""
-    return DiscreteGenerator(
-        gram=gen.gram,
-        labels=gen.labels,
-        damping_channels=gen.damping_channels + channels,
-        flux=flux,
-    )
-
-
 def _close_loops(gen: DiscreteGenerator, *loops: DampingChannel) -> DiscreteGenerator:
     """Close collocated static loops ``u = -k g.z``, one per ``(name, k, g)``.
 
@@ -127,7 +115,12 @@ def _close_loops(gen: DiscreteGenerator, *loops: DampingChannel) -> DiscreteGene
     flux = gen.flux
     for _, k, g in loops:
         flux = flux - k * np.outer(g, g)
-    return _with_channels(gen, flux, *loops)
+    return DiscreteGenerator(
+        gram=gen.gram,
+        labels=gen.labels,
+        damping_channels=gen.damping_channels + loops,
+        flux=flux,
+    )
 
 
 def assemble_combined(
@@ -158,16 +151,12 @@ def assemble_tmd(
     Couples the force port of the beam to :func:`tmd_block`, which appends
     the damper offset (relative to the nacelle) and the damper velocity;
     the coupling acts only through the tip velocity row and dissipates
-    ``d1 |p_t - w_t(1)|^2``.
+    ``d1 |p_t - w_t(1)|^2``, the block's lifted channel.
     """
-    gen = couple_systems(
+    return couple_systems(
         scole_tip_block(beam, params, "displacement"),
         tmd_block(tmd),
         labels=_beam_labels(beam) + ["tmd_offset", "tmd_velocity"],
-    )
-    g = gen.unit_state("tmd_velocity") - gen.unit_state("tip_velocity")
-    return _with_channels(
-        gen, gen.flux, DampingChannel("tmd_relative_velocity", tmd.d1, g)
     )
 
 
@@ -182,7 +171,8 @@ def assemble_hydraulic(
     (the weight that makes the assembled generator dissipative for every
     admissible parameter set); the identity is
     ``dE/dt = -Bp |w'_t(1) - (Omega_p + w'_t(1))|^2 - Bm |...|^2 - kleak P^2``
-    i.e. pump slip, motor speed and leakage losses.
+    i.e. pump slip, motor speed and leakage losses, the block's lifted
+    channels.
     """
     if hyd.Bp + hyd.Bm == 0:
         warnings.warn(
@@ -190,20 +180,11 @@ def assemble_hydraulic(
             "require at least one nonzero damping coefficient",
             stacklevel=2,
         )
-    gen = couple_systems(
+    return couple_systems(
         scole_tip_block(beam, params, "rotation"),
         hydraulic_block(hyd),
         labels=_beam_labels(beam)
         + ["pump_speed_shift", "motor_speed_shift", "pressure"],
-    )
-    unit = gen.unit_state
-    w = unit("tip_angular_velocity")
-    return _with_channels(
-        gen,
-        gen.flux,
-        DampingChannel("pump_velocity_mismatch", hyd.Bp, w - unit("pump_speed_shift")),
-        DampingChannel("motor_velocity_sum", hyd.Bm, w + unit("motor_speed_shift")),
-        DampingChannel("pressure", hyd.kleak, unit("pressure")),
     )
 
 
@@ -249,107 +230,97 @@ def scole_tip_block(
 
     ``port`` selects the tip channel: "displacement" drives the tip velocity
     row (force input, velocity output), "rotation" the tip angular-velocity
-    row (torque input, angular velocity output).  The block is lossless:
-    its passivity defect vanishes identically.  Its assembled input map
-    ``gram @ B`` is the unit vector of the output row.
+    row (torque input, angular velocity output).  The input map ``gram_B``
+    is the unit vector ``e`` of that row and ``C = e^T``, ``D = 0``, so the
+    block is lossless: it has no dissipation channels.
     """
     labels = {"displacement": "tip_velocity", "rotation": "tip_angular_velocity"}
     if port not in labels:
         raise ValidationError(f"port must be 'displacement' or 'rotation', got {port!r}")
     core = _beam_core(beam, params)
-    n, dim = beam.n_dof, core.dim
-    gram_B = core.unit_state(labels[port])[:, None]
-    cho = sla.cho_factor(core.gram[n:, n:])
-    A = np.zeros((dim, dim))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -sla.cho_solve(cho, core.gram[:n, :n])
-    B = np.zeros((dim, 1))
-    B[n:] = sla.cho_solve(cho, gram_B[n:])
-    return PassiveSystem(
-        A=A,
-        B=B,
-        C=gram_B.T,
-        D=np.zeros((1, 1)),
-        gram=core.gram,
-        flux=core.flux,
-        gram_B=gram_B,
-    )
+    e = core.unit_state(labels[port])[:, None]
+    return PassiveSystem(gram=core.gram, flux=core.flux, gram_B=e, C=e.T, D=np.zeros((1, 1)))
 
 
 def tmd_block(tmd: TmdParameters) -> PassiveSystem:
-    """Two-state mass-damper block, passive with defect ``d1 |z2 + u|^2``."""
+    """Two-state mass-damper block; its one channel is ``d1 |z2 + u|^2``."""
     m1, k1, d1 = tmd.m1, tmd.k1, tmd.d1
     return PassiveSystem(
-        A=np.array([[0.0, 1.0], [-k1 / m1, -d1 / m1]]),
-        B=np.array([[1.0], [-d1 / m1]]),
-        C=np.array([[k1, d1]]),
-        D=np.array([[d1]]),
         gram=np.diag([k1, m1]),
         flux=np.array([[0.0, k1], [-k1, -d1]]),
         gram_B=np.array([[k1], [-d1]]),
+        C=np.array([[k1, d1]]),
+        D=np.array([[d1]]),
+        channels=(DampingChannel("tmd_relative_velocity", d1, np.array([0.0, 1.0, 1.0])),),
     )
 
 
 def hydraulic_block(hyd: HydraulicParameters) -> PassiveSystem:
     """Three-state transmission block (shifted speeds and pressure).
 
-    Passive with defect ``Bp |z1 + u|^2 + Bm |z2 - u|^2 + kleak |z3|^2``.
-    The Gram carries the turbine and generator inertias ``JT``, ``JG`` and
-    the fluid capacitance ``V/beta``.
+    The Gram carries the inertias ``JT``, ``JG`` and the fluid capacitance
+    ``V/beta``.  The channels are ``Bp |z1 + u|^2``, ``Bm |z2 - u|^2`` and
+    ``kleak |z3|^2``, signed so that coupled to the beam (``u = -w``, the
+    tip angular velocity) they read ``w - z1``, ``w + z2`` and ``z3``.
     """
     Bp, Bm, Dp, Dm, k = hyd.Bp, hyd.Bm, hyd.Dp, hyd.Dm, hyd.kleak
-    JT, JG, bv = hyd.JT, hyd.JG, hyd.beta / hyd.V
     return PassiveSystem(
-        A=np.array(
-            [
-                [-Bp / JT, 0.0, -Dp / JT],
-                [0.0, -Bm / JG, Dm / JG],
-                [bv * Dp, -bv * Dm, -bv * k],
-            ]
-        ),
-        B=np.array([[-Bp / JT], [Bm / JG], [bv * (Dp + Dm)]]),
-        C=np.array([[Bp, -Bm, Dp + Dm]]),
-        D=np.array([[Bm + Bp]]),
-        gram=np.diag([JT, JG, hyd.V / hyd.beta]),
+        gram=np.diag([hyd.JT, hyd.JG, hyd.V / hyd.beta]),
         flux=np.array([[-Bp, 0.0, -Dp], [0.0, -Bm, Dm], [Dp, -Dm, -k]]),
         gram_B=np.array([[-Bp], [Bm], [Dp + Dm]]),
+        C=np.array([[Bp, -Bm, Dp + Dm]]),
+        D=np.array([[Bm + Bp]]),
+        channels=(
+            DampingChannel("pump_velocity_mismatch", Bp, np.array([-1.0, 0.0, 0.0, -1.0])),
+            DampingChannel("motor_velocity_sum", Bm, np.array([0.0, 1.0, 0.0, -1.0])),
+            DampingChannel("pressure", k, np.array([0.0, 0.0, 1.0, 0.0])),
+        ),
+    )
+
+
+def _nacelle_block(gram: list[float], gains: list[tuple[str, float]]) -> PassiveSystem:
+    """Diagonal block ``gram x' = -diag(gains) x + u``, ``y = x``, one channel per gain."""
+    p = len(gram)
+    units = np.eye(2 * p)
+    return PassiveSystem(
+        gram=np.diag(gram),
+        flux=np.diag([-k for _, k in gains]),
+        gram_B=np.eye(p),
+        C=np.eye(p),
+        D=np.zeros((p, p)),
+        channels=tuple(DampingChannel(name, k, units[j]) for j, (name, k) in enumerate(gains)),
     )
 
 
 def torque_block(b: float, J: float) -> PassiveSystem:
     """Scalar nacelle block of the torque-feedback loop."""
-    return PassiveSystem(
-        A=np.array([[-b / J]]),
-        B=np.array([[1.0 / J]]),
-        C=np.array([[1.0]]),
-        D=np.zeros((1, 1)),
-        gram=np.array([[J]]),
-        flux=np.array([[-b]]),
-    )
+    return _nacelle_block([J], [("tip_angular_velocity", b)])
 
 
 def force_block(a: float, m: float) -> PassiveSystem:
     """Scalar nacelle block of the force-feedback loop."""
-    return PassiveSystem(
-        A=np.array([[-a / m]]),
-        B=np.array([[1.0 / m]]),
-        C=np.array([[1.0]]),
-        D=np.zeros((1, 1)),
-        gram=np.array([[m]]),
-        flux=np.array([[-a]]),
-    )
+    return _nacelle_block([m], [("tip_velocity", a)])
 
 
 def combined_block(a: float, b: float, m: float, J: float) -> PassiveSystem:
     """Diagonal 2x2 nacelle block of the combined force/torque loop."""
-    return PassiveSystem(
-        A=np.diag([-a / m, -b / J]),
-        B=np.diag([1.0 / m, 1.0 / J]),
-        C=np.eye(2),
-        D=np.zeros((2, 2)),
-        gram=np.diag([m, J]),
-        flux=np.diag([-a, -b]),
-    )
+    return _nacelle_block([m, J], [("tip_velocity", a), ("tip_angular_velocity", b)])
+
+
+def control_block(kind: str, params) -> PassiveSystem:
+    """The passive block of model ``kind``, from a mapping of its parameter
+    names (or, for the hydraulic kinds, a :class:`HydraulicParameters`)."""
+    blocks = {
+        "combined": lambda p: combined_block(p["a"], p["b"], p["m"], p["J"]),
+        "torque": lambda p: torque_block(p["b"], p["J"]),
+        "force": lambda p: force_block(p["a"], p["m"]),
+        "tmd": lambda p: tmd_block(TmdParameters(p["m1"], p["k1"], p["d1"])),
+        "hydraulic": lambda p: hydraulic_block(_as_hydraulic(p)),
+        "hydraulic_feedback": lambda p: hydraulic_block(_as_hydraulic(p)),
+    }
+    if kind not in blocks:
+        raise ValidationError(f"unknown block kind {kind!r}")
+    return blocks[kind](params)
 
 
 def hydraulic_n_coefficients(hyd: HydraulicParameters) -> tuple[float, float, float]:
@@ -464,50 +435,21 @@ def closed_form_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
 def state_space_reH2(kind: str, params: Mapping[str, float], s: float) -> np.ndarray:
     """Hermitian part of the block transfer function from the state space.
 
-    Evaluated through the supply-rate identity
-    ``u* Re H(is) u = Re<Cx+Du, u> - Re<Ax+Bu, x>_M`` with
-    ``x = (is-A)^{-1} B u`` (the storage term vanishes on the imaginary
-    axis), whose per-block sum-of-squares form is free of the subtractive
-    cancellation that limits the direct ``(H + H*)/2`` evaluation when
-    ``Re H`` is orders of magnitude below ``|H|``.
+    Evaluated through the supply-rate identity: with ``x_j = (is gram -
+    flux)^{-1} gram_B e_j`` the storage term vanishes on the imaginary axis,
+    so ``Re H_jj = sum gain |v . (x_j, e_j)|^2`` over the block's channels,
+    free of the subtractive cancellation of ``(H + H*)/2`` when ``Re H`` is
+    orders of magnitude below ``|H|``.  The hydraulic block is taken at
+    ``JT = JG = 1``, the premise of the printed formulas.
     """
-    from .passive_core import _resolvent_apply
-
-    s = float(s)
-    if kind == "torque":
-        sys = torque_block(params["b"], params["J"])
-        x = _resolvent_apply(sys.A, s, sys.B)[0, 0]
-        return np.array([[params["b"] * abs(x) ** 2]])
-    if kind == "force":
-        sys = force_block(params["a"], params["m"])
-        x = _resolvent_apply(sys.A, s, sys.B)[0, 0]
-        return np.array([[params["a"] * abs(x) ** 2]])
-    if kind == "combined":
-        sys = combined_block(params["a"], params["b"], params["m"], params["J"])
-        X = _resolvent_apply(sys.A, s, sys.B)
-        out = np.zeros((2, 2))
-        for j in range(2):
-            out[j, j] = (
-                params["a"] * abs(X[0, j]) ** 2 + params["b"] * abs(X[1, j]) ** 2
-            )
-        return out
-    if kind == "tmd":
-        tmd = TmdParameters(params["m1"], params["k1"], params["d1"])
-        sys = tmd_block(tmd)
-        x = _resolvent_apply(sys.A, s, sys.B)[:, 0]
-        return np.array([[tmd.d1 * abs(x[1] + 1.0) ** 2]])
-    if kind == "hydraulic":
-        hyd = _as_hydraulic(params)
-        # the printed formulas assume unit turbine and generator inertias
-        sys = hydraulic_block(dataclasses.replace(hyd, JT=1.0, JG=1.0))
-        x = _resolvent_apply(sys.A, s, sys.B)[:, 0]
-        value = (
-            hyd.Bp * abs(x[0] + 1.0) ** 2
-            + hyd.Bm * abs(x[1] - 1.0) ** 2
-            + hyd.kleak * abs(x[2]) ** 2
-        )
-        return np.array([[value]])
-    raise ValidationError(f"unknown state-space kind {kind!r}")
+    if isinstance(params, HydraulicParameters):
+        params = dataclasses.asdict(params)
+    sys = control_block(kind, {**params, "JT": 1.0, "JG": 1.0})
+    X = _resolvent_apply(sys.gram, sys.flux, float(s), sys.gram_B)
+    out = np.zeros((sys.p, sys.p))
+    for j, xu in enumerate(np.vstack([X, np.eye(sys.p)]).T):
+        out[j, j] = sum(ch.gain * abs(ch.vector @ xu) ** 2 for ch in sys.channels)
+    return out
 
 
 def _as_hydraulic(params) -> HydraulicParameters:

@@ -1,14 +1,16 @@
 """Finite-dimensional impedance-passive system algebra.
 
-An impedance-passive block is a quadruple ``(A, B, C, D)`` on a state space
-with energy Gram ``M`` and a Euclidean input/output space, satisfying
+An impedance-passive block is declared in descriptor form by an energy
+Gram ``M``, the assembled ``flux = M A`` and ``gram_B = M B``, an output map
+``(C, D)`` and dissipation channels ``(name, gain, v)`` acting on ``(x, u)``:
 
-    Re <A x + B u, x>_M  <=  Re <C x + D u, u>      for all x, u.
+    Re <C x + D u, u> - Re <flux x + gram_B u, x>  =  sum gain |v.(x, u)|^2.
 
-This module certifies that inequality, evaluates transfer functions and
-their Hermitian-part lower bounds, applies the positive-real feedback
-transform, couples two passive blocks into a dissipative generator, and
-checks the coupled resolvent-growth bound numerically.
+This module certifies the passivity inequality, evaluates transfer
+functions and their Hermitian-part lower bounds, applies the positive-real
+feedback transform, couples two passive blocks into a dissipative generator
+(lifting their channels onto it), and checks the coupled resolvent-growth
+bound numerically.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import scipy.linalg as sla
 from .errors import DimensionError, NumericalError, SpectrumHit, ValidationError
 from .generator import (
     DISSIPATIVITY_TOL,
+    DampingChannel,
     DiscreteGenerator,
     _resolvent_from_shift,
     check_spd,
@@ -34,66 +37,81 @@ PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(eq=False)
-class PassiveSystem:
-    """State-space block ``(A, B, C, D)`` with an energy Gram on the state space.
+def _matrix(M: np.ndarray | None) -> np.ndarray | None:
+    return None if M is None else np.atleast_2d(np.asarray(M))
 
-    Matrices may be complex (feedback transforms with complex gain produce
-    complex blocks); the Gram is always real SPD.  ``flux`` is the assembled
-    ``gram @ A`` and ``gram_B`` the assembled input map ``gram @ B``, both
-    kept in descriptor form exactly as for generators and defaulting to the
-    plain products.
+
+class PassiveSystem:
+    """Passive block in descriptor form: ``gram``, ``flux``, ``gram_B``, ``C``, ``D``.
+
+    As for generators, ``flux = gram @ A`` and ``gram_B = gram @ B`` are
+    stored as assembled, or formed from a given ``A``/``B``, which is then
+    kept; otherwise ``A`` and ``B`` are derived on first read by a Cholesky
+    solve.  ``channels`` are ``DampingChannel(name, gain, v)`` with ``v``
+    acting on ``(x, u)`` and ``sym([[flux, gram_B], [-C, -D]]) = -sum gain
+    v v^T``.  Matrices may be complex (feedback transforms with complex gain
+    produce complex blocks, which declare no channels); the Gram is real SPD.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    gram: np.ndarray
-    flux: np.ndarray | None = None
-    gram_B: np.ndarray | None = None
+    def __init__(
+        self,
+        *,
+        gram: np.ndarray,
+        C: np.ndarray,
+        D: np.ndarray,
+        flux: np.ndarray | None = None,
+        gram_B: np.ndarray | None = None,
+        channels: tuple[DampingChannel, ...] = (),
+        A: np.ndarray | None = None,
+        B: np.ndarray | None = None,
+    ):
+        if (flux is None and A is None) or (gram_B is None and B is None):
+            raise ValidationError("a passive block needs flux or A, and gram_B or B")
+        check_spd(gram, "gram")
+        self.gram = np.asarray(gram, dtype=float)
+        n = self.gram.shape[0]
+        self._A, self._B = _matrix(A), _matrix(B)
+        if any(M is not None and M.shape[0] != n for M in (self._A, self._B)):
+            raise DimensionError(f"A and B must have {n} rows like gram")
+        self.flux = self.gram @ self._A if flux is None else _matrix(flux)
+        self.gram_B = self.gram @ self._B if gram_B is None else _matrix(gram_B)
+        self.C, self.D = _matrix(C), _matrix(D)
+        p = self.gram_B.shape[1]
+        for name, shape in {"flux": (n, n), "gram_B": (n, p), "C": (p, n), "D": (p, p)}.items():
+            if getattr(self, name).shape != shape:
+                raise DimensionError(f"{name} must be {shape}, got {getattr(self, name).shape}")
+        self.channels = tuple(channels)
+        if any(np.shape(ch.vector) != (n + p,) for ch in self.channels):
+            raise DimensionError(f"channel vectors must act on (x, u) of size {n + p}")
 
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A))
-        self.B = np.atleast_2d(np.asarray(self.B))
-        self.C = np.atleast_2d(np.asarray(self.C))
-        self.D = np.atleast_2d(np.asarray(self.D))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionError(f"A must be square, got {self.A.shape}")
-        p = self.B.shape[1]
-        if self.B.shape != (n, p):
-            raise DimensionError(f"B must be {n}x{p}, got {self.B.shape}")
-        if self.C.shape != (p, n):
-            raise DimensionError(f"C must be {p}x{n}, got {self.C.shape}")
-        if self.D.shape != (p, p):
-            raise DimensionError(f"D must be {p}x{p}, got {self.D.shape}")
-        check_spd(self.gram, "gram")
-        self.gram = np.asarray(self.gram, dtype=float)
-        if self.gram.shape != (n, n):
-            raise DimensionError("gram shape does not match A")
-        if self.flux is None:
-            self.flux = self.gram @ self.A
-        self.flux = np.atleast_2d(np.asarray(self.flux))
-        if self.flux.shape != (n, n):
-            raise DimensionError("flux shape does not match A")
-        if self.gram_B is None:
-            self.gram_B = self.gram @ self.B
-        self.gram_B = np.atleast_2d(np.asarray(self.gram_B))
-        if self.gram_B.shape != self.B.shape:
-            raise DimensionError("gram_B shape does not match B")
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return sla.cho_solve((check_spd(self.gram), False), rhs)
+
+    @property
+    def A(self) -> np.ndarray:
+        """Explicit state matrix ``gram^{-1} flux``."""
+        if self._A is None:
+            self._A = self._solve(self.flux)
+        return self._A
+
+    @property
+    def B(self) -> np.ndarray:
+        """Explicit input map ``gram^{-1} gram_B``."""
+        if self._B is None:
+            self._B = self._solve(self.gram_B)
+        return self._B
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.flux.shape[0]
 
     @property
     def p(self) -> int:
-        return self.B.shape[1]
+        return self.gram_B.shape[1]
 
     def is_real(self) -> bool:
         return not any(
-            np.iscomplexobj(mat) for mat in (self.A, self.B, self.C, self.D)
+            np.iscomplexobj(mat) for mat in (self.flux, self.gram_B, self.C, self.D)
         )
 
 
@@ -101,8 +119,8 @@ class PassiveSystem:
 class TransferSample:
     """Transfer function value at one real frequency.
 
-    ``H = C (is - A)^{-1} B + D`` and ``eta`` is the smallest eigenvalue of
-    the Hermitian part of ``H``.
+    ``H = C (is gram - flux)^{-1} gram_B + D`` and ``eta`` is the smallest
+    eigenvalue of the Hermitian part of ``H``.
     """
 
     s: float
@@ -128,7 +146,7 @@ def _passivity_form(sys: PassiveSystem) -> np.ndarray:
 
 def _defect(sys: PassiveSystem, x: np.ndarray, u: np.ndarray) -> float:
     supply = np.real(np.vdot(u, sys.C @ x + sys.D @ u))
-    storage = np.real(np.vdot(x, sys.gram @ (sys.A @ x + sys.B @ u)))
+    storage = np.real(np.vdot(x, sys.flux @ x + sys.gram_B @ u))
     return supply - storage
 
 
@@ -183,26 +201,28 @@ def verify_passivity(
     )
 
 
-def _resolvent_apply(A: np.ndarray, s: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(is - A) x = rhs`` and flag numerically singular shifts."""
-    F = 1j * s * np.eye(A.shape[0]) - A
+def _resolvent_apply(
+    M: np.ndarray, F: np.ndarray, s: float, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve ``(is M - F) x = rhs`` and flag numerically singular shifts."""
+    shifted = 1j * s * M - F
     try:
-        x = sla.solve(F, rhs)
+        x = sla.solve(shifted, rhs)
     except sla.LinAlgError as exc:
-        raise SpectrumHit(s, f"shift is - A is singular at s={s}: {exc}") from exc
-    residual = np.linalg.norm(F @ x - rhs)
-    scale = np.linalg.norm(F, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
+        raise SpectrumHit(s, f"shift is M - F is singular at s={s}: {exc}") from exc
+    residual = np.linalg.norm(shifted @ x - rhs)
+    scale = np.linalg.norm(shifted, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
     if not np.all(np.isfinite(x)) or residual > 1e-8 * scale:
-        raise SpectrumHit(s, f"shift is - A is numerically singular at s={s}")
+        raise SpectrumHit(s, f"shift is M - F is numerically singular at s={s}")
     return x
 
 
 def transfer_function(sys: PassiveSystem, s: float) -> TransferSample:
-    """Sample ``H(is) = C (is - A)^{-1} B + D`` at a real frequency.
+    """Sample ``H(is) = C (is gram - flux)^{-1} gram_B + D`` at a real frequency.
 
     Raises :class:`SpectrumHit` when ``is`` lies in the spectrum of ``A``.
     """
-    X = _resolvent_apply(sys.A, s, sys.B)
+    X = _resolvent_apply(sys.gram, sys.flux, s, sys.gram_B)
     H = sys.C @ X + sys.D
     eta = float(sla.eigvalsh(symmetric_part(H))[0])
     return TransferSample(s=float(s), H=H, eta=eta)
@@ -258,9 +278,10 @@ def feedback_transform(
     """Close the loop ``u = -Q y + v`` around a passive block.
 
     Requires ``Re Q >= c I`` with ``c > 0``; then ``I + DQ`` is invertible
-    and the transformed block ``(A - BQ(I+DQ)^{-1}C, B(I+QD)^{-1},
-    (I+DQ)^{-1}C, (I+DQ)^{-1}D)`` is again impedance passive, which is
-    re-certified on the output unless ``certify`` is disabled.
+    and the transformed block ``(flux - gram_B Q(I+DQ)^{-1}C,
+    gram_B(I+QD)^{-1}, (I+DQ)^{-1}C, (I+DQ)^{-1}D)`` is again impedance
+    passive, which is re-certified on the output unless ``certify`` is
+    disabled.  It declares no channels: its identity carries the loop gain.
     """
     Q = np.atleast_2d(np.asarray(Q))
     p = sys.p
@@ -278,16 +299,12 @@ def feedback_transform(
             f"I + DQ is near-singular (cond = {np.linalg.cond(IDQ):.3e})"
         )
     IQD = np.eye(p) + Q @ sys.D
-    gain = Q @ sla.solve(IDQ, sys.C)
-    A_Q = sys.A - sys.B @ gain
     out = PassiveSystem(
-        A=A_Q,
-        B=sla.solve(IQD.T, sys.B.T).T,
+        gram=sys.gram,
+        flux=sys.flux - sys.gram_B @ (Q @ sla.solve(IDQ, sys.C)),
+        gram_B=sla.solve(IQD.T, sys.gram_B.T).T,
         C=sla.solve(IDQ, sys.C),
         D=sla.solve(IDQ, sys.D),
-        gram=sys.gram,
-        flux=sys.flux - sys.gram_B @ gain,
-        gram_B=sla.solve(IQD.T, sys.gram_B.T).T,
     )
     if certify:
         report = verify_passivity(out, n_samples=20, seed=1)
@@ -302,43 +319,49 @@ def feedback_transform(
 def couple_systems(
     sys1: PassiveSystem, sys2: PassiveSystem, labels: Sequence[str] | None = None
 ) -> DiscreteGenerator:
-    """Power-preserving interconnection of two passive blocks.
+    """Power-preserving interconnection ``u1 = y2``, ``u2 = -y1`` of two blocks.
 
-    Builds the flux of the block generator
+    The loop fixes the block inputs as linear maps of the coupled state
+    ``z = (x1, x2)``:
 
-        [[A1 - B1 D2 Q1 C1,  B1 Q1 C2     ],
-         [-B2 Q1 C1,         A2 - B2 Q1 D1 C2]],   Q1 = (I + D1 D2)^{-1},
+        u1 = Q2 (C2 x2 - D2 C1 x1),   Q2 = (I + D2 D1)^{-1},
+        u2 = -Q1 (C1 x1 + D1 C2 x2),  Q1 = (I + D1 D2)^{-1}.
 
-    from the blocks' assembled ``flux`` and ``gram_B`` (so every product
-    with a unit input map is exact), with the block-diagonal Gram, and
-    certifies Gram-dissipativity.
+    With ``u_i = L_i z`` the flux is ``blkdiag(flux1, flux2) + [[gram_B1
+    L1], [gram_B2 L2]]`` on the block-diagonal Gram (every product with a
+    unit input map is exact).  The supplies cancel, so each block channel
+    ``(v_x, v_u)`` lifts to ``v_x + v_u L_i``; the coupled generator is
+    certified Gram-dissipative.
     """
     if sys1.p != sys2.p:
-        raise DimensionError(
-            f"input dimensions differ: {sys1.p} vs {sys2.p}"
-        )
+        raise DimensionError(f"input dimensions differ: {sys1.p} vs {sys2.p}")
     if not (sys1.is_real() and sys2.is_real()):
         raise ValidationError("coupled generators require real blocks")
-    p = sys1.p
-    IDD = np.eye(p) + sys1.D @ sys2.D
+    eye = np.eye(sys1.p)
+    IDD = eye + sys1.D @ sys2.D  # singular together with I + D2 D1
     if np.linalg.cond(IDD) > CONDITION_LIMIT:
         raise NumericalError(
             f"I + D1 D2 is near-singular (cond = {np.linalg.cond(IDD):.3e})"
         )
-    Q1 = sla.inv(IDD)
+    L1 = sla.solve(eye + sys2.D @ sys1.D, np.hstack([-sys2.D @ sys1.C, sys2.C]))
+    L2 = -sla.solve(IDD, np.hstack([sys1.C, sys1.D @ sys2.C]))
     n1, n2 = sys1.n, sys2.n
     gram = np.zeros((n1 + n2, n1 + n2))
-    gram[:n1, :n1] = sys1.gram
-    gram[n1:, n1:] = sys2.gram
-    MB1, MB2 = sys1.gram_B, sys2.gram_B
     flux = np.zeros((n1 + n2, n1 + n2))
-    flux[:n1, :n1] = sys1.flux - MB1 @ (sys2.D @ (Q1 @ sys1.C))
-    flux[:n1, n1:] = MB1 @ (Q1 @ sys2.C)
-    flux[n1:, :n1] = -MB2 @ (Q1 @ sys1.C)
-    flux[n1:, n1:] = sys2.flux - MB2 @ (Q1 @ (sys1.D @ sys2.C))
+    channels = []
+    for block, L, rows in ((sys1, L1, slice(0, n1)), (sys2, L2, slice(n1, n1 + n2))):
+        gram[rows, rows] = block.gram
+        flux[rows, rows] = block.flux
+        flux[rows] += block.gram_B @ L
+        for name, gain, v in block.channels:
+            lifted = np.zeros(n1 + n2)
+            lifted[rows] = v[: block.n]
+            channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
     if labels is None:
         labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
-    gen = DiscreteGenerator(gram=gram, labels=labels, flux=flux)
+    gen = DiscreteGenerator(
+        gram=gram, labels=labels, damping_channels=tuple(channels), flux=flux
+    )
     defect = gen.dissipation_defect()
     if defect > DISSIPATIVITY_TOL:
         raise NumericalError(
@@ -374,20 +397,24 @@ def random_passive_system(
 ) -> PassiveSystem:
     """Seeded random impedance-passive block, passive by construction.
 
-    Draws a skew matrix S and an input map B and sets ``A = S - B B^T``,
-    ``C = B^T``, with identity Gram and optional ``D`` with ``Re D >= 0``;
-    the passivity defect is then ``|B^T x|^2 + u^T sym(D) u >= 0``.
+    Draws a skew matrix S and an input map B and sets ``flux = S - B B^T``,
+    ``gram_B = B``, ``C = B^T``, with identity Gram and optional ``D = V V^T
+    + skew``; the channels are the columns of ``blkdiag(B, V)``.
     """
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n))
     S = 0.5 * (W - W.T)
     B = rng.standard_normal((n, p))
-    if with_feedthrough:
-        V = rng.standard_normal((p, p))
-        D = V @ V.T + 0.5 * (V - V.T)
-    else:
-        D = np.zeros((p, p))
-    return PassiveSystem(A=S - B @ B.T, B=B, C=B.T, D=D, gram=np.eye(n))
+    V = rng.standard_normal((p, p)) if with_feedthrough else np.zeros((p, p))
+    loss = sla.block_diag(B, V)
+    return PassiveSystem(
+        gram=np.eye(n),
+        flux=S - B @ B.T,
+        gram_B=B,
+        C=B.T,
+        D=V @ V.T + 0.5 * (V - V.T),
+        channels=tuple(DampingChannel(f"loss[{j}]", 1.0, v) for j, v in enumerate(loss.T)),
+    )
 
 
 class _EnergySystem:
@@ -396,24 +423,25 @@ class _EnergySystem:
     def __init__(self, sys: PassiveSystem):
         U = check_spd(sys.gram)
         self.T = transform_flux(sys.flux, U)
-        self.B = U @ sys.B
+        self.B = sla.solve_triangular(U.T, sys.gram_B, lower=True)
         self.C = sla.solve_triangular(U.T, sys.C.conj().T, lower=True).conj().T
         self.D = sys.D
+        self.eye = np.eye(sys.n)
         self.norm_T = float(sla.svdvals(self.T)[0])
 
     def resolvent_norm(self, s: float) -> float:
         return _resolvent_from_shift(self.T, s, self.norm_T)
 
     def resolvent_input_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.T, s, self.B)
+        X = _resolvent_apply(self.eye, self.T, s, self.B)
         return float(sla.svdvals(X)[0])
 
     def output_resolvent_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.T.conj().T, -s, self.C.conj().T)
+        X = _resolvent_apply(self.eye, self.T.conj().T, -s, self.C.conj().T)
         return float(sla.svdvals(X)[0])
 
     def closed_loop_transfer_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.T, s, self.B)
+        X = _resolvent_apply(self.eye, self.T, s, self.B)
         return float(sla.svdvals(self.C @ X + self.D)[0])
 
 

@@ -112,6 +112,15 @@ class TestVerifyAll:
         assert report["checks"]["kernel"]["status"] == "fail"
         assert report["checks"]["kernel"]["dimension"] == 1
 
+    def test_hydraulic_coupling_bound_checked_at_non_unit_inertias(self, tmp_path, capsys):
+        """The inertias J, JT, JG sit in the Grams, so the coupling bound is
+        checked away from unit inertias too."""
+        path = write_config(tmp_path, model="hydraulic", J=2.0, JT=2.0, JG=0.5)
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
+        assert "coupling_bound: pass" in capsys.readouterr().out.splitlines()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"]["coupling_bound"]["excluded_points"] == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK

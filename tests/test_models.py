@@ -332,3 +332,73 @@ def test_derived_A_reproduces_flux(model, desk_models, feedback_fixture):
     residual = np.linalg.norm(gen.gram @ gen.A - gen.flux, 2)
     scale = np.linalg.norm(gen.gram, 2) * np.linalg.norm(gen.A, 2)
     assert residual <= gen.dim * np.finfo(float).eps * scale
+
+
+BLOCKS = {
+    "tmd": lambda: ts.tmd_block(ts.TmdParameters(m1=2.5, k1=0.7, d1=0.3)),
+    "hydraulic": lambda: ts.hydraulic_block(ts.HydraulicParameters(Dp=1.0, Dm=1.0, Bp=1.0, Bm=1.0)),
+    "hydraulic_inertias": lambda: ts.hydraulic_block(
+        ts.HydraulicParameters(Dp=1.0, Dm=1.0, Bp=1.0, Bm=1.0, JT=2.0, JG=0.5)
+    ),
+    "torque": lambda: ts.torque_block(1.3, 2.0),
+    "force": lambda: ts.force_block(0.7, 3.0),
+    "combined": lambda: ts.combined_block(0.7, 1.3, 3.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_block_channels_are_its_passivity_form(name):
+    """sym([[flux, gram_B], [-C, -D]]) = -sum gain v v^T for every block."""
+    sys = BLOCKS[name]()
+    N = np.block([[sys.flux, sys.gram_B], [-sys.C, -sys.D]])
+    S = np.zeros(N.shape)
+    for ch in sys.channels:
+        S -= ch.gain * np.outer(ch.vector, ch.vector)
+    assert sys.channels
+    assert np.array_equal(symmetric_part(N), S)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS) + ["tip_displacement", "tip_rotation"])
+def test_derived_block_A_B_reproduce_flux(name, desk_beam, desk_params):
+    """The explicit A and B are gram^{-1} flux and gram^{-1} gram_B to within
+    the normwise backward error of a Cholesky solve, gamma_{3n+1} (Higham,
+    Thm 10.4); the plain n eps of the generator test is below the rounding
+    of the residual itself for the scalar blocks."""
+    if name.startswith("tip_"):
+        port = name.removeprefix("tip_")
+        sys = ts.scole_tip_block(desk_beam, desk_params, port)
+    else:
+        sys = BLOCKS[name]()
+    eps = np.finfo(float).eps
+    for derived, assembled in ((sys.A, sys.flux), (sys.B, sys.gram_B)):
+        residual = np.linalg.norm(sys.gram @ derived - assembled, 2)
+        scale = np.linalg.norm(sys.gram, 2) * np.linalg.norm(derived, 2)
+        assert residual <= (3 * sys.n + 1) * eps * scale
+
+
+def test_lifted_tmd_channel_equals_relative_velocity(desk_models, desk_tmd):
+    """The damper channel lifted by the coupling is tmd_velocity - tip_velocity,
+    bit for bit."""
+    gen = desk_models["tmd"]
+    (ch,) = gen.damping_channels
+    expected = gen.unit_state("tmd_velocity") - gen.unit_state("tip_velocity")
+    assert ch.name == "tmd_relative_velocity"
+    assert ch.gain == desk_tmd.d1
+    assert ch.vector.tobytes() == expected.tobytes()
+
+
+def test_lifted_hydraulic_channels_equal_the_loss_terms(desk_models, desk_hydraulic):
+    """Pump slip w - pump, motor loss w + motor and leakage pressure, with w
+    the tip angular velocity, bit for bit."""
+    gen = desk_models["hydraulic"]
+    unit = gen.unit_state
+    w = unit("tip_angular_velocity")
+    expected = [
+        ("pump_velocity_mismatch", desk_hydraulic.Bp, w - unit("pump_speed_shift")),
+        ("motor_velocity_sum", desk_hydraulic.Bm, w + unit("motor_speed_shift")),
+        ("pressure", desk_hydraulic.kleak, unit("pressure")),
+    ]
+    assert len(gen.damping_channels) == len(expected)
+    for ch, (name, gain, vector) in zip(gen.damping_channels, expected):
+        assert (ch.name, ch.gain) == (name, gain)
+        assert ch.vector.tobytes() == vector.tobytes()
