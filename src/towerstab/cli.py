@@ -46,7 +46,6 @@ from .models import (
     cross_validate_reH2,
     hydraulic_characteristic,
     hydraulic_positivity_check,
-    scole_tip_block,
 )
 from .passive_core import (
     check_coupled_resolvent_bound,
@@ -253,7 +252,7 @@ def build_generator(cfg: RunConfig) -> DiscreteGenerator:
     hyd = cfg.hydraulic_parameters()
     gen = assemble_hydraulic(beam, params, hyd)
     if cfg.model == "hydraulic_feedback":
-        gen = assemble_hydraulic_feedback(gen, cfg.k_fb, cfg.J, cfg.JG)
+        gen = assemble_hydraulic_feedback(gen, cfg.k_fb)
     return gen
 
 
@@ -499,17 +498,14 @@ class Runner:
     def check_coupling(self) -> None:
         if self._skip("coupling_bound"):
             return
-        cfg = self.cfg
-        ports = {"tmd": "displacement", "hydraulic": "rotation"}
-        if cfg.model not in ports:
-            self._record("coupling_bound", "not run")
+        if self.gen.blocks is None:
+            reason = "model is not a coupling of two passive blocks"
+            self._record("coupling_bound", "not run", reason=reason)
             return
-        beam = build_beam_matrices(self.params, cfg.n_elements)
-        sys1 = scole_tip_block(beam, self.params, ports[cfg.model])
-        sys2 = control_block(cfg.model, cfg.block_parameters())
+        cfg = self.cfg
         s_hi = cfg.s_hi if cfg.s_hi is not None else 0.5 * mesh_frequency(self.gen)
         grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))
-        rep = check_coupled_resolvent_bound(sys1, sys2, np.eye(1), grid)
+        rep = check_coupled_resolvent_bound(self.gen, np.eye(1), grid)
         ok = np.isfinite(rep.max_ratio)
         self._record(
             "coupling_bound",

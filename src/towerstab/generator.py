@@ -11,9 +11,10 @@ blocks are stored once, so they cancel exactly in floating point), and the
 explicit ``A`` is derived from it only when read.  Deriving ``M A`` by
 multiplying an explicit ``A`` would amplify mass-solve roundoff by the
 stiffness norm and swamp the 1e-10 dissipativity tolerances on fine meshes;
-all energy balance computations therefore go through ``flux``.  The energy
-coordinates, their singular values and their eigenvalues are computed once
-per generator and cached on it.
+all energy balance computations therefore go through ``flux``.  The Gram
+and flux logic is one core, :class:`GramSystem`, which passive blocks share;
+the energy coordinates, their singular values and their eigenvalues are
+computed once per generator or block and cached on it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionError, NumericalError, SpectrumHit, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError
 
 SYMMETRY_RTOL = 1e-12
 DISSIPATIVITY_TOL = 1e-10
@@ -76,16 +77,63 @@ def symmetric_part(F: np.ndarray) -> np.ndarray:
     return 0.5 * (F + F.conj().T)
 
 
-class DiscreteGenerator:
+class GramSystem:
+    """State space with an energy Gram and an assembled ``flux = gram @ A``.
+
+    The core of generators and passive blocks.  The Gram is checked
+    symmetric positive definite on construction; its Cholesky factor is not
+    kept.  ``flux`` is stored as assembled, or formed from a given ``A``,
+    which is then kept; otherwise ``A`` is derived on first read by one
+    Cholesky solve.  Instances are immutable by convention, so
+    :func:`energy_coordinates` and :func:`_energy_eigenvalues` cache their
+    data on the object.
+    """
+
+    def __init__(
+        self, gram: np.ndarray, flux: np.ndarray | None = None, A: np.ndarray | None = None
+    ):
+        if flux is None and A is None:
+            raise ValidationError(f"{type(self).__name__} needs flux or A")
+        check_spd(gram, "gram")
+        self.gram = np.asarray(gram, dtype=float)
+        n = self.dim
+        self._A = None if A is None else self._matrix(A)
+        if self._A is not None and self._A.shape != (n, n):
+            raise DimensionError(f"A must be {n}x{n} like gram, got {self._A.shape}")
+        self.flux = self.gram @ self._A if flux is None else self._matrix(flux)
+        if self.flux.shape != (n, n):
+            raise DimensionError(f"flux must be {n}x{n} like gram, got {self.flux.shape}")
+        self._coords: EnergyCoordinates | None = None
+        self._eigenvalues: np.ndarray | None = None
+
+    @staticmethod
+    def _matrix(M: np.ndarray) -> np.ndarray:
+        return np.asarray(M, dtype=float)
+
+    def _factor(self) -> np.ndarray:
+        """Upper Cholesky factor ``U`` of the (validated) Gram, ``gram = U^T U``."""
+        return sla.cholesky(self.gram, lower=False)
+
+    @property
+    def A(self) -> np.ndarray:
+        """Explicit state matrix ``gram^{-1} flux``."""
+        if self._A is None:
+            self._A = sla.cho_solve((self._factor(), False), self.flux)
+        return self._A
+
+    @property
+    def dim(self) -> int:
+        return self.gram.shape[0]
+
+
+class DiscreteGenerator(GramSystem):
     """Generator in descriptor form: energy Gram, assembled flux, coordinate labels.
 
-    ``flux`` is the assembled product ``gram @ A``; when it is omitted it is
-    formed from a given ``A``, which is then kept.  Otherwise ``A`` is derived
-    on first read by one Cholesky solve.  ``damping_channels`` carries the
-    model's closed-form dissipation identity so that
-    ``sym(flux) = -sum gain_i v_i v_i^T``.  Instances are immutable by
-    convention: the energy data of :func:`energy_coordinates` is computed
-    once and cached on the generator.
+    ``damping_channels`` carries the model's closed-form dissipation
+    identity so that ``sym(flux) = -sum gain_i v_i v_i^T``.  ``blocks`` is
+    the pair of passive blocks a generator was coupled from (set by
+    :func:`~towerstab.passive_core.couple_systems`), ``None`` otherwise.
+    The dissipation defect is computed once and cached.
     """
 
     def __init__(
@@ -96,36 +144,15 @@ class DiscreteGenerator:
         damping_channels: tuple[DampingChannel, ...] = (),
         flux: np.ndarray | None = None,
     ):
-        if flux is None and A is None:
-            raise ValidationError("a generator needs flux or A")
-        check_spd(gram, "gram")
-        self.gram = np.asarray(gram, dtype=float)
-        n = self.gram.shape[0]
-        self._A = None if A is None else np.asarray(A, dtype=float)
-        if self._A is not None and self._A.shape != (n, n):
-            raise DimensionError(f"A must be {n}x{n} like gram, got {self._A.shape}")
-        self.flux = np.asarray(self.gram @ self._A if flux is None else flux, dtype=float)
-        if self.flux.shape != (n, n):
-            raise DimensionError("flux shape does not match gram")
+        super().__init__(gram, flux=flux, A=A)
         self.labels = tuple(labels)
-        if len(self.labels) != n:
-            raise DimensionError(f"expected {n} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != n:
+        if len(self.labels) != self.dim:
+            raise DimensionError(f"expected {self.dim} labels, got {len(self.labels)}")
+        if len(set(self.labels)) != self.dim:
             raise ValidationError("coordinate labels must be unique")
         self.damping_channels = tuple(damping_channels)
-        self._coords: EnergyCoordinates | None = None
-        self._eigenvalues: np.ndarray | None = None
-
-    @property
-    def A(self) -> np.ndarray:
-        """Explicit generator ``gram^{-1} flux``."""
-        if self._A is None:
-            self._A = sla.cho_solve((check_spd(self.gram), False), self.flux)
-        return self._A
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
+        self.blocks = None
+        self._defect: float | None = None
 
     def index(self, label: str) -> int:
         """Coordinate index of a labelled state component."""
@@ -144,14 +171,13 @@ class DiscreteGenerator:
 
     def dissipation_defect(self) -> float:
         """Largest eigenvalue of ``sym(gram A)``; <= 0 means Gram-dissipative."""
-        return float(sla.eigvalsh(symmetric_part(self.flux))[-1])
-
-    def is_dissipative(self, tol: float = DISSIPATIVITY_TOL) -> bool:
-        return self.dissipation_defect() <= tol
+        if self._defect is None:
+            self._defect = float(sla.eigvalsh(symmetric_part(self.flux))[-1])
+        return self._defect
 
 
 class EnergyCoordinates(NamedTuple):
-    """Generator transformed to coordinates where the Gram is the identity.
+    """Generator or block in coordinates where the Gram is the identity.
 
     ``T = U A U^{-1}`` with ``M = U^T U``; energy operator norms of functions
     of ``A`` equal Euclidean norms of the same functions of ``T``.
@@ -182,14 +208,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def energy_coordinates(gen: DiscreteGenerator) -> EnergyCoordinates:
-    """Similarity transform of the generator by the Cholesky factor of the Gram.
+def energy_coordinates(gen: GramSystem) -> EnergyCoordinates:
+    """Similarity transform of a generator or block by the Cholesky factor of its Gram.
 
-    Computed on the first call and cached on the generator; later calls
+    Computed on the first call and cached on the object; later calls
     return the same object.
     """
     if gen._coords is None:
-        T = transform_flux(gen.flux, check_spd(gen.gram))
+        T = transform_flux(gen.flux, gen._factor())
         sv = sla.svdvals(T)
         gen._coords = EnergyCoordinates(
             T=_frozen(T), singular_values=_frozen(sv), norm_A=float(sv[0])
@@ -197,8 +223,8 @@ def energy_coordinates(gen: DiscreteGenerator) -> EnergyCoordinates:
     return gen._coords
 
 
-def _energy_eigenvalues(gen: DiscreteGenerator) -> np.ndarray:
-    """Eigenvalues of ``T`` in LAPACK order, computed once per generator."""
+def _energy_eigenvalues(gen: GramSystem) -> np.ndarray:
+    """Eigenvalues of ``T`` in LAPACK order, computed once per object."""
     if gen._eigenvalues is None:
         try:
             lam = sla.eigvals(energy_coordinates(gen).T)
@@ -206,12 +232,3 @@ def _energy_eigenvalues(gen: DiscreteGenerator) -> np.ndarray:
             raise NumericalError(f"eigensolver failed: {exc}") from exc
         gen._eigenvalues = _frozen(lam)
     return gen._eigenvalues
-
-
-def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
-    """``1 / sigma_min(is - T)``; raises :class:`SpectrumHit` when singular."""
-    sv = sla.svdvals(1j * s * np.eye(T.shape[0]) - T)
-    smin = float(sv[-1])
-    if smin <= 10.0 * np.finfo(float).eps * (abs(s) + norm_T):
-        raise SpectrumHit(s)
-    return 1.0 / smin

@@ -205,16 +205,13 @@ def _state_blocks(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(q_idx), np.asarray(v_idx)
 
 
-def assemble_hydraulic_feedback(
-    gen: DiscreteGenerator, k: float, J: float, JG: float
-) -> DiscreteGenerator:
+def assemble_hydraulic_feedback(gen: DiscreteGenerator, k: float) -> DiscreteGenerator:
     """Close the generator-torque loop ``u = -k y`` around the hydraulic model.
 
     The torque acts on the tip rotation and on the shifted motor speed; in
     flux form its input map is ``g = -(e_tip_angular_velocity +
     e_motor_speed_shift)`` exactly (the inertias ``J`` and ``JG`` sit in
-    ``gen.gram``, so the arguments are accepted for call compatibility and
-    not read).  The measurement is ``y = g.z`` and the closed loop gains
+    ``gen.gram``).  The measurement is ``y = g.z`` and the closed loop gains
     the dissipation term ``-k |g.z|^2``.
     """
     if k < 0:
@@ -442,9 +439,18 @@ def state_space_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
     orders of magnitude below ``|H|``.  The hydraulic block is taken at
     ``JT = JG = 1``, the premise of the printed formulas.
     """
+    return _reH2(_reH2_block(kind, params), s)
+
+
+def _reH2_block(kind: str, params) -> PassiveSystem:
+    """The block of :func:`state_space_reH2`, hydraulic at ``JT = JG = 1``."""
     if isinstance(params, HydraulicParameters):
         params = dataclasses.asdict(params)
-    sys = control_block(kind, {**params, "JT": 1.0, "JG": 1.0})
+    return control_block(kind, {**params, "JT": 1.0, "JG": 1.0})
+
+
+def _reH2(sys: PassiveSystem, s: float) -> np.ndarray:
+    """``Re H_jj(is)`` of a block as the sum of its channels' squares."""
     X = _resolvent_apply(sys.gram, sys.flux, float(s), sys.gram_B)
     out = np.zeros((sys.p, sys.p))
     for j, xu in enumerate(np.vstack([X, np.eye(sys.p)]).T):
@@ -479,10 +485,11 @@ def cross_validate_reH2(
     kind: str, params: Mapping[str, float], s_grid, rtol: float = 1e-10
 ) -> TransferCrossValidation:
     """Compare printed and state-space Hermitian parts over a frequency grid."""
+    block = _reH2_block(kind, params)
     errs, ratios = [], []
     for s in np.asarray(s_grid, dtype=float):
         printed = closed_form_reH2(kind, params, s)
-        actual = state_space_reH2(kind, params, s)
+        actual = _reH2(block, s)
         scale = np.abs(printed).max()
         if scale == 0.0:
             errs.append(np.abs(actual).max())

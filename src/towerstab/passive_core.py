@@ -26,10 +26,9 @@ from .generator import (
     DISSIPATIVITY_TOL,
     DampingChannel,
     DiscreteGenerator,
-    _resolvent_from_shift,
-    check_spd,
+    GramSystem,
+    energy_coordinates,
     symmetric_part,
-    transform_flux,
 )
 from .spectral import resolvent_norm
 
@@ -41,17 +40,21 @@ def _matrix(M: np.ndarray | None) -> np.ndarray | None:
     return None if M is None else np.atleast_2d(np.asarray(M))
 
 
-class PassiveSystem:
+class PassiveSystem(GramSystem):
     """Passive block in descriptor form: ``gram``, ``flux``, ``gram_B``, ``C``, ``D``.
 
-    As for generators, ``flux = gram @ A`` and ``gram_B = gram @ B`` are
-    stored as assembled, or formed from a given ``A``/``B``, which is then
-    kept; otherwise ``A`` and ``B`` are derived on first read by a Cholesky
-    solve.  ``channels`` are ``DampingChannel(name, gain, v)`` with ``v``
-    acting on ``(x, u)`` and ``sym([[flux, gram_B], [-C, -D]]) = -sum gain
-    v v^T``.  Matrices may be complex (feedback transforms with complex gain
-    produce complex blocks, which declare no channels); the Gram is real SPD.
+    The Gram and ``flux = gram @ A`` are held as for generators (see
+    :class:`~towerstab.generator.GramSystem`); ``gram_B = gram @ B`` is
+    stored likewise, or formed from a given ``B``, which is then kept, and
+    ``B`` is otherwise derived on first read.  ``channels`` are
+    ``DampingChannel(name, gain, v)`` with ``v`` acting on ``(x, u)`` and
+    ``sym([[flux, gram_B], [-C, -D]]) = -sum gain v v^T``.  Matrices may be
+    complex (feedback transforms with complex gain produce complex blocks,
+    which declare no channels); the Gram is real SPD.
     """
+
+    _matrix = staticmethod(_matrix)  # keeps complex matrices complex
+    n = GramSystem.dim
 
     def __init__(
         self,
@@ -65,45 +68,29 @@ class PassiveSystem:
         A: np.ndarray | None = None,
         B: np.ndarray | None = None,
     ):
-        if (flux is None and A is None) or (gram_B is None and B is None):
-            raise ValidationError("a passive block needs flux or A, and gram_B or B")
-        check_spd(gram, "gram")
-        self.gram = np.asarray(gram, dtype=float)
-        n = self.gram.shape[0]
-        self._A, self._B = _matrix(A), _matrix(B)
-        if any(M is not None and M.shape[0] != n for M in (self._A, self._B)):
-            raise DimensionError(f"A and B must have {n} rows like gram")
-        self.flux = self.gram @ self._A if flux is None else _matrix(flux)
+        if gram_B is None and B is None:
+            raise ValidationError("a passive block needs gram_B or B")
+        super().__init__(gram, flux=flux, A=A)
+        n = self.n
+        self._B = _matrix(B)
+        if self._B is not None and self._B.shape[0] != n:
+            raise DimensionError(f"B must have {n} rows like gram, got {self._B.shape}")
         self.gram_B = self.gram @ self._B if gram_B is None else _matrix(gram_B)
         self.C, self.D = _matrix(C), _matrix(D)
-        p = self.gram_B.shape[1]
-        for name, shape in {"flux": (n, n), "gram_B": (n, p), "C": (p, n), "D": (p, p)}.items():
+        p = self.p
+        for name, shape in {"gram_B": (n, p), "C": (p, n), "D": (p, p)}.items():
             if getattr(self, name).shape != shape:
                 raise DimensionError(f"{name} must be {shape}, got {getattr(self, name).shape}")
         self.channels = tuple(channels)
         if any(np.shape(ch.vector) != (n + p,) for ch in self.channels):
             raise DimensionError(f"channel vectors must act on (x, u) of size {n + p}")
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.cho_solve((check_spd(self.gram), False), rhs)
-
-    @property
-    def A(self) -> np.ndarray:
-        """Explicit state matrix ``gram^{-1} flux``."""
-        if self._A is None:
-            self._A = self._solve(self.flux)
-        return self._A
-
     @property
     def B(self) -> np.ndarray:
         """Explicit input map ``gram^{-1} gram_B``."""
         if self._B is None:
-            self._B = self._solve(self.gram_B)
+            self._B = sla.cho_solve((self._factor(), False), self.gram_B)
         return self._B
-
-    @property
-    def n(self) -> int:
-        return self.flux.shape[0]
 
     @property
     def p(self) -> int:
@@ -331,7 +318,9 @@ def couple_systems(
     L1], [gram_B2 L2]]`` on the block-diagonal Gram (every product with a
     unit input map is exact).  The supplies cancel, so each block channel
     ``(v_x, v_u)`` lifts to ``v_x + v_u L_i``; the coupled generator is
-    certified Gram-dissipative.
+    certified Gram-dissipative (the defect stays cached on it) and keeps
+    ``(sys1, sys2)`` as ``gen.blocks``, which
+    :func:`check_coupled_resolvent_bound` reads.
     """
     if sys1.p != sys2.p:
         raise DimensionError(f"input dimensions differ: {sys1.p} vs {sys2.p}")
@@ -367,6 +356,7 @@ def couple_systems(
         raise NumericalError(
             f"coupled generator is not Gram-dissipative: defect {defect:.3e}"
         )
+    gen.blocks = (sys1, sys2)
     return gen
 
 
@@ -417,34 +407,6 @@ def random_passive_system(
     )
 
 
-class _EnergySystem:
-    """Passive block mapped to energy coordinates for norm computations."""
-
-    def __init__(self, sys: PassiveSystem):
-        U = check_spd(sys.gram)
-        self.T = transform_flux(sys.flux, U)
-        self.B = sla.solve_triangular(U.T, sys.gram_B, lower=True)
-        self.C = sla.solve_triangular(U.T, sys.C.conj().T, lower=True).conj().T
-        self.D = sys.D
-        self.eye = np.eye(sys.n)
-        self.norm_T = float(sla.svdvals(self.T)[0])
-
-    def resolvent_norm(self, s: float) -> float:
-        return _resolvent_from_shift(self.T, s, self.norm_T)
-
-    def resolvent_input_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.eye, self.T, s, self.B)
-        return float(sla.svdvals(X)[0])
-
-    def output_resolvent_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.eye, self.T.conj().T, -s, self.C.conj().T)
-        return float(sla.svdvals(X)[0])
-
-    def closed_loop_transfer_norm(self, s: float) -> float:
-        X = _resolvent_apply(self.eye, self.T, s, self.B)
-        return float(sla.svdvals(self.C @ X + self.D)[0])
-
-
 @dataclass(frozen=True)
 class FeedbackBoundReport:
     """Frequency-wise check of the three resolvent bounds of the feedback
@@ -469,15 +431,20 @@ def check_feedback_bounds(
     accretivity constant of the loop gain; margins are (bound - value), so
     nonnegative margins mean the estimate holds.
     """
-    es = _EnergySystem(sys_q)
+    T = energy_coordinates(sys_q).T
+    U = sys_q._factor()
+    B = sla.solve_triangular(U.T, sys_q.gram_B, lower=True)  # U^{-T} gram_B
+    C_adj = sla.solve_triangular(U.T, sys_q.C.conj().T, lower=True)  # (C U^{-1})^*
+    eye = np.eye(sys_q.n)
     inv_c = 1.0 / c
     s_ok, res, m_in, m_out, m_tf, excluded = [], [], [], [], [], []
     for s in np.asarray(s_grid, dtype=float):
         try:
-            r = es.resolvent_norm(s)
-            rb = es.resolvent_input_norm(s)
-            cr = es.output_resolvent_norm(s)
-            h = es.closed_loop_transfer_norm(s)
+            r = resolvent_norm(sys_q, s)
+            X = _resolvent_apply(eye, T, s, B)
+            rb = float(sla.svdvals(X)[0])
+            cr = float(sla.svdvals(_resolvent_apply(eye, T.conj().T, -s, C_adj))[0])
+            h = float(sla.svdvals(C_adj.conj().T @ X + sys_q.D)[0])
         except SpectrumHit:
             excluded.append(float(s))
             continue
@@ -519,24 +486,24 @@ ETA_EXCLUSION_TOL = 1e-12
 
 
 def check_coupled_resolvent_bound(
-    sys1: PassiveSystem,
-    sys2: PassiveSystem,
-    K: np.ndarray,
-    s_grid: Sequence[float],
+    coupled: DiscreteGenerator, K: np.ndarray, s_grid: Sequence[float]
 ) -> CouplingBoundReport:
-    """Compare the coupled resolvent norm with its structured bound.
+    """Compare the resolvent norm of a coupled generator with its structured bound.
 
-    ``K`` must satisfy ``Re K >= cI`` for some ``c > 0``; grid points where
-    ``is`` hits a spectrum or where ``eta(s)`` is not strictly positive are
+    ``coupled`` comes from :func:`couple_systems`; with ``(sys1, sys2) =
+    coupled.blocks`` the bound reads the resolvents of ``sys1`` under the
+    feedback transform with gain ``K`` (``Re K >= cI``, ``c > 0``) and of
+    ``sys2``, all through :func:`resolvent_norm`.  Grid points where ``is``
+    hits a spectrum or where ``eta(s)`` is not strictly positive are
     excluded and reported.
     """
+    if coupled.blocks is None:
+        raise ValidationError("generator is not a coupling of two passive blocks")
+    sys1, sys2 = coupled.blocks
     c = accretive_lower_bound(K)
     if not c > 0:
         raise ValidationError(f"Re K must be positive definite, lambda_min = {c:.3e}")
     sys_k = feedback_transform(sys1, K, c)
-    coupled = couple_systems(sys1, sys2)
-    es_k = _EnergySystem(sys_k)
-    es_2 = _EnergySystem(sys2)
     s_ok, lhs_vals, rhs_vals, excluded = [], [], [], []
     for s in np.asarray(s_grid, dtype=float):
         try:
@@ -545,8 +512,8 @@ def check_coupled_resolvent_bound(
                 excluded.append(float(s))
                 continue
             r_coupled = resolvent_norm(coupled, s)
-            r_k = es_k.resolvent_norm(s)
-            r_2 = es_2.resolvent_norm(s)
+            r_k = resolvent_norm(sys_k, s)
+            r_2 = resolvent_norm(sys2, s)
         except SpectrumHit:
             excluded.append(float(s))
             continue

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import NumericalError, SpectrumHit, ValidationError
 from .generator import (
     DiscreteGenerator,
+    GramSystem,
     _energy_eigenvalues,
-    _resolvent_from_shift,
     energy_coordinates,
 )
 
@@ -57,8 +58,17 @@ class SpectrumReport:
     fit_band: tuple[float, float]
 
 
-def resolvent_norm(gen: DiscreteGenerator, s: float) -> float:
-    """Energy operator norm of ``(is - A)^{-1}``.
+def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
+    """``1 / sigma_min(is - T)``; raises :class:`SpectrumHit` when singular."""
+    sv = sla.svdvals(1j * s * np.eye(T.shape[0]) - T)
+    smin = float(sv[-1])
+    if smin <= 10.0 * np.finfo(float).eps * (abs(s) + norm_T):
+        raise SpectrumHit(s)
+    return 1.0 / smin
+
+
+def resolvent_norm(gen: GramSystem, s: float) -> float:
+    """Energy operator norm of ``(is - A)^{-1}`` of a generator or block.
 
     Raises :class:`SpectrumHit` when the shifted matrix is numerically
     singular (``is`` lies in the spectrum at working precision).

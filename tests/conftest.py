@@ -44,7 +44,7 @@ def feedback_fixture(desk_hydraulic):
     params = ts.BeamParameters(rho=1.0, EI=1.0, m=1.0, J=2.0)
     beam = ts.build_beam_matrices(params, 16)
     base = ts.assemble_hydraulic(beam, params, desk_hydraulic)
-    return ts.assemble_hydraulic_feedback(base, 1.0, 2.0, 1.0)
+    return ts.assemble_hydraulic_feedback(base, 1.0)
 
 
 def rng(seed_offset: int = 0) -> np.random.Generator:

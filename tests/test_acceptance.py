@@ -56,7 +56,7 @@ def build(model: str, n: int, J: float = 1.0):
     hyd = ts.HydraulicParameters(Dp=1.0, Dm=1.0, Bp=1.0, Bm=1.0)
     gen = ts.assemble_hydraulic(beam, params, hyd)
     if model == "hydraulic_feedback":
-        gen = ts.assemble_hydraulic_feedback(gen, 1.0, J, 1.0)
+        gen = ts.assemble_hydraulic_feedback(gen, 1.0)
     return gen
 
 
@@ -380,10 +380,10 @@ def test_criterion_8_coupling_bound():
         coupled = ts.couple_systems(sys1, sys2)
         s_hi = 0.5 * ts.mesh_frequency(coupled)
         base = ts.check_coupled_resolvent_bound(
-            sys1, sys2, np.eye(1), np.geomspace(2.0, s_hi, 120)
+            coupled, np.eye(1), np.geomspace(2.0, s_hi, 120)
         )
         doubled = ts.check_coupled_resolvent_bound(
-            sys1, sys2, np.eye(1), np.geomspace(2.0, s_hi, 240)
+            coupled, np.eye(1), np.geomspace(2.0, s_hi, 240)
         )
         assert np.isfinite(base.max_ratio) and np.isfinite(doubled.max_ratio)
         change = abs(doubled.max_ratio - base.max_ratio) / base.max_ratio

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import towerstab as ts
 import towerstab.cli as cli
+from towerstab import models, passive_core
 from towerstab.generator import energy_coordinates
 
 
@@ -152,6 +154,53 @@ class TestVerifyAll:
         assert set(report["checks"]) == set(cli.CHECK_NAMES)
         for entry in report["checks"].values():
             assert entry["status"] in ("pass", "fail", "not run")
+
+
+class TestCouplingCheck:
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_runs_on_the_assembled_model(self, tmp_path, monkeypatch, model):
+        """The check reads the blocks the model was coupled from: it builds
+        no beam, block or second coupling, and its ratio is bit-equal to
+        the check on a freshly coupled pair of blocks."""
+        cfg = cli.load_config(str(write_config(tmp_path, model=model, n_elements=8)), {})
+        runner = cli.Runner(cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the coupling check rebuilt the model")
+
+        monkeypatch.setattr(passive_core, "couple_systems", forbidden)
+        monkeypatch.setattr(models, "scole_tip_block", forbidden)
+        monkeypatch.setattr(cli, "build_beam_matrices", forbidden)
+        runner.check_coupling()
+        monkeypatch.undo()
+        (result,) = runner.results
+        assert result.status == "pass"
+
+        params = cfg.beam_parameters()
+        port = {"tmd": "displacement", "hydraulic": "rotation"}[model]
+        fresh = passive_core.couple_systems(
+            models.scole_tip_block(cli.build_beam_matrices(params, 8), params, port),
+            models.control_block(model, cfg.block_parameters()),
+        )
+        s_hi = 0.5 * ts.mesh_frequency(fresh)
+        grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))
+        rep = ts.check_coupled_resolvent_bound(fresh, np.eye(1), grid)
+        assert result.evidence["max_ratio"] == rep.max_ratio
+
+    @pytest.mark.parametrize("model", ["combined", "torque", "force", "hydraulic_feedback"])
+    def test_uncoupled_model_records_why_not_run(self, tmp_path, model):
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path, model=model)), {}))
+        runner.check_coupling()
+        (result,) = runner.results
+        assert result.status == "not run"
+        assert result.evidence == {"reason": "model is not a coupling of two passive blocks"}
+
+    def test_disabled_check_stays_bare(self, tmp_path):
+        path = write_config(tmp_path, model="torque", checks={"coupling_bound": False})
+        runner = cli.Runner(cli.load_config(str(path), {}))
+        runner.check_coupling()
+        (result,) = runner.results
+        assert (result.status, result.evidence) == ("not run", {})
 
 
 class TestKernelEvidence:

@@ -168,7 +168,7 @@ class TestHydraulic:
 class TestHydraulicFeedback:
     def test_zero_gain_leaves_generator_unchanged(self, desk_models):
         base = desk_models["hydraulic"]
-        out = ts.assemble_hydraulic_feedback(base, 0.0, 1.0, 1.0)
+        out = ts.assemble_hydraulic_feedback(base, 0.0)
         assert np.allclose(out.A, base.A)
         assert np.allclose(out.flux, base.flux)
 
@@ -178,7 +178,7 @@ class TestHydraulicFeedback:
 
     def test_equal_inertias_still_assemble(self, desk_beam, desk_params, desk_hydraulic):
         base = ts.assemble_hydraulic(desk_beam, desk_params, desk_hydraulic)
-        out = ts.assemble_hydraulic_feedback(base, 1.0, 1.0, 1.0)
+        out = ts.assemble_hydraulic_feedback(base, 1.0)
         assert out.dissipation_defect() <= 1e-10
         rep = ts.eigen_report(out)
         # stability is left to the eigensolve; with Bm > 0 the desk fixture
@@ -237,6 +237,20 @@ class TestClosedForms:
         cv = ts.cross_validate_reH2("tmd", params, np.geomspace(0.1, 10.0, 25))
         assert not cv.matches
         assert cv.observed_ratio == pytest.approx(2.0, rel=1e-8)
+
+    def test_cross_validation_builds_its_block_once(self, monkeypatch):
+        calls = []
+        build = ts.models.control_block
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ts.models, "control_block", counted)
+        params = {"a": 1.0, "b": 1.0, "m": 1.0, "J": 1.0}
+        cv = ts.cross_validate_reH2("combined", params, np.geomspace(0.01, 100.0, 400))
+        assert cv.matches
+        assert len(calls) == 1
 
     def test_denominator_matches_characteristic_polynomial(self):
         """Printed d(s) equals |det(is - A2)|^2 at unit fluid capacitance."""
@@ -402,3 +416,13 @@ def test_lifted_hydraulic_channels_equal_the_loss_terms(desk_models, desk_hydrau
     for ch, (name, gain, vector) in zip(gen.damping_channels, expected):
         assert (ch.name, ch.gain) == (name, gain)
         assert ch.vector.tobytes() == vector.tobytes()
+
+
+def test_only_coupled_models_remember_their_blocks(desk_models, feedback_fixture):
+    models = {**desk_models, "hydraulic_feedback": feedback_fixture}
+    for name in ("combined", "torque", "force", "hydraulic_feedback"):
+        assert models[name].blocks is None, name
+    for name in ("tmd", "hydraulic"):
+        sys1, sys2 = models[name].blocks
+        assert isinstance(sys1, ts.PassiveSystem) and isinstance(sys2, ts.PassiveSystem)
+        assert sys1.n + sys2.n == models[name].dim

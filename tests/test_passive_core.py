@@ -272,7 +272,7 @@ class TestCoupledResolventBound:
             D=np.zeros((1, 1)), gram=np.eye(1),
         )
         report = ts.check_coupled_resolvent_bound(
-            sys1, sys2, np.eye(1), np.geomspace(0.1, 100.0, 60)
+            ts.couple_systems(sys1, sys2), np.eye(1), np.geomspace(0.1, 100.0, 60)
         )
         assert len(report.excluded) == 0
         assert report.max_ratio <= 10.0
@@ -281,7 +281,7 @@ class TestCoupledResolventBound:
         sys1 = ts.torque_block(1.0, 1.0)
         sys2 = lossless_system(3, 1, seed=8)  # eta identically zero
         report = ts.check_coupled_resolvent_bound(
-            sys1, sys2, np.eye(1), np.linspace(0.5, 3.0, 6)
+            ts.couple_systems(sys1, sys2), np.eye(1), np.linspace(0.5, 3.0, 6)
         )
         assert len(report.excluded) == 6
         assert report.s_values.size == 0
@@ -290,7 +290,9 @@ class TestCoupledResolventBound:
         sys1 = ts.torque_block(1.0, 1.0)
         sys2 = ts.force_block(1.0, 1.0)
         with pytest.raises(ts.ValidationError, match="Re K"):
-            ts.check_coupled_resolvent_bound(sys1, sys2, np.array([[-1.0]]), [1.0])
+            ts.check_coupled_resolvent_bound(
+                ts.couple_systems(sys1, sys2), np.array([[-1.0]]), [1.0]
+            )
 
 
 @settings(max_examples=25, deadline=None)

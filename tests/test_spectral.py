@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import towerstab as ts
-from towerstab.generator import energy_coordinates
+from towerstab.generator import energy_coordinates, transform_flux
 
 
 def scalar_generator(value=-1.0):
@@ -151,6 +151,19 @@ class TestEnergyData:
         _, smin = ts.kernel_check(gen)
         assert ec.norm_A == ec.singular_values[0]
         assert smin == ec.singular_values[-1]
+
+    def test_block_coordinates_computed_once(self, desk_hydraulic):
+        block = ts.hydraulic_block(desk_hydraulic)
+        assert energy_coordinates(block) is energy_coordinates(block)
+
+    def test_block_resolvent_norm_is_the_inline_transform(self, desk_beam, desk_params):
+        block = ts.feedback_transform(
+            ts.scole_tip_block(desk_beam, desk_params, "rotation"), np.eye(1), 1.0
+        )
+        T = transform_flux(block.flux, sla.cholesky(block.gram, lower=False))
+        for s in (0.5, 3.0, 40.0):
+            smin = sla.svdvals(1j * s * np.eye(block.n) - T)[-1]
+            assert ts.resolvent_norm(block, s) == 1.0 / smin
 
 
 class TestKernelCheck:
