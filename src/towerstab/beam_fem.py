@@ -106,11 +106,17 @@ def _hermite_curvatures(xi: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sample_coefficient(fn: Coefficient, x: np.ndarray, name: str) -> np.ndarray:
-    values = np.array([float(fn(xi)) for xi in x])
-    bad = np.nonzero(~(values > 0))[0]
+    values = np.empty(x.size)
+    for i, xi in enumerate(x):
+        try:
+            values[i] = float(fn(xi))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValidationError(f"{name}({xi:.6g}) cannot be evaluated: {exc}") from exc
+    bad = np.nonzero(~(values > 0) | np.isinf(values))[0]
     if bad.size:
         raise ValidationError(
-            f"{name} must be strictly positive; {name}({x[bad[0]]:.6g}) = {values[bad[0]]:.6g}"
+            f"{name} must be finite and strictly positive; "
+            f"{name}({x[bad[0]]:.6g}) = {values[bad[0]]:.6g}"
         )
     return values
 
@@ -124,7 +130,6 @@ def build_beam_matrices(params: BeamParameters, n_elements: int) -> BeamMatrices
     """
     if n_elements < 1:
         raise ValidationError(f"n_elements must be >= 1, got {n_elements}")
-    params = params if isinstance(params, BeamParameters) else BeamParameters(*params)
     n_dof = 2 * n_elements
     h = 1.0 / n_elements
     K = np.zeros((n_dof + 2, n_dof + 2))
@@ -286,7 +291,9 @@ def coefficient_from_spec(spec: float | Mapping | Sequence, n_elements: int | No
     ``{"kind": "affine", "intercept": a, "slope": b}`` for ``a + b x``;
     ``{"kind": "exp", "scale": a, "rate": b}`` for ``a exp(b x)``;
     ``{"kind": "csv", "path": p}`` with (x, value) rows, linearly
-    interpolated, requiring at least ``4 * n_elements`` samples.
+    interpolated, requiring at least ``4 * n_elements`` samples.  A missing
+    key, a non-numeric value or an unreadable table raises
+    :class:`ValidationError`.
     """
     if isinstance(spec, (int, float)):
         return _constant(float(spec))
@@ -294,26 +301,47 @@ def coefficient_from_spec(spec: float | Mapping | Sequence, n_elements: int | No
         raise ValidationError(f"coefficient spec must be a number or mapping, got {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
-        return _constant(float(spec["value"]))
+        return _constant(_spec_number(spec, "value"))
     if kind == "affine":
-        a, b = float(spec["intercept"]), float(spec["slope"])
+        a, b = _spec_number(spec, "intercept"), _spec_number(spec, "slope")
         return lambda x: a + b * x
     if kind == "exp":
-        a, b = float(spec["scale"]), float(spec["rate"])
+        a, b = _spec_number(spec, "scale"), _spec_number(spec, "rate")
         return lambda x: a * math.exp(b * x)
     if kind == "csv":
+        if "path" not in spec:
+            raise ValidationError("coefficient kind 'csv' needs key 'path'")
         return _tabulated_coefficient(str(spec["path"]), n_elements)
     raise ValidationError(f"unknown coefficient kind {kind!r}")
 
 
+def _spec_number(spec: Mapping, key: str) -> float:
+    if key not in spec:
+        raise ValidationError(f"coefficient kind {spec['kind']!r} needs key {key!r}")
+    try:
+        return float(spec[key])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"coefficient {spec['kind']!r}: {key} must be a number, got {spec[key]!r}"
+        ) from None
+
+
 def _tabulated_coefficient(path: str, n_elements: int | None) -> Coefficient:
     xs, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or row[0].strip().startswith("#"):
+                    continue
+                xs.append(float(row[0]))
+                vals.append(float(row[1]))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read coefficient table {path}: {exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(
+            f"coefficient table {path} line {reader.line_num}: expected x,value, got {row!r}"
+        ) from exc
     if n_elements is not None and len(xs) < 4 * n_elements:
         raise ValidationError(
             f"tabulated coefficient {path} has {len(xs)} samples; "

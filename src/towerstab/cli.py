@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -52,7 +53,14 @@ from .passive_core import (
     routh_hurwitz,
     verify_passivity,
 )
-from .spectral import eigen_report, kernel_check, mesh_frequency, scan_resolvent
+from .spectral import (
+    KERNEL_TOL,
+    RELIABLE_BAND_FRACTION,
+    eigen_report,
+    kernel_check,
+    mesh_frequency,
+    scan_resolvent,
+)
 from .timesim import (
     classical_initial_data,
     default_timestep,
@@ -230,13 +238,6 @@ class RunConfig:
         hydraulic = dataclasses.asdict(self.hydraulic_parameters())
         return {**{name: getattr(self, name) for name in names}, **hydraulic}
 
-    def canonical(self) -> dict:
-        out = {}
-        for name in sorted(self.__dataclass_fields__):
-            value = getattr(self, name)
-            out[name] = value
-        return out
-
 
 def build_generator(cfg: RunConfig) -> DiscreteGenerator:
     params = cfg.beam_parameters()
@@ -316,16 +317,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(render_json(cfg.canonical()).encode()).hexdigest()
-
-
-def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    """Dense row-major CSV with a one-line (rows, cols) header."""
-    rows, cols = matrix.shape
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{rows},{cols}\n")
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    return hashlib.sha256(render_json(dataclasses.asdict(cfg)).encode()).hexdigest()
 
 
 #: rows formatted per write; bounds the temporary row objects to about a MB.
@@ -355,6 +347,13 @@ class Runner:
         self.scan = None
         self.spectrum = None
         self.trajectory = None
+
+    @cached_property
+    def s_hi(self) -> float:
+        """Upper scan frequency: the configured one, else the reliable band's end."""
+        if self.cfg.s_hi is not None:
+            return self.cfg.s_hi
+        return RELIABLE_BAND_FRACTION * mesh_frequency(self.gen)
 
     def _record(self, name: str, status: str, **evidence) -> None:
         self.results.append(CheckResult(name, status, evidence))
@@ -448,10 +447,9 @@ class Runner:
         if self._skip("scan"):
             return
         cfg = self.cfg
-        s_hi = cfg.s_hi if cfg.s_hi is not None else 0.5 * mesh_frequency(self.gen)
         window = None if cfg.fit_lo is None else (cfg.fit_lo, cfg.fit_hi)
         scan = scan_resolvent(
-            self.gen, cfg.s_lo, s_hi, cfg.n_points, cfg.spacing, fit_window=window
+            self.gen, cfg.s_lo, self.s_hi, cfg.n_points, cfg.spacing, fit_window=window
         )
         self.scan = scan
         ok = len(scan.excluded) == 0 and np.all(np.isfinite(scan.norms))
@@ -468,7 +466,7 @@ class Runner:
             return
         dim, smin = kernel_check(self.gen)
         smax = energy_coordinates(self.gen).norm_A
-        ok = dim == 0 and smin > 1e-8 * smax
+        ok = dim == 0 and smin > KERNEL_TOL * smax
         self._record(
             "kernel", "pass" if ok else "fail", dimension=dim, sigma_min=smin,
             sigma_max=smax,
@@ -503,8 +501,7 @@ class Runner:
             self._record("coupling_bound", "not run", reason=reason)
             return
         cfg = self.cfg
-        s_hi = cfg.s_hi if cfg.s_hi is not None else 0.5 * mesh_frequency(self.gen)
-        grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))
+        grid = np.geomspace(cfg.s_lo, self.s_hi, min(cfg.n_points, 120))
         rep = check_coupled_resolvent_bound(self.gen, np.eye(1), grid)
         ok = np.isfinite(rep.max_ratio)
         self._record(
@@ -656,8 +653,9 @@ def run(subcommand: str, cfg: RunConfig) -> tuple[int, VerificationReport]:
     if subcommand == "assemble":
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_matrix_csv(out / "A.csv", runner.gen.A)
-        write_matrix_csv(out / "gram.csv", runner.gen.gram)
+        for name, matrix in (("A.csv", runner.gen.A), ("gram.csv", runner.gen.gram)):
+            # dense row-major, under a one-line "rows,cols" header
+            write_columns_csv(out / name, [str(k) for k in matrix.shape], matrix.T)
         (out / "labels.txt").write_text("\n".join(runner.gen.labels) + "\n")
         runner.check_dissipativity()
         report = runner.report()

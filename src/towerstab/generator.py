@@ -62,47 +62,29 @@ def check_spd(M: np.ndarray, name: str = "gram") -> np.ndarray:
         raise ValidationError(f"{name} is not positive definite: {exc}") from exc
 
 
-def energy(z: np.ndarray, gram: np.ndarray) -> float:
-    """Energy ``(1/2) z^T M z`` of a state in the Gram norm."""
-    z = np.asarray(z)
-    gram = np.asarray(gram)
-    if gram.shape != (z.shape[0], z.shape[0]):
-        raise DimensionError(
-            f"state dimension {z.shape[0]} does not match gram {gram.shape}"
-        )
-    return 0.5 * float(np.real(np.conj(z) @ gram @ z))
-
-
 def symmetric_part(F: np.ndarray) -> np.ndarray:
     return 0.5 * (F + F.conj().T)
 
 
 class GramSystem:
-    """State space with an energy Gram and an assembled ``flux = gram @ A``.
+    """State space with an energy Gram and the assembled ``flux = gram @ A``.
 
-    The core of generators and passive blocks.  The Gram is checked
-    symmetric positive definite on construction; its Cholesky factor is not
-    kept.  ``flux`` is stored as assembled, or formed from a given ``A``,
-    which is then kept; otherwise ``A`` is derived on first read by one
-    Cholesky solve.  Instances are immutable by convention, so
-    :func:`energy_coordinates` and :func:`_energy_eigenvalues` cache their
-    data on the object.
+    The core of generators and passive blocks, constructed from the two
+    arrays an assembly produces.  The Gram is checked symmetric positive
+    definite on construction; its Cholesky factor is not kept.  ``A`` is
+    derived on first read by one Cholesky solve.  Instances are immutable
+    by convention, so :func:`energy_coordinates` and
+    :func:`_energy_eigenvalues` cache their data on the object.
     """
 
-    def __init__(
-        self, gram: np.ndarray, flux: np.ndarray | None = None, A: np.ndarray | None = None
-    ):
-        if flux is None and A is None:
-            raise ValidationError(f"{type(self).__name__} needs flux or A")
+    def __init__(self, gram: np.ndarray, flux: np.ndarray):
         check_spd(gram, "gram")
         self.gram = np.asarray(gram, dtype=float)
+        self.flux = self._matrix(flux)
         n = self.dim
-        self._A = None if A is None else self._matrix(A)
-        if self._A is not None and self._A.shape != (n, n):
-            raise DimensionError(f"A must be {n}x{n} like gram, got {self._A.shape}")
-        self.flux = self.gram @ self._A if flux is None else self._matrix(flux)
         if self.flux.shape != (n, n):
             raise DimensionError(f"flux must be {n}x{n} like gram, got {self.flux.shape}")
+        self._A: np.ndarray | None = None
         self._coords: EnergyCoordinates | None = None
         self._eigenvalues: np.ndarray | None = None
 
@@ -129,22 +111,24 @@ class GramSystem:
 class DiscreteGenerator(GramSystem):
     """Generator in descriptor form: energy Gram, assembled flux, coordinate labels.
 
-    ``damping_channels`` carries the model's closed-form dissipation
-    identity so that ``sym(flux) = -sum gain_i v_i v_i^T``.  ``blocks`` is
-    the pair of passive blocks a generator was coupled from (set by
+    Constructed once from the ``gram`` and ``flux`` an assembly produces;
+    the explicit ``A`` is only ever derived.  ``damping_channels`` carries
+    the model's closed-form dissipation identity so that ``sym(flux) = -sum
+    gain_i v_i v_i^T``.  ``blocks`` is the pair of passive blocks a
+    generator was coupled from (set by
     :func:`~towerstab.passive_core.couple_systems`), ``None`` otherwise.
     The dissipation defect is computed once and cached.
     """
 
     def __init__(
         self,
-        A: np.ndarray | None = None,
-        gram: np.ndarray | None = None,
-        labels: Sequence[str] = (),
+        *,
+        gram: np.ndarray,
+        flux: np.ndarray,
+        labels: Sequence[str],
         damping_channels: tuple[DampingChannel, ...] = (),
-        flux: np.ndarray | None = None,
     ):
-        super().__init__(gram, flux=flux, A=A)
+        super().__init__(gram, flux)
         self.labels = tuple(labels)
         if len(self.labels) != self.dim:
             raise DimensionError(f"expected {self.dim} labels, got {len(self.labels)}")
@@ -167,7 +151,13 @@ class DiscreteGenerator(GramSystem):
         return z
 
     def energy(self, z: np.ndarray) -> float:
-        return energy(z, self.gram)
+        """Energy ``(1/2) z^T M z`` of a state in the Gram norm."""
+        z = np.asarray(z)
+        if z.shape[0] != self.dim:
+            raise DimensionError(
+                f"state dimension {z.shape[0]} does not match gram {self.gram.shape}"
+            )
+        return 0.5 * float(np.real(np.conj(z) @ self.gram @ z))
 
     def dissipation_defect(self) -> float:
         """Largest eigenvalue of ``sym(gram A)``; <= 0 means Gram-dissipative."""

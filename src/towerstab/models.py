@@ -15,10 +15,9 @@ dissipation channels every block declares onto the generator.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,12 +75,16 @@ class HydraulicParameters:
         return self.kleak_p + self.kleak_m
 
 
-def _beam_core(beam: BeamMatrices, params: BeamParameters) -> DiscreteGenerator:
-    """Lossless first-order beam on (q, v) with Gram blkdiag(K, M_full).
+def _beam_core(
+    beam: BeamMatrices, params: BeamParameters
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Gram, flux and tip unit vectors of the lossless beam on (q, v).
 
-    ``M_full`` is the beam mass matrix with the nacelle mass and inertia
-    added on the tip degrees of freedom; the flux holds the skew pair
-    ``+-K`` once, so its symmetric part is exactly zero.
+    The Gram is blkdiag(K, M_full), where ``M_full`` is the beam mass matrix
+    with the nacelle mass and inertia added on the tip degrees of freedom;
+    the flux holds the skew pair ``+-K`` once, so its symmetric part is
+    exactly zero.  The third item maps the labels ``tip_velocity`` and
+    ``tip_angular_velocity`` to their unit state vectors.
     """
     n = beam.n_dof
     K = 0.5 * (beam.K + beam.K.T)
@@ -94,7 +97,9 @@ def _beam_core(beam: BeamMatrices, params: BeamParameters) -> DiscreteGenerator:
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, :n] = K
     gram[n:, n:] = M_full
-    return DiscreteGenerator(gram=gram, labels=_beam_labels(beam), flux=flux)
+    e = np.zeros((2, 2 * n))
+    e[0, n + beam.tip_disp_index] = e[1, n + beam.tip_rot_index] = 1.0
+    return gram, flux, {"tip_velocity": e[0], "tip_angular_velocity": e[1]}
 
 
 def _beam_labels(beam: BeamMatrices) -> list[str]:
@@ -106,20 +111,22 @@ def _beam_labels(beam: BeamMatrices) -> list[str]:
     return labels + ["tip_velocity", "tip_angular_velocity"]
 
 
-def _close_loops(gen: DiscreteGenerator, *loops: DampingChannel) -> DiscreteGenerator:
+def _close_loops(
+    gram: np.ndarray,
+    flux: np.ndarray,
+    labels: Sequence[str],
+    channels: tuple[DampingChannel, ...],
+    *loops: DampingChannel,
+) -> DiscreteGenerator:
     """Close collocated static loops ``u = -k g.z``, one per ``(name, k, g)``.
 
     Each loop takes ``k g g^T`` off the flux and becomes the damping channel
-    ``-k (g.z)^2`` of the identity.
+    ``-k (g.z)^2`` of the identity, after the given ``channels``.
     """
-    flux = gen.flux
     for _, k, g in loops:
         flux = flux - k * np.outer(g, g)
     return DiscreteGenerator(
-        gram=gen.gram,
-        labels=gen.labels,
-        damping_channels=gen.damping_channels + loops,
-        flux=flux,
+        gram=gram, flux=flux, labels=labels, damping_channels=channels + loops
     )
 
 
@@ -135,12 +142,10 @@ def assemble_combined(
     """
     if a < 0 or b < 0:
         raise ValidationError(f"feedback gains must be nonnegative, got a={a}, b={b}")
-    gen = _beam_core(beam, params)
-    return _close_loops(
-        gen,
-        DampingChannel("tip_velocity", a, gen.unit_state("tip_velocity")),
-        DampingChannel("tip_angular_velocity", b, gen.unit_state("tip_angular_velocity")),
-    )
+    gram, flux, tip = _beam_core(beam, params)
+    gains = {"tip_velocity": a, "tip_angular_velocity": b}
+    loops = [DampingChannel(name, k, tip[name]) for name, k in gains.items()]
+    return _close_loops(gram, flux, _beam_labels(beam), (), *loops)
 
 
 def assemble_tmd(
@@ -217,7 +222,9 @@ def assemble_hydraulic_feedback(gen: DiscreteGenerator, k: float) -> DiscreteGen
     if k < 0:
         raise ValidationError(f"feedback gain must be nonnegative, got {k}")
     g = -(gen.unit_state("tip_angular_velocity") + gen.unit_state("motor_speed_shift"))
-    return _close_loops(gen, DampingChannel("feedback", k, g))
+    return _close_loops(
+        gen.gram, gen.flux, gen.labels, gen.damping_channels, DampingChannel("feedback", k, g)
+    )
 
 
 def scole_tip_block(
@@ -234,9 +241,9 @@ def scole_tip_block(
     labels = {"displacement": "tip_velocity", "rotation": "tip_angular_velocity"}
     if port not in labels:
         raise ValidationError(f"port must be 'displacement' or 'rotation', got {port!r}")
-    core = _beam_core(beam, params)
-    e = core.unit_state(labels[port])[:, None]
-    return PassiveSystem(gram=core.gram, flux=core.flux, gram_B=e, C=e.T, D=np.zeros((1, 1)))
+    gram, flux, tip = _beam_core(beam, params)
+    e = tip[labels[port]][:, None]
+    return PassiveSystem(gram=gram, flux=flux, gram_B=e, C=e.T, D=np.zeros((1, 1)))
 
 
 def tmd_block(tmd: TmdParameters) -> PassiveSystem:
@@ -304,9 +311,8 @@ def combined_block(a: float, b: float, m: float, J: float) -> PassiveSystem:
     return _nacelle_block([m, J], [("tip_velocity", a), ("tip_angular_velocity", b)])
 
 
-def control_block(kind: str, params) -> PassiveSystem:
-    """The passive block of model ``kind``, from a mapping of its parameter
-    names (or, for the hydraulic kinds, a :class:`HydraulicParameters`)."""
+def control_block(kind: str, params: Mapping[str, float]) -> PassiveSystem:
+    """The passive block of model ``kind``, from a mapping of its parameter names."""
     blocks = {
         "combined": lambda p: combined_block(p["a"], p["b"], p["m"], p["J"]),
         "torque": lambda p: torque_block(p["b"], p["J"]),
@@ -442,10 +448,8 @@ def state_space_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
     return _reH2(_reH2_block(kind, params), s)
 
 
-def _reH2_block(kind: str, params) -> PassiveSystem:
+def _reH2_block(kind: str, params: Mapping[str, float]) -> PassiveSystem:
     """The block of :func:`state_space_reH2`, hydraulic at ``JT = JG = 1``."""
-    if isinstance(params, HydraulicParameters):
-        params = dataclasses.asdict(params)
     return control_block(kind, {**params, "JT": 1.0, "JG": 1.0})
 
 
@@ -458,9 +462,7 @@ def _reH2(sys: PassiveSystem, s: float) -> np.ndarray:
     return out
 
 
-def _as_hydraulic(params) -> HydraulicParameters:
-    if isinstance(params, HydraulicParameters):
-        return params
+def _as_hydraulic(params: Mapping[str, float]) -> HydraulicParameters:
     keys = {"Dp", "Dm", "Bp", "Bm", "kleak_p", "kleak_m", "beta", "V", "JT", "JG"}
     return HydraulicParameters(**{k: params[k] for k in keys if k in params})
 
@@ -482,9 +484,12 @@ class TransferCrossValidation:
 
 
 def cross_validate_reH2(
-    kind: str, params: Mapping[str, float], s_grid, rtol: float = 1e-10
+    kind: str, params: Mapping[str, float], s_grid
 ) -> TransferCrossValidation:
-    """Compare printed and state-space Hermitian parts over a frequency grid."""
+    """Compare printed and state-space Hermitian parts over a frequency grid.
+
+    The two match when their largest relative deviation is at most 1e-10.
+    """
     block = _reH2_block(kind, params)
     errs, ratios = [], []
     for s in np.asarray(s_grid, dtype=float):
@@ -505,7 +510,7 @@ def cross_validate_reH2(
         kind=kind,
         max_rel_err=max_err,
         observed_ratio=float(np.median(ratios)) if ratios else float("nan"),
-        matches=bool(max_err <= rtol),
+        matches=bool(max_err <= 1e-10),
     )
 
 

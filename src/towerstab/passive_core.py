@@ -36,21 +36,20 @@ PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
 
-def _matrix(M: np.ndarray | None) -> np.ndarray | None:
-    return None if M is None else np.atleast_2d(np.asarray(M))
+def _matrix(M: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(M))
 
 
 class PassiveSystem(GramSystem):
     """Passive block in descriptor form: ``gram``, ``flux``, ``gram_B``, ``C``, ``D``.
 
     The Gram and ``flux = gram @ A`` are held as for generators (see
-    :class:`~towerstab.generator.GramSystem`); ``gram_B = gram @ B`` is
-    stored likewise, or formed from a given ``B``, which is then kept, and
-    ``B`` is otherwise derived on first read.  ``channels`` are
-    ``DampingChannel(name, gain, v)`` with ``v`` acting on ``(x, u)`` and
-    ``sym([[flux, gram_B], [-C, -D]]) = -sum gain v v^T``.  Matrices may be
-    complex (feedback transforms with complex gain produce complex blocks,
-    which declare no channels); the Gram is real SPD.
+    :class:`~towerstab.generator.GramSystem`), and so is the assembled
+    input map ``gram_B = gram @ B``; ``A`` and ``B`` are derived on first
+    read.  ``channels`` are ``DampingChannel(name, gain, v)`` with ``v``
+    acting on ``(x, u)`` and ``sym([[flux, gram_B], [-C, -D]]) = -sum gain
+    v v^T``.  Matrices may be complex (feedback transforms with complex gain
+    produce complex blocks, which declare no channels); the Gram is real SPD.
     """
 
     _matrix = staticmethod(_matrix)  # keeps complex matrices complex
@@ -60,30 +59,22 @@ class PassiveSystem(GramSystem):
         self,
         *,
         gram: np.ndarray,
+        flux: np.ndarray,
+        gram_B: np.ndarray,
         C: np.ndarray,
         D: np.ndarray,
-        flux: np.ndarray | None = None,
-        gram_B: np.ndarray | None = None,
         channels: tuple[DampingChannel, ...] = (),
-        A: np.ndarray | None = None,
-        B: np.ndarray | None = None,
     ):
-        if gram_B is None and B is None:
-            raise ValidationError("a passive block needs gram_B or B")
-        super().__init__(gram, flux=flux, A=A)
-        n = self.n
-        self._B = _matrix(B)
-        if self._B is not None and self._B.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows like gram, got {self._B.shape}")
-        self.gram_B = self.gram @ self._B if gram_B is None else _matrix(gram_B)
-        self.C, self.D = _matrix(C), _matrix(D)
-        p = self.p
+        super().__init__(gram, flux)
+        self.gram_B, self.C, self.D = _matrix(gram_B), _matrix(C), _matrix(D)
+        n, p = self.n, self.p
         for name, shape in {"gram_B": (n, p), "C": (p, n), "D": (p, p)}.items():
             if getattr(self, name).shape != shape:
                 raise DimensionError(f"{name} must be {shape}, got {getattr(self, name).shape}")
         self.channels = tuple(channels)
         if any(np.shape(ch.vector) != (n + p,) for ch in self.channels):
             raise DimensionError(f"channel vectors must act on (x, u) of size {n + p}")
+        self._B: np.ndarray | None = None
 
     @property
     def B(self) -> np.ndarray:
@@ -259,16 +250,14 @@ def accretive_lower_bound(Q: np.ndarray) -> float:
     return float(sla.eigvalsh(symmetric_part(Q))[0])
 
 
-def feedback_transform(
-    sys: PassiveSystem, Q: np.ndarray, c: float, certify: bool = True
-) -> PassiveSystem:
+def feedback_transform(sys: PassiveSystem, Q: np.ndarray, c: float) -> PassiveSystem:
     """Close the loop ``u = -Q y + v`` around a passive block.
 
     Requires ``Re Q >= c I`` with ``c > 0``; then ``I + DQ`` is invertible
     and the transformed block ``(flux - gram_B Q(I+DQ)^{-1}C,
     gram_B(I+QD)^{-1}, (I+DQ)^{-1}C, (I+DQ)^{-1}D)`` is again impedance
-    passive, which is re-certified on the output unless ``certify`` is
-    disabled.  It declares no channels: its identity carries the loop gain.
+    passive, which is re-certified on the output.  It declares no
+    channels: its identity carries the loop gain.
     """
     Q = np.atleast_2d(np.asarray(Q))
     p = sys.p
@@ -293,13 +282,12 @@ def feedback_transform(
         C=sla.solve(IDQ, sys.C),
         D=sla.solve(IDQ, sys.D),
     )
-    if certify:
-        report = verify_passivity(out, n_samples=20, seed=1)
-        if not report.passive:
-            raise NumericalError(
-                "feedback transform lost passivity: "
-                f"min defect {report.min_defect:.3e}, lambda_max {report.lambda_max:.3e}"
-            )
+    report = verify_passivity(out, n_samples=20, seed=1)
+    if not report.passive:
+        raise NumericalError(
+            "feedback transform lost passivity: "
+            f"min defect {report.min_defect:.3e}, lambda_max {report.lambda_max:.3e}"
+        )
     return out
 
 
@@ -349,7 +337,7 @@ def couple_systems(
     if labels is None:
         labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
     gen = DiscreteGenerator(
-        gram=gram, labels=labels, damping_channels=tuple(channels), flux=flux
+        gram=gram, flux=flux, labels=labels, damping_channels=tuple(channels)
     )
     defect = gen.dissipation_defect()
     if defect > DISSIPATIVITY_TOL:
@@ -382,20 +370,18 @@ def routh_hurwitz(coeffs: Sequence[float]) -> bool:
     raise ValidationError(f"unsupported degree {degree}; expected 1, 2 or 3")
 
 
-def random_passive_system(
-    n: int, p: int, seed: int, with_feedthrough: bool = True
-) -> PassiveSystem:
+def random_passive_system(n: int, p: int, seed: int) -> PassiveSystem:
     """Seeded random impedance-passive block, passive by construction.
 
     Draws a skew matrix S and an input map B and sets ``flux = S - B B^T``,
-    ``gram_B = B``, ``C = B^T``, with identity Gram and optional ``D = V V^T
-    + skew``; the channels are the columns of ``blkdiag(B, V)``.
+    ``gram_B = B``, ``C = B^T``, with identity Gram and ``D = V V^T +
+    skew``; the channels are the columns of ``blkdiag(B, V)``.
     """
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n))
     S = 0.5 * (W - W.T)
     B = rng.standard_normal((n, p))
-    V = rng.standard_normal((p, p)) if with_feedthrough else np.zeros((p, p))
+    V = rng.standard_normal((p, p))
     loss = sla.block_diag(B, V)
     return PassiveSystem(
         gram=np.eye(n),

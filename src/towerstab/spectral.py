@@ -141,14 +141,12 @@ def scan_resolvent(
     )
 
 
-def eigen_report(
-    gen: DiscreteGenerator, fit_band: tuple[float, float] | None = None
-) -> SpectrumReport:
+def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
     """Dense spectrum of the generator with the axis-approach slope.
 
     ``asymptotic_slope`` fits ``log |Re lambda|`` against ``log |Im lambda|``
-    over eigenvalues whose frequency lies in the reliable band (by default
-    from 2 up to half the largest eigenfrequency).
+    over eigenvalues whose frequency lies in the reliable band, from 2 up to
+    half the largest eigenfrequency.
     """
     if gen.dim > 4000:
         raise ValidationError(
@@ -157,12 +155,11 @@ def eigen_report(
     lam = _energy_eigenvalues(gen)
     lam = lam[np.argsort(lam.imag, kind="stable")]
     gaps = np.column_stack([np.abs(lam.imag), np.abs(lam.real)])
-    if fit_band is None:
-        fit_band = (DEFAULT_FIT_LOW, RELIABLE_BAND_FRACTION * np.abs(lam.imag).max())
+    band_hi = RELIABLE_BAND_FRACTION * float(np.abs(lam.imag).max())
     mask = (
         (lam.imag > 0)
-        & (np.abs(lam.imag) >= fit_band[0])
-        & (np.abs(lam.imag) <= fit_band[1])
+        & (np.abs(lam.imag) >= DEFAULT_FIT_LOW)
+        & (np.abs(lam.imag) <= band_hi)
         & (np.abs(lam.real) > 0)
     )
     slope = (
@@ -175,18 +172,18 @@ def eigen_report(
         max_real_part=float(lam.real.max()),
         spectral_gap_curve=gaps,
         asymptotic_slope=slope,
-        fit_band=(float(fit_band[0]), float(fit_band[1])),
+        fit_band=(DEFAULT_FIT_LOW, band_hi),
     )
 
 
-def kernel_check(gen: DiscreteGenerator, tol: float = KERNEL_TOL) -> tuple[int, float]:
+def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     """Estimate the kernel dimension from the energy-norm singular spectrum.
 
     Returns ``(dimension_estimate, sigma_min)`` where singular values below
-    ``tol * sigma_max`` count towards the kernel; ``sigma_min`` is the
+    ``KERNEL_TOL * sigma_max`` count towards the kernel; ``sigma_min`` is the
     reciprocal of the energy-norm resolvent at zero frequency when the
     generator is invertible.  ``sigma_max`` is ``energy_coordinates(gen).norm_A``.
     """
     sv = energy_coordinates(gen).singular_values
-    dimension = int(np.count_nonzero(sv < tol * sv[0]))
+    dimension = int(np.count_nonzero(sv < KERNEL_TOL * sv[0]))
     return dimension, float(sv[-1])

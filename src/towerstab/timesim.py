@@ -58,10 +58,11 @@ class EnergyTrajectory:
     dt: float
     final_state: np.ndarray
 
-    def is_monotone(self, rtol: float = 1e-10) -> bool:
+    def is_monotone(self) -> bool:
+        """No energy increment exceeds ``1e-10`` relative to ``E(0)``."""
         e = self.energies
         scale = e[0] if e[0] > 0 else 1.0
-        return bool(np.all(np.diff(e) <= rtol * scale))
+        return bool(np.all(np.diff(e) <= 1e-10 * scale))
 
 
 def simulate(
@@ -178,30 +179,19 @@ def beam_modes(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(lam, 0.0)), phi
 
 
-def modal_frequency(gen: DiscreteGenerator, k: int) -> float:
-    """Angular frequency of the k-th (1-based) undamped beam mode."""
-    return _mode_frequency(beam_modes(gen)[0], k)
-
-
-def _mode_frequency(omega: np.ndarray, k: int) -> float:
-    if k < 1 or k > omega.size:
-        raise ValidationError(f"mode index {k} outside 1..{omega.size}")
-    return float(omega[k - 1])
-
-
 def default_timestep(gen: DiscreteGenerator, k_modes: int = 12) -> float:
     """Step size ``1 / (4 omega_k)`` resolving the lowest ``k_modes`` beam
     modes; unresolved faster modes are merely rotated (the midpoint rule is
     unconditionally stable and energy-consistent)."""
     omega, _ = beam_modes(gen)
-    return 1.0 / (4.0 * _mode_frequency(omega, min(k_modes, omega.size)))
+    k = min(k_modes, omega.size)
+    if k < 1:
+        raise ValidationError(f"mode index {k} outside 1..{omega.size}")
+    return 1.0 / (4.0 * float(omega[k - 1]))
 
 
 def classical_initial_data(
-    gen: DiscreteGenerator,
-    profile: str,
-    k_modes: int = 12,
-    magnitude: float = 1.0,
+    gen: DiscreteGenerator, profile: str, k_modes: int = 12
 ) -> np.ndarray:
     """Smooth initial states standing in for classical (domain) data.
 
@@ -221,21 +211,21 @@ def classical_initial_data(
             )
         # Unit-energy modal states weighted 1/k^2, so mode k carries energy
         # k^-4: the spectral-smoothness surrogate for domain membership.
-        weights = magnitude * np.sqrt(2.0) / (
+        weights = np.sqrt(2.0) / (
             np.arange(1, k_modes + 1, dtype=float) ** 2 * omega[:k_modes]
         )
         z[q_idx] = phi[:, :k_modes] @ weights
         return z
     if profile == "tip_kick":
-        z[gen.index("tip_velocity")] = magnitude
+        z[gen.index("tip_velocity")] = 1.0
         return z
     if profile == "static_bend":
         n_nodes = q_idx.size // 2
         h = 1.0 / n_nodes
         for i in range(1, n_nodes + 1):
             x = i * h
-            z[q_idx[2 * (i - 1)]] = magnitude * x**2
-            z[q_idx[2 * (i - 1) + 1]] = magnitude * 2.0 * x
+            z[q_idx[2 * (i - 1)]] = x**2
+            z[q_idx[2 * (i - 1) + 1]] = 2.0 * x
         return z
     raise ValidationError(
         f"unknown profile {profile!r}; expected one of {INITIAL_DATA_PROFILES}"

@@ -24,6 +24,7 @@ unattainable:
   fast enough and lands at -1.06.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -310,7 +311,7 @@ def test_criterion_6_transfer_cross_validation():
     hyd = ts.HydraulicParameters(Dp=1.0, Dm=1.0, Bp=1.0, Bm=1.0)
     details = []
     for kind in ("combined", "torque", "force", "tmd", "hydraulic"):
-        params = hyd if kind == "hydraulic" else desk
+        params = dataclasses.asdict(hyd) if kind == "hydraulic" else desk
         cv = ts.cross_validate_reH2(kind, params, grid)
         assert cv.matches, f"{kind}: max rel err {cv.max_rel_err:.2e}"
         details.append(f"{kind}: {cv.max_rel_err:.1e}")

@@ -240,6 +240,12 @@ class TestCoefficientSpecs:
         with pytest.raises(ts.ValidationError, match="kind"):
             ts.coefficient_from_spec({"kind": "spline"})
 
+    def test_infinite_sample_rejected_with_location(self):
+        rho = ts.coefficient_from_spec({"kind": "exp", "scale": 1e308, "rate": 5.0})
+        params = ts.BeamParameters(rho=rho, EI=1.0, m=1.0, J=1.0)
+        with pytest.raises(ts.ValidationError, match=r"rho\(0\.\d+\) = inf"):
+            ts.build_beam_matrices(params, 8)
+
 
 @settings(max_examples=20, deadline=None)
 @given(

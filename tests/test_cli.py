@@ -5,7 +5,7 @@ import pytest
 
 import towerstab as ts
 import towerstab.cli as cli
-from towerstab import models, passive_core
+from towerstab import models, passive_core, spectral
 from towerstab.generator import energy_coordinates
 
 
@@ -81,6 +81,26 @@ class TestConfigValidation:
     def test_json_integer_accepted_for_float_field(self, tmp_path):
         path = write_config(tmp_path, m=1, T=5)
         assert cli.main(["check", "--config", str(path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "field, spec, named",
+        [
+            ("rho", {"kind": "affine", "intercept": 1}, "'slope'"),
+            ("rho", {"kind": "constant", "value": "abc"}, "'abc'"),
+            ("EI", {"kind": "csv", "path": "missing.csv"}, "missing.csv"),
+            ("rho", {"kind": "exp", "scale": 1, "rate": 1e6}, "rho("),
+        ],
+    )
+    def test_malformed_coefficient_spec_is_a_config_error(
+        self, tmp_path, capsys, field, spec, named
+    ):
+        if spec["kind"] == "csv":
+            spec = {**spec, "path": str(tmp_path / spec["path"])}
+        path = write_config(tmp_path, **{field: spec})
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
 
 
 class TestVerifyAll:
@@ -203,6 +223,20 @@ class TestCouplingCheck:
         assert (result.status, result.evidence) == ("not run", {})
 
 
+    def test_default_scan_end_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.mesh_frequency
+        monkeypatch.setattr(cli, "mesh_frequency", lambda gen: calls.append(gen) or real(gen))
+        checks = {"dissipation_identity": False, "decay": False}
+        path = write_config(tmp_path, model="tmd", checks=checks)
+        runner = cli.Runner(cli.load_config(str(path), {}))
+        runner.run_all()
+        statuses = {c.name: c.status for c in runner.results}
+        assert statuses["scan"] == statuses["coupling_bound"] == "pass"
+        assert len(calls) == 1
+        assert runner.s_hi == spectral.RELIABLE_BAND_FRACTION * real(runner.gen)
+
+
 class TestKernelEvidence:
     def test_sigma_max_is_the_energy_norm_of_the_generator(self, tmp_path):
         runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
@@ -272,6 +306,19 @@ class TestAssemble:
         written = np.loadtxt(tmp_path / "out" / "A.csv", delimiter=",", skiprows=1)
         gen = cli.build_generator(cli.load_config(str(path), {}))
         assert np.array_equal(written, gen.A)
+
+    def test_matrices_are_row_major_17_digit_csv(self, tmp_path):
+        """A.csv and gram.csv: a "rows,cols" line, then each row with every
+        value formatted to 17 significant digits."""
+        path = write_config(tmp_path, model="tmd")
+        assert cli.main(["assemble", "--config", str(path)]) == cli.EXIT_OK
+        gen = cli.build_generator(cli.load_config(str(path), {}))
+        for name, matrix in (("A.csv", gen.A), ("gram.csv", gen.gram)):
+            rows, cols = matrix.shape
+            expected = f"{rows},{cols}\n" + "".join(
+                ",".join(format(v, ".17g") for v in row) + "\n" for row in matrix
+            )
+            assert (tmp_path / "out" / name).read_bytes() == expected.encode()
 
     def test_report_emitted_even_for_assemble(self, tmp_path):
         path = write_config(tmp_path)

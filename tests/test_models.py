@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerstab as ts
+from towerstab import generator
 from towerstab.generator import symmetric_part
 
 
@@ -165,6 +166,30 @@ class TestHydraulic:
             assert lhs == pytest.approx(rhs, abs=noise + 1e-12 * (1 + abs(rhs)))
 
 
+class TestAssembledOnce:
+    """Each model builds its generator and blocks once: every Gram is
+    validated once per object, with no intermediate generator."""
+
+    @pytest.fixture
+    def gram_checks(self, monkeypatch):
+        calls = []
+        real = generator.check_spd
+        monkeypatch.setattr(
+            generator, "check_spd", lambda M, name="gram": calls.append(name) or real(M, name)
+        )
+        return calls
+
+    def test_combined_validates_one_gram(self, gram_checks, desk_beam, desk_params):
+        ts.assemble_combined(desk_beam, desk_params, 1.0, 1.0)
+        assert gram_checks == ["gram"]
+
+    def test_tmd_validates_tip_block_damper_and_coupling(
+        self, gram_checks, desk_beam, desk_params, desk_tmd
+    ):
+        ts.assemble_tmd(desk_beam, desk_params, desk_tmd)
+        assert gram_checks == ["gram"] * 3
+
+
 class TestHydraulicFeedback:
     def test_zero_gain_leaves_generator_unchanged(self, desk_models):
         base = desk_models["hydraulic"]
@@ -222,7 +247,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("kind", ["torque", "force", "combined", "tmd", "hydraulic"])
     def test_state_space_matches_printed_form_at_desk(self, kind, desk_hydraulic):
         params = (
-            desk_hydraulic
+            dataclasses.asdict(desk_hydraulic)
             if kind == "hydraulic"
             else {"a": 1.0, "b": 1.0, "m": 1.0, "J": 1.0, "m1": 1.0, "k1": 1.0, "d1": 1.0}
         )

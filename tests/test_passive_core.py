@@ -12,7 +12,7 @@ def lossless_system(n=4, p=2, seed=3):
     W = rng.standard_normal((n, n))
     S = 0.5 * (W - W.T)
     B = rng.standard_normal((n, p))
-    return ts.PassiveSystem(A=S, B=B, C=B.T, D=np.zeros((p, p)), gram=np.eye(n))
+    return ts.PassiveSystem(flux=S, gram_B=B, C=B.T, D=np.zeros((p, p)), gram=np.eye(n))
 
 
 class TestVerifyPassivity:
@@ -48,8 +48,8 @@ class TestVerifyPassivity:
 
     def test_non_passive_system_detected(self):
         sys = ts.PassiveSystem(
-            A=np.array([[0.1]]),
-            B=np.array([[1.0]]),
+            flux=np.array([[0.1]]),
+            gram_B=np.array([[1.0]]),
             C=np.array([[1.0]]),
             D=np.zeros((1, 1)),
             gram=np.eye(1),
@@ -61,7 +61,7 @@ class TestVerifyPassivity:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ts.DimensionError):
             ts.PassiveSystem(
-                A=np.eye(2), B=np.ones((3, 1)), C=np.ones((1, 2)),
+                flux=np.eye(2), gram_B=np.ones((3, 1)), C=np.ones((1, 2)),
                 D=np.zeros((1, 1)), gram=np.eye(2),
             )
 
@@ -101,7 +101,7 @@ class TestTransferFunction:
     def test_spectrum_hit_flagged(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
         sys = ts.PassiveSystem(
-            A=A, B=np.array([[0.0], [1.0]]), C=np.array([[0.0, 1.0]]),
+            flux=A, gram_B=np.array([[0.0], [1.0]]), C=np.array([[0.0, 1.0]]),
             D=np.zeros((1, 1)), gram=np.eye(2),
         )
         with pytest.raises(ts.SpectrumHit):
@@ -127,7 +127,7 @@ class TestEtaLowerBound:
     def test_spectrum_hits_excluded_and_reported(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         sys = ts.PassiveSystem(
-            A=A, B=np.array([[0.0], [1.0]]), C=np.array([[0.0, 1.0]]),
+            flux=A, gram_B=np.array([[0.0], [1.0]]), C=np.array([[0.0, 1.0]]),
             D=np.zeros((1, 1)), gram=np.eye(2),
         )
         bound = ts.eta_lower_bound(sys, [0.5, 1.0, 2.0])
@@ -268,7 +268,7 @@ class TestCoupledResolventBound:
     def test_one_dimensional_pair_ratio_bounded(self):
         sys1 = ts.torque_block(1.0, 1.0)
         sys2 = ts.PassiveSystem(
-            A=np.array([[-0.5]]), B=np.array([[1.0]]), C=np.array([[1.0]]),
+            flux=np.array([[-0.5]]), gram_B=np.array([[1.0]]), C=np.array([[1.0]]),
             D=np.zeros((1, 1)), gram=np.eye(1),
         )
         report = ts.check_coupled_resolvent_bound(

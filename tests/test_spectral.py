@@ -8,7 +8,7 @@ from towerstab.generator import energy_coordinates, transform_flux
 
 def scalar_generator(value=-1.0):
     return ts.DiscreteGenerator(
-        A=np.array([[value]]), gram=np.array([[1.0]]), labels=["x"]
+        flux=np.array([[value]]), gram=np.array([[1.0]]), labels=["x"]
     )
 
 
@@ -23,7 +23,7 @@ def synthetic_power_law_generator(s_grid, scale=1e-3):
         blocks.append(np.array([[-gamma, -s], [s, -gamma]]))
         labels += [f"c[{j}]", f"s[{j}]"]
     A = sla.block_diag(*blocks)
-    return ts.DiscreteGenerator(A=A, gram=np.eye(A.shape[0]), labels=labels)
+    return ts.DiscreteGenerator(flux=A, gram=np.eye(A.shape[0]), labels=labels)
 
 
 class TestResolventNorm:
@@ -123,7 +123,7 @@ class TestEigenReport:
     def test_dimension_guard(self):
         with pytest.raises(ts.ValidationError, match="dimension"):
             big = ts.DiscreteGenerator(
-                A=np.zeros((4001, 4001)) - np.eye(4001),
+                flux=np.zeros((4001, 4001)) - np.eye(4001),
                 gram=np.eye(4001),
                 labels=[f"z{i}" for i in range(4001)],
             )
@@ -183,7 +183,7 @@ class TestKernelCheck:
         flux = np.zeros((n + 1, n + 1))
         flux[:n, :n] = base.flux
         gen = ts.DiscreteGenerator(
-            A=A, gram=gram, labels=list(base.labels) + ["extra"], flux=flux
+            gram=gram, labels=list(base.labels) + ["extra"], flux=flux
         )
         dim, smin = ts.kernel_check(gen)
         assert dim == 1

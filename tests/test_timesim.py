@@ -8,7 +8,7 @@ from towerstab import timesim
 
 def scalar_generator():
     return ts.DiscreteGenerator(
-        A=np.array([[-1.0]]), gram=np.array([[1.0]]), labels=["x"]
+        flux=np.array([[-1.0]]), gram=np.array([[1.0]]), labels=["x"]
     )
 
 
@@ -149,7 +149,7 @@ class TestKernel:
     def test_blow_up_names_the_step(self, monkeypatch, path):
         """A = 1, dt = 6: every step maps z to -2 z exactly, so the energy
         increment 1.5 z_k^2 = 1.5 * 4^k first overflows at k = 512."""
-        gen = ts.DiscreteGenerator(A=np.array([[1.0]]), gram=np.array([[1.0]]), labels=["x"])
+        gen = ts.DiscreteGenerator(flux=np.array([[1.0]]), gram=np.array([[1.0]]), labels=["x"])
         force_path(monkeypatch, gen, path)
         with np.errstate(over="ignore"), pytest.raises(ts.NumericalError, match=r"step 512$"):
             ts.simulate(gen, np.array([1.0]), 6000.0, 6.0)
