@@ -224,6 +224,9 @@ def check_condition_eq1(
 
     with derivatives taken by central differences on the supplied grid.
     ``holds`` is True iff both stay < -delta everywhere and zeta(0) = 0.
+    ``rho`` and ``EI`` samples are validated as in assembly: one that
+    cannot be evaluated, or is not finite and positive, raises
+    :class:`ValidationError` naming its location.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
@@ -233,8 +236,8 @@ def check_condition_eq1(
     zeta_vals = np.array([float(zeta(x)) for x in grid])
     if abs(float(zeta(0.0))) > 1e-12:
         raise ValidationError(f"zeta(0) must vanish, got {float(zeta(0.0)):.3g}")
-    rho = np.array([float(params.rho(x)) for x in grid])
-    ei = np.array([float(params.EI(x)) for x in grid])
+    rho = _sample_coefficient(params.rho, grid, "rho")
+    ei = _sample_coefficient(params.EI, grid, "EI")
     zeta_prime = _grid_derivative(zeta_vals, grid)
     rho_zeta_prime = _grid_derivative(rho * zeta_vals, grid)
     ei_zeta_prime = _grid_derivative(ei * zeta_vals, grid)

@@ -239,8 +239,10 @@ class RunConfig:
         return {**{name: getattr(self, name) for name in names}, **hydraulic}
 
 
-def build_generator(cfg: RunConfig) -> DiscreteGenerator:
-    params = cfg.beam_parameters()
+def build_generator(cfg: RunConfig, params: BeamParameters | None = None) -> DiscreteGenerator:
+    """Assemble the configured model; ``params`` defaults to ``cfg.beam_parameters()``."""
+    if params is None:
+        params = cfg.beam_parameters()
     beam = build_beam_matrices(params, cfg.n_elements)
     if cfg.model == "combined":
         return assemble_combined(beam, params, cfg.a, cfg.b)
@@ -341,8 +343,8 @@ class Runner:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.gen = build_generator(cfg)
         self.params = cfg.beam_parameters()
+        self.gen = build_generator(cfg, self.params)
         self.results: list[CheckResult] = []
         self.scan = None
         self.spectrum = None

@@ -13,8 +13,8 @@ multiplying an explicit ``A`` would amplify mass-solve roundoff by the
 stiffness norm and swamp the 1e-10 dissipativity tolerances on fine meshes;
 all energy balance computations therefore go through ``flux``.  The Gram
 and flux logic is one core, :class:`GramSystem`, which passive blocks share;
-the energy coordinates, their singular values and their eigenvalues are
-computed once per generator or block and cached on it.
+the energy coordinates, their singular values, their eigenvalues and their
+Schur factor are computed once per generator or block and cached on it.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ class GramSystem:
     arrays an assembly produces.  The Gram is checked symmetric positive
     definite on construction; its Cholesky factor is not kept.  ``A`` is
     derived on first read by one Cholesky solve.  Instances are immutable
-    by convention, so :func:`energy_coordinates` and
-    :func:`_energy_eigenvalues` cache their data on the object.
+    by convention, so :func:`energy_coordinates`,
+    :func:`_energy_eigenvalues` and the resolvent's Schur factor
+    (:func:`towerstab.spectral.resolvent_norm`) cache their data on the
+    object.
     """
 
     def __init__(self, gram: np.ndarray, flux: np.ndarray):
@@ -87,6 +89,7 @@ class GramSystem:
         self._A: np.ndarray | None = None
         self._coords: EnergyCoordinates | None = None
         self._eigenvalues: np.ndarray | None = None
+        self._schur: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @staticmethod
     def _matrix(M: np.ndarray) -> np.ndarray:

@@ -7,6 +7,12 @@ those of ``T`` (well conditioned there because damped generators are small
 perturbations of skew matrices), and the kernel diagnostic is the singular
 spectrum of ``T`` itself, i.e. the reciprocal of the energy-norm resolvent
 at zero frequency.
+
+Resolvent norms are read from one complex Schur factor ``T = Z R Z^H`` per
+generator or block, computed on the first call and cached on the object.
+The 2-norm is unitarily invariant, so ``|(is - T)^{-1}| = |(is - R)^{-1}|``
+and ``Z`` is never formed; each frequency then costs ``O(k dim^2)``: ``k``
+inverse Lanczos steps, each two triangular solves with the shifted ``R``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError, SpectrumHit, ValidationError
 from .generator import (
@@ -58,23 +65,113 @@ class SpectrumReport:
     fit_band: tuple[float, float]
 
 
+#: ``is`` counts as a spectrum hit when the shifted matrix has a singular
+#: value at most this many ``eps * (|s| + |T|)``, the backward-error scale
+#: of a shift-and-factor of ``T``.
+SPECTRUM_HIT_FACTOR = 10.0
+_EPS = np.finfo(float).eps
+
+
 def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
-    """``1 / sigma_min(is - T)``; raises :class:`SpectrumHit` when singular."""
+    """``1 / sigma_min(is - T)`` by a dense SVD; raises :class:`SpectrumHit` when singular.
+
+    The reference :func:`resolvent_norm` is tested against.
+    """
     sv = sla.svdvals(1j * s * np.eye(T.shape[0]) - T)
     smin = float(sv[-1])
-    if smin <= 10.0 * np.finfo(float).eps * (abs(s) + norm_T):
+    if smin <= SPECTRUM_HIT_FACTOR * _EPS * (abs(s) + norm_T):
         raise SpectrumHit(s)
     return 1.0 / smin
+
+
+def _no_sort(_eigenvalue) -> None:
+    return None
+
+
+def _schur_factor(gen: GramSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complex Schur factor ``R`` of ``T``, its diagonal and a Lanczos start vector.
+
+    Computed once per object by LAPACK ``zgees`` without Schur vectors.
+    ``R`` is upper triangular and Fortran-ordered for the triangular
+    solves; :func:`resolvent_norm` overwrites its diagonal with each shift,
+    so the eigenvalues are kept in ``diagonal``.  The start vector is a
+    fixed pseudo-random unit vector, so reruns are bit-identical.
+    """
+    if gen._schur is None:
+        a = np.array(energy_coordinates(gen).T, dtype=complex, order="F")
+        # a workspace query reads no entry of ``a``, so it need not be copied
+        query = lapack.zgees(_no_sort, a, compute_v=0, lwork=-1, overwrite_a=1)
+        lwork = int(query[-2][0].real)
+        R, *_, info = lapack.zgees(_no_sort, a, compute_v=0, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"Schur factorisation failed (zgees info {info})")
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        gen._schur = (R, R.diagonal().copy(), start / np.linalg.norm(start))
+    return gen._schur
+
+
+def _inverse_lanczos(R: np.ndarray, q: np.ndarray, scale: float) -> float:
+    """Largest eigenvalue ``theta = 1 / sigma_min(R)^2`` of ``R^{-H} R^{-1}``.
+
+    Lanczos with full reorthogonalisation from the unit start vector ``q``.
+    Each step applies the operator by two triangular solves with ``R``.
+    The Ritz residual ``beta_k |y_k|`` bounds the distance of the top Ritz
+    value ``theta`` to an eigenvalue, which moves ``sigma_min =
+    theta^{-1/2}`` by at most ``sigma_min beta_k |y_k| / (2 theta)``.
+    Iteration stops once that is at most ``eps * scale`` -- for ``scale =
+    |s| + |T|`` the backward-error scale of a dense SVD of the shifted
+    matrix -- i.e. when ``beta_k |y_k| <= tol * theta`` with ``tol = 2 eps
+    scale theta^{1/2}``; or at ``k = dim``, where the Krylov space is the
+    whole space and ``theta`` is exact.
+    """
+    n = R.shape[0]
+    Q = np.empty((n, n), dtype=complex, order="F")  # columns filled as used
+    alpha = np.empty(n)
+    beta = np.empty(n)
+    for k in range(n):
+        Q[:, k] = q
+        Qk = Q[:, : k + 1]
+        w = lapack.ztrtrs(R, lapack.ztrtrs(R, q)[0], trans=2, overwrite_b=1)[0]
+        c = blas.zgemv(1.0, Qk, w, trans=2)  # Qk^H w
+        alpha[k] = c[k].real
+        w -= Qk @ c
+        # a second Gram-Schmidt pass restores orthogonality lost to cancellation
+        w -= Qk @ blas.zgemv(1.0, Qk, w, trans=2)
+        beta[k] = blas.dznrm2(w)
+        ritz, y, _ = lapack.dstev(alpha[: k + 1], beta[: max(k, 1)])
+        theta = float(ritz[-1])
+        if beta[k] * abs(y[-1, -1]) <= 2.0 * _EPS * scale * theta * np.sqrt(theta):
+            break
+        q = w / beta[k]
+    return theta
 
 
 def resolvent_norm(gen: GramSystem, s: float) -> float:
     """Energy operator norm of ``(is - A)^{-1}`` of a generator or block.
 
-    Raises :class:`SpectrumHit` when the shifted matrix is numerically
-    singular (``is`` lies in the spectrum at working precision).
+    Computes ``1 / sigma_min(is - R)`` for the complex Schur factor ``R``
+    of ``T``, cached on ``gen`` by the first call, with
+    :func:`_inverse_lanczos`: ``O(k dim^2)`` per frequency for ``k``
+    Lanczos steps.  Raises :class:`SpectrumHit` when the shifted matrix is
+    numerically singular (``is`` lies in the spectrum at working
+    precision): when ``sigma_min``, or the smallest diagonal entry of
+    ``is - R`` which bounds it above, is at most ``SPECTRUM_HIT_FACTOR *
+    eps * (|s| + |T|)``.  Each call writes its shift into the cached
+    factor, so calls on one object must not run concurrently.
     """
-    ec = energy_coordinates(gen)
-    return _resolvent_from_shift(ec.T, float(s), ec.norm_A)
+    s = float(s)
+    scale = abs(s) + energy_coordinates(gen).norm_A
+    hit = SPECTRUM_HIT_FACTOR * _EPS * scale
+    R, diagonal, start = _schur_factor(gen)
+    shifted = diagonal - 1j * s  # sigma(R - is) = sigma(is - R)
+    if np.abs(shifted).min() <= hit:
+        raise SpectrumHit(s)
+    R.flat[:: R.shape[0] + 1] = shifted
+    norm = float(np.sqrt(_inverse_lanczos(R, start, scale)))
+    if norm * hit >= 1.0:
+        raise SpectrumHit(s)
+    return norm
 
 
 def mesh_frequency(gen: DiscreteGenerator) -> float:
@@ -113,11 +210,10 @@ def scan_resolvent(
         grid = np.linspace(s_lo, s_hi, n_points)
     else:
         raise ValidationError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-    ec = energy_coordinates(gen)
 
     def eval_point(s: float):
         try:
-            return _resolvent_from_shift(ec.T, s, ec.norm_A)
+            return resolvent_norm(gen, s)
         except SpectrumHit:
             return None
 

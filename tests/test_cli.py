@@ -5,7 +5,7 @@ import pytest
 
 import towerstab as ts
 import towerstab.cli as cli
-from towerstab import models, passive_core, spectral
+from towerstab import beam_fem, models, passive_core, spectral
 from towerstab.generator import energy_coordinates
 
 
@@ -101,6 +101,33 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
+
+    def test_coefficient_overflow_on_the_conditions_grid_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        """exp(710 x) is finite at every quadrature point of 16 elements, so
+        the model assembles; the conditions grid ends at x = 1, where it
+        overflows."""
+        rho = {"kind": "exp", "scale": 1, "rate": 710}
+        path = write_config(tmp_path, n_elements=16, rho=rho)
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "rho(1)" in err
+
+
+class TestCoefficientTables:
+    def test_table_parsed_once_per_runner(self, tmp_path, monkeypatch):
+        table = tmp_path / "EI.csv"
+        table.write_text("".join(f"{k / 31},1.0\n" for k in range(32)))
+        calls = []
+        real = beam_fem._tabulated_coefficient
+        monkeypatch.setattr(
+            beam_fem, "_tabulated_coefficient", lambda *a: calls.append(a) or real(*a)
+        )
+        path = write_config(tmp_path, EI={"kind": "csv", "path": str(table)})
+        cli.Runner(cli.load_config(str(path), {}))
+        assert len(calls) == 1
 
 
 class TestVerifyAll:

@@ -1,9 +1,59 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import towerstab as ts
+import towerstab.cli as cli
+from towerstab import spectral
 from towerstab.generator import energy_coordinates, transform_flux
+
+EPS = np.finfo(float).eps
+
+#: sigma_min tolerance of the Schur/Lanczos resolvent, in units of
+#: dim * eps * (|s| + |T|).  The dense SVD and the Schur factorisation with
+#: its triangular solves are each backward stable with a backward error of
+#: order dim * eps * |is - T| <= dim * eps * (|s| + |T|), which by Weyl's
+#: inequality moves sigma_min by as much; the Lanczos stopping rule adds at
+#: most eps * (|s| + |T|).  2 covers one such error on each side.
+ORACLE_C = 2.0
+
+
+def desk_model(model, n_elements):
+    return cli.build_generator(
+        cli.RunConfig.from_dict({"model": model, "n_elements": n_elements})
+    )
+
+
+def sigma_min_or_hit(evaluate):
+    """``1 / evaluate()``, or None where it reports a spectrum hit."""
+    try:
+        return 1.0 / evaluate()
+    except ts.SpectrumHit:
+        return None
+
+
+def assert_matches_dense_svd(system, s_values):
+    """``resolvent_norm`` against the dense ``_resolvent_from_shift`` oracle:
+    the two sigma_min agree to ORACLE_C * dim * eps * (|s| + |T|), and where
+    one side reports a spectrum hit the other lies within that tolerance
+    of the hit threshold."""
+    ec = energy_coordinates(system)
+    for s in s_values:
+        scale = abs(s) + ec.norm_A
+        tol = ORACLE_C * system.dim * EPS * scale
+        schur = sigma_min_or_hit(lambda: ts.resolvent_norm(system, s))
+        dense = sigma_min_or_hit(lambda: spectral._resolvent_from_shift(ec.T, s, ec.norm_A))
+        if schur is None or dense is None:
+            other = dense if schur is None else schur
+            assert other is None or other <= spectral.SPECTRUM_HIT_FACTOR * EPS * scale + tol
+        else:
+            assert abs(schur - dense) <= tol, (s, schur, dense, tol)
+
+
+def damped_frequencies(system):
+    lam = sla.eigvals(energy_coordinates(system).T)
+    return np.sort(lam.imag[lam.imag > 0])
 
 
 def scalar_generator(value=-1.0):
@@ -34,6 +84,11 @@ class TestResolventNorm:
         assert ts.resolvent_norm(scalar_generator(), 1.0) == pytest.approx(
             1.0 / np.sqrt(2.0)
         )
+
+    def test_exactly_singular_shift_is_a_hit(self):
+        # is - R has an exact zero on its diagonal, which no triangular solve accepts
+        with pytest.raises(ts.SpectrumHit):
+            ts.resolvent_norm(scalar_generator(0.0), 0.0)
 
     def test_spectrum_hit_at_undamped_eigenfrequency(self, desk_beam, desk_params):
         gen = ts.assemble_combined(desk_beam, desk_params, 0.0, 0.0)
@@ -161,9 +216,70 @@ class TestEnergyData:
             ts.scole_tip_block(desk_beam, desk_params, "rotation"), np.eye(1), 1.0
         )
         T = transform_flux(block.flux, sla.cholesky(block.gram, lower=False))
+        norm_T = sla.svdvals(T)[0]
         for s in (0.5, 3.0, 40.0):
             smin = sla.svdvals(1j * s * np.eye(block.n) - T)[-1]
-            assert ts.resolvent_norm(block, s) == 1.0 / smin
+            tol = ORACLE_C * block.n * EPS * (s + norm_T)
+            assert abs(1.0 / ts.resolvent_norm(block, s) - smin) <= tol
+
+
+class TestSchurResolvent:
+    @pytest.mark.parametrize("n_elements", [4, 16])
+    @pytest.mark.parametrize("model", cli.MODEL_KINDS)
+    def test_matches_dense_svd(self, model, n_elements):
+        gen = desk_model(model, n_elements)
+        s_hi = spectral.RELIABLE_BAND_FRACTION * ts.mesh_frequency(gen)
+        grid = np.geomspace(0.1, s_hi, 40)
+        assert_matches_dense_svd(gen, np.concatenate([grid, damped_frequencies(gen)]))
+
+    def test_feedback_transformed_tip_blocks_match_dense_svd(self, desk_beam, desk_params):
+        tip = ts.scole_tip_block(desk_beam, desk_params, "rotation")
+        grid = np.geomspace(0.1, 100.0, 30)
+        real_gain = ts.feedback_transform(tip, np.eye(1), 1.0)
+        assert_matches_dense_svd(real_gain, np.concatenate([grid, damped_frequencies(real_gain)]))
+        # a complex gain makes T complex and the resolvent uneven in s
+        complex_gain = ts.feedback_transform(tip, np.array([[1.5 + 0.7j]]), 1.5)
+        freqs = np.concatenate([grid, damped_frequencies(complex_gain)])
+        assert_matches_dense_svd(complex_gain, np.concatenate([freqs, -freqs]))
+
+    def test_schur_factor_computed_once_per_object(self, monkeypatch):
+        gen = desk_model("tmd", 4)
+        calls = []
+        zgees = spectral.lapack.zgees
+        monkeypatch.setattr(
+            spectral.lapack, "zgees", lambda *a, **k: calls.append(k) or zgees(*a, **k)
+        )
+        ts.scan_resolvent(gen, 0.5, 50.0, 30)
+        ts.resolvent_norm(gen, 3.0)
+        factor = gen._schur
+        ts.resolvent_norm(gen, 7.0)
+        assert gen._schur is factor
+        assert len([k for k in calls if k["lwork"] != -1]) == 1  # not counting the size query
+
+    def test_reruns_are_bit_equal(self):
+        first, second = desk_model("hydraulic", 16), desk_model("hydraulic", 16)
+        scan = ts.scan_resolvent(first, 0.5, 200.0, 25)
+        assert np.array_equal(scan.norms, ts.scan_resolvent(second, 0.5, 200.0, 25).norms)
+        # the shifted diagonal written by one call does not leak into the next
+        again = [ts.resolvent_norm(first, s) for s in scan.s_values[::-1]][::-1]
+        assert np.array_equal(scan.norms, np.asarray(again))
+
+    @pytest.mark.parametrize("model", ["torque", "combined"])
+    def test_peaks_match_extended_precision_svd(self, model):
+        """At the damped eigenfrequencies, where sigma_min is smallest and a
+        dense SVD least accurate in relative terms, the resolvent norm
+        agrees with a 40-digit SVD of the same double-precision T to
+        ORACLE_C * dim * eps * (|s| + |T|) / sigma_min relative."""
+        gen = desk_model(model, 4)
+        ec = energy_coordinates(gen)
+        n = gen.dim
+        with mpmath.workdps(40):
+            T = mpmath.matrix(ec.T.tolist())
+            for s in damped_frequencies(gen):
+                shifted = mpmath.mpc(0, s) * mpmath.eye(n) - T
+                smin = float(min(mpmath.svd_c(shifted, compute_uv=False)))
+                rel = abs(ts.resolvent_norm(gen, s) * smin - 1.0)
+                assert rel <= ORACLE_C * n * EPS * (s + ec.norm_A) / smin, (s, rel)
 
 
 class TestKernelCheck:
