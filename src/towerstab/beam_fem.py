@@ -194,11 +194,8 @@ class Eq1Certificate:
     """
 
     zeta: np.ndarray
-    epsilon: float
-    delta: float
     margin: float
     holds: bool
-    grid: np.ndarray
     expr_density: np.ndarray
     expr_rigidity: np.ndarray
 
@@ -246,11 +243,8 @@ def check_condition_eq1(
     margin = float(max(expr_density.max(), expr_rigidity.max()) + delta)
     return Eq1Certificate(
         zeta=zeta_vals,
-        epsilon=epsilon,
-        delta=delta,
         margin=margin,
         holds=bool(margin < 0.0),
-        grid=grid,
         expr_density=expr_density,
         expr_rigidity=expr_rigidity,
     )

@@ -221,22 +221,12 @@ class RunConfig:
 
     def hydraulic_parameters(self) -> HydraulicParameters:
         return HydraulicParameters(
-            Dp=self.Dp,
-            Dm=self.Dm,
-            Bp=self.Bp,
-            Bm=self.Bm,
-            kleak_p=self.kleak,
-            beta=self.beta,
-            V=self.V,
-            JT=self.JT,
-            JG=self.JG,
+            **{f.name: getattr(self, f.name) for f in fields(HydraulicParameters)}
         )
 
     def block_parameters(self) -> dict:
-        """Parameters of every nacelle block, keyed as ``control_block`` reads them."""
-        names = ("a", "b", "m", "J", "m1", "k1", "d1")
-        hydraulic = dataclasses.asdict(self.hydraulic_parameters())
-        return {**{name: getattr(self, name) for name in names}, **hydraulic}
+        """Every config value by name, as ``control_block`` reads block parameters."""
+        return dataclasses.asdict(self)
 
 
 def build_generator(cfg: RunConfig, params: BeamParameters | None = None) -> DiscreteGenerator:
@@ -360,17 +350,30 @@ class Runner:
     def _record(self, name: str, status: str, **evidence) -> None:
         self.results.append(CheckResult(name, status, evidence))
 
-    def _skip(self, name: str) -> bool:
-        if not self.cfg.enabled(name):
-            self._record(name, "not run")
-            return True
-        return False
+    def _run_check(self, names: tuple[str, ...], method: str) -> None:
+        """Call the check ``method`` unless every one of its ``names`` is disabled.
+
+        A fully disabled check records each name as bare "not run" in place.
+        """
+        if any(self.cfg.enabled(name) for name in names):
+            getattr(self, method)()
+        else:
+            for name in names:
+                self._record(name, "not run")
+
+    def _empty_band(self, name: str) -> bool:
+        """Record ``name`` as failed when the default scan band ends at or below ``s_lo``."""
+        if self.s_hi > self.cfg.s_lo:
+            return False
+        self._record(
+            name, "fail",
+            error=f"reliable band ends at s = {self.s_hi}, not above s_lo = {self.cfg.s_lo}",
+        )
+        return True
 
     # individual checks ---------------------------------------------------
 
     def check_dissipativity(self) -> None:
-        if self._skip("dissipativity"):
-            return
         defect = self.gen.dissipation_defect()
         self._record(
             "dissipativity",
@@ -379,8 +382,6 @@ class Runner:
         )
 
     def check_passivity(self) -> None:
-        if self._skip("passivity"):
-            return
         cfg = self.cfg
         block = control_block(cfg.model, cfg.block_parameters())
         report = verify_passivity(block, n_samples=200, seed=cfg.seed)
@@ -392,8 +393,6 @@ class Runner:
         )
 
     def check_transfer(self) -> None:
-        if self._skip("transfer_cross_validation"):
-            return
         cfg = self.cfg
         if cfg.model == "hydraulic_feedback":
             self._record("transfer_cross_validation", "not run")
@@ -408,8 +407,6 @@ class Runner:
         )
 
     def check_conditions(self) -> None:
-        if self._skip("conditions"):
-            return
         cfg = self.cfg
         grid = np.linspace(0.0, 1.0, max(64, 4 * cfg.n_elements))
         cert = check_condition_eq1(
@@ -429,8 +426,6 @@ class Runner:
         self._record("conditions", status, **evidence)
 
     def check_spectrum(self) -> None:
-        if self._skip("spectrum"):
-            return
         rep = eigen_report(self.gen)
         self.spectrum = rep
         damped = self._is_damped()
@@ -446,7 +441,7 @@ class Runner:
         return any(ch.gain > 0 for ch in self.gen.damping_channels)
 
     def check_scan(self) -> None:
-        if self._skip("scan"):
+        if self._empty_band("scan"):
             return
         cfg = self.cfg
         window = None if cfg.fit_lo is None else (cfg.fit_lo, cfg.fit_hi)
@@ -464,8 +459,6 @@ class Runner:
         )
 
     def check_kernel(self) -> None:
-        if self._skip("kernel"):
-            return
         dim, smin = kernel_check(self.gen)
         smax = energy_coordinates(self.gen).norm_A
         ok = dim == 0 and smin > KERNEL_TOL * smax
@@ -475,8 +468,6 @@ class Runner:
         )
 
     def check_routh(self) -> None:
-        if self._skip("routh_hurwitz"):
-            return
         cfg = self.cfg
         if cfg.model == "tmd":
             poly = [1.0, cfg.d1 / cfg.m1, cfg.k1 / cfg.m1]
@@ -496,11 +487,11 @@ class Runner:
         )
 
     def check_coupling(self) -> None:
-        if self._skip("coupling_bound"):
-            return
         if self.gen.blocks is None:
             reason = "model is not a coupling of two passive blocks"
             self._record("coupling_bound", "not run", reason=reason)
+            return
+        if self._empty_band("coupling_bound"):
             return
         cfg = self.cfg
         grid = np.geomspace(cfg.s_lo, self.s_hi, min(cfg.n_points, 120))
@@ -514,18 +505,12 @@ class Runner:
         )
 
     def check_simulation(self) -> None:
-        run_identity = self.cfg.enabled("dissipation_identity")
-        run_decay = self.cfg.enabled("decay")
-        if not (run_identity or run_decay):
-            self._record("dissipation_identity", "not run")
-            self._record("decay", "not run")
-            return
         cfg = self.cfg
         z0 = classical_initial_data(self.gen, cfg.profile, k_modes=cfg.k_modes)
         dt = cfg.dt if cfg.dt is not None else default_timestep(self.gen, cfg.k_modes)
         traj = simulate(self.gen, z0, cfg.T, dt)
         self.trajectory = traj
-        if run_identity:
+        if cfg.enabled("dissipation_identity"):
             residual = verify_dissipation_identity(self.gen, traj)
             scale = traj.energies[0] or 1.0
             ok = residual <= 1e-9 * scale and traj.is_monotone()
@@ -538,7 +523,7 @@ class Runner:
             )
         else:
             self._record("dissipation_identity", "not run")
-        if run_decay:
+        if cfg.enabled("decay"):
             t_hi = traj.times[-1]
             t_lo = max(traj.times[1], 0.1 * t_hi)
             try:
@@ -553,8 +538,6 @@ class Runner:
             self._record("decay", "not run")
 
     def check_positivity(self) -> None:
-        if self._skip("hydraulic_positivity"):
-            return
         cfg = self.cfg
         if cfg.model not in ("hydraulic", "hydraulic_feedback"):
             self._record("hydraulic_positivity", "not run")
@@ -576,8 +559,8 @@ class Runner:
     # orchestration --------------------------------------------------------
 
     def run_all(self) -> VerificationReport:
-        for _, _, method in CHECKS:
-            getattr(self, method)()
+        for _, names, method in CHECKS:
+            self._run_check(names, method)
         return self.report()
 
     def report(self) -> VerificationReport:
@@ -596,8 +579,18 @@ class Runner:
         )
 
 
-def emit_report(report: VerificationReport, out_dir: str | Path, runner: Runner | None = None) -> list[Path]:
-    """Write report.json plus whichever CSV artifacts the run produced."""
+def emit_report(
+    report: VerificationReport,
+    out_dir: str | Path,
+    runner: Runner | None = None,
+    matrices: bool = False,
+) -> list[Path]:
+    """Write report.json plus whichever CSV artifacts the run produced.
+
+    With ``matrices`` (the ``assemble`` subcommand) it also writes the
+    runner's ``A.csv``, ``gram.csv`` and ``labels.txt``.  ``report.json``
+    is always the first path returned.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -605,6 +598,16 @@ def emit_report(report: VerificationReport, out_dir: str | Path, runner: Runner 
         path = out / "report.json"
         path.write_text(render_json(report.to_dict()) + "\n")
         written.append(path)
+        if runner is not None and matrices:
+            gen = runner.gen
+            for name, matrix in (("A.csv", gen.A), ("gram.csv", gen.gram)):
+                # dense row-major, under a one-line "rows,cols" header
+                p = out / name
+                write_columns_csv(p, [str(k) for k in matrix.shape], matrix.T)
+                written.append(p)
+            p = out / "labels.txt"
+            p.write_text("\n".join(gen.labels) + "\n")
+            written.append(p)
         if runner is not None and runner.scan is not None:
             p = out / "scan.csv"
             write_columns_csv(p, ["s", "resolvent_norm"], [runner.scan.s_values, runner.scan.norms])
@@ -652,23 +655,15 @@ def run(subcommand: str, cfg: RunConfig) -> tuple[int, VerificationReport]:
     if subcommand not in SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
     runner = Runner(cfg)
-    if subcommand == "assemble":
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, matrix in (("A.csv", runner.gen.A), ("gram.csv", runner.gen.gram)):
-            # dense row-major, under a one-line "rows,cols" header
-            write_columns_csv(out / name, [str(k) for k in matrix.shape], matrix.T)
-        (out / "labels.txt").write_text("\n".join(runner.gen.labels) + "\n")
-        runner.check_dissipativity()
-        report = runner.report()
-    elif subcommand == "verify-all":
+    if subcommand == "verify-all":
         report = runner.run_all()
     else:
-        for sub, _, method in CHECKS:
-            if sub == subcommand:
-                getattr(runner, method)()
+        # assemble runs only the dissipativity check
+        for sub, names, method in CHECKS:
+            if sub == subcommand or (subcommand == "assemble" and "dissipativity" in names):
+                runner._run_check(names, method)
         report = runner.report()
-    emit_report(report, cfg.out_dir, runner)
+    emit_report(report, cfg.out_dir, runner, matrices=subcommand == "assemble")
     status = EXIT_CHECK_FAILED if report.failed() else EXIT_OK
     return status, report
 

@@ -16,7 +16,7 @@ dissipation channels every block declares onto the generator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,8 +55,7 @@ class HydraulicParameters:
     Dm: float
     Bp: float = 0.0
     Bm: float = 0.0
-    kleak_p: float = 0.0
-    kleak_m: float = 0.0
+    kleak: float = 0.0
     beta: float = 1.0
     V: float = 1.0
     JT: float = 1.0
@@ -66,13 +65,9 @@ class HydraulicParameters:
         for name in ("Dp", "Dm", "beta", "V", "JT", "JG"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be strictly positive")
-        for name in ("Bp", "Bm", "kleak_p", "kleak_m"):
+        for name in ("Bp", "Bm", "kleak"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
-
-    @property
-    def kleak(self) -> float:
-        return self.kleak_p + self.kleak_m
 
 
 def _beam_core(
@@ -463,8 +458,8 @@ def _reH2(sys: PassiveSystem, s: float) -> np.ndarray:
 
 
 def _as_hydraulic(params: Mapping[str, float]) -> HydraulicParameters:
-    keys = {"Dp", "Dm", "Bp", "Bm", "kleak_p", "kleak_m", "beta", "V", "JT", "JG"}
-    return HydraulicParameters(**{k: params[k] for k in keys if k in params})
+    names = (f.name for f in fields(HydraulicParameters))
+    return HydraulicParameters(**{k: params[k] for k in names if k in params})
 
 
 @dataclass(frozen=True)
@@ -477,7 +472,6 @@ class TransferCrossValidation:
     printed formula, as with the nacelle-mass factor of the damper case).
     """
 
-    kind: str
     max_rel_err: float
     observed_ratio: float
     matches: bool
@@ -507,7 +501,6 @@ def cross_validate_reH2(
             ratios.append(float(np.median(diag_a[keep] / diag_p[keep])))
     max_err = float(max(errs))
     return TransferCrossValidation(
-        kind=kind,
         max_rel_err=max_err,
         observed_ratio=float(np.median(ratios)) if ratios else float("nan"),
         matches=bool(max_err <= 1e-10),

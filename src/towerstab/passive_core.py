@@ -30,7 +30,7 @@ from .generator import (
     energy_coordinates,
     symmetric_part,
 )
-from .spectral import resolvent_norm
+from .spectral import _sample_grid, resolvent_norm
 
 PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -113,7 +113,6 @@ class PassivityReport:
     worst_u: np.ndarray
     lambda_max: float
     passive: bool
-    n_samples: int
 
 
 def _passivity_form(sys: PassiveSystem) -> np.ndarray:
@@ -175,7 +174,6 @@ def verify_passivity(
         worst_u=worst[1],
         lambda_max=lam,
         passive=bool(min_defect >= -PASSIVITY_TOL and lam <= PASSIVITY_TOL),
-        n_samples=n_samples,
     )
 
 
@@ -224,23 +222,15 @@ class EtaBound:
 
 def eta_lower_bound(sys: PassiveSystem, s_grid: Sequence[float]) -> EtaBound:
     """Evaluate ``eta(s)`` on a grid and fit the ``M/(1+s^2)`` envelope."""
-    s_ok, etas, excluded = [], [], []
-    for s in np.asarray(s_grid, dtype=float):
-        try:
-            etas.append(transfer_function(sys, s).eta)
-            s_ok.append(s)
-        except SpectrumHit:
-            excluded.append(float(s))
-    if not s_ok:
+    s_ok, eta, excluded = _sample_grid(lambda s: transfer_function(sys, s).eta, s_grid)
+    if not s_ok.size:
         raise ValidationError("every grid point hit the spectrum")
-    s_arr = np.asarray(s_ok)
-    eta_arr = np.asarray(etas)
     return EtaBound(
-        s_values=s_arr,
-        eta=eta_arr,
-        coefficient=float(np.min(eta_arr * (1.0 + s_arr**2))),
-        floor=float(np.min(eta_arr)),
-        excluded=tuple(excluded),
+        s_values=s_ok,
+        eta=eta,
+        coefficient=float(np.min(eta * (1.0 + s_ok**2))),
+        floor=float(np.min(eta)),
+        excluded=excluded,
     )
 
 
@@ -423,30 +413,25 @@ def check_feedback_bounds(
     C_adj = sla.solve_triangular(U.T, sys_q.C.conj().T, lower=True)  # (C U^{-1})^*
     eye = np.eye(sys_q.n)
     inv_c = 1.0 / c
-    s_ok, res, m_in, m_out, m_tf, excluded = [], [], [], [], [], []
-    for s in np.asarray(s_grid, dtype=float):
-        try:
-            r = resolvent_norm(sys_q, s)
-            X = _resolvent_apply(eye, T, s, B)
-            rb = float(sla.svdvals(X)[0])
-            cr = float(sla.svdvals(_resolvent_apply(eye, T.conj().T, -s, C_adj))[0])
-            h = float(sla.svdvals(C_adj.conj().T @ X + sys_q.D)[0])
-        except SpectrumHit:
-            excluded.append(float(s))
-            continue
-        s_ok.append(s)
-        res.append(r)
-        m_in.append(inv_c * r - rb**2)
-        m_out.append(inv_c * r - cr**2)
-        m_tf.append(inv_c - h)
-    margins = np.concatenate([m_in, m_out, m_tf]) if s_ok else np.array([0.0])
+
+    def evaluate(s):
+        r = resolvent_norm(sys_q, s)
+        X = _resolvent_apply(eye, T, s, B)
+        rb = float(sla.svdvals(X)[0])
+        cr = float(sla.svdvals(_resolvent_apply(eye, T.conj().T, -s, C_adj))[0])
+        h = float(sla.svdvals(C_adj.conj().T @ X + sys_q.D)[0])
+        return r, inv_c * r - rb**2, inv_c * r - cr**2, inv_c - h
+
+    s_ok, values, excluded = _sample_grid(evaluate, s_grid)
+    res, m_in, m_out, m_tf = values.reshape(-1, 4).T
+    margins = np.concatenate([m_in, m_out, m_tf]) if s_ok.size else np.array([0.0])
     return FeedbackBoundReport(
-        s_values=np.asarray(s_ok),
-        resolvent=np.asarray(res),
-        input_bound_margin=np.asarray(m_in),
-        output_bound_margin=np.asarray(m_out),
-        transfer_bound_margin=np.asarray(m_tf),
-        excluded=tuple(excluded),
+        s_values=s_ok,
+        resolvent=res,
+        input_bound_margin=m_in,
+        output_bound_margin=m_out,
+        transfer_bound_margin=m_tf,
+        excluded=excluded,
         max_violation=float(max(0.0, -margins.min())),
     )
 
@@ -490,30 +475,24 @@ def check_coupled_resolvent_bound(
     if not c > 0:
         raise ValidationError(f"Re K must be positive definite, lambda_min = {c:.3e}")
     sys_k = feedback_transform(sys1, K, c)
-    s_ok, lhs_vals, rhs_vals, excluded = [], [], [], []
-    for s in np.asarray(s_grid, dtype=float):
-        try:
-            eta = transfer_function(sys2, s).eta
-            if eta <= ETA_EXCLUSION_TOL:
-                excluded.append(float(s))
-                continue
-            r_coupled = resolvent_norm(coupled, s)
-            r_k = resolvent_norm(sys_k, s)
-            r_2 = resolvent_norm(sys2, s)
-        except SpectrumHit:
-            excluded.append(float(s))
-            continue
-        s_ok.append(s)
-        lhs_vals.append(r_coupled)
-        rhs_vals.append((1.0 + r_k) * (1.0 + r_2**2) / eta)
-    lhs = np.asarray(lhs_vals)
-    rhs = np.asarray(rhs_vals)
+
+    def evaluate(s):
+        eta = transfer_function(sys2, s).eta
+        if eta <= ETA_EXCLUSION_TOL:
+            return None
+        r_coupled = resolvent_norm(coupled, s)
+        r_k = resolvent_norm(sys_k, s)
+        r_2 = resolvent_norm(sys2, s)
+        return r_coupled, (1.0 + r_k) * (1.0 + r_2**2) / eta
+
+    s_ok, values, excluded = _sample_grid(evaluate, s_grid)
+    lhs, rhs = values.reshape(-1, 2).T
     ratios = lhs / rhs
     return CouplingBoundReport(
-        s_values=np.asarray(s_ok),
+        s_values=s_ok,
         lhs=lhs,
         rhs=rhs,
         ratios=ratios,
         max_ratio=float(ratios.max()) if ratios.size else float("nan"),
-        excluded=tuple(excluded),
+        excluded=excluded,
     )

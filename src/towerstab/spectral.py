@@ -60,7 +60,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     max_real_part: float
-    spectral_gap_curve: np.ndarray  # columns (|Im lambda|, |Re lambda|)
     asymptotic_slope: float
     fit_band: tuple[float, float]
 
@@ -174,6 +173,27 @@ def resolvent_norm(gen: GramSystem, s: float) -> float:
     return norm
 
 
+def _sample_grid(evaluate, grid) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """Evaluate ``evaluate(s)`` at each grid frequency, in grid order.
+
+    Returns the usable frequencies, their values (one row each) and the
+    excluded frequencies: those where ``evaluate`` raises
+    :class:`SpectrumHit` or returns ``None``.
+    """
+    s_ok, values, excluded = [], [], []
+    for s in np.asarray(grid, dtype=float):
+        try:
+            value = evaluate(s)
+        except SpectrumHit:
+            value = None
+        if value is None:
+            excluded.append(float(s))
+        else:
+            s_ok.append(s)
+            values.append(value)
+    return np.asarray(s_ok, dtype=float), np.asarray(values), tuple(excluded)
+
+
 def mesh_frequency(gen: DiscreteGenerator) -> float:
     """Largest discrete eigenfrequency (max |Im lambda| over the spectrum)."""
     return float(np.abs(_energy_eigenvalues(gen).imag).max())
@@ -210,17 +230,7 @@ def scan_resolvent(
         grid = np.linspace(s_lo, s_hi, n_points)
     else:
         raise ValidationError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-
-    def eval_point(s: float):
-        try:
-            return resolvent_norm(gen, s)
-        except SpectrumHit:
-            return None
-
-    values = [eval_point(s) for s in grid]
-    keep = np.array([v is not None for v in values])
-    s_ok = grid[keep]
-    norms = np.array([v for v in values if v is not None])
+    s_ok, norms, excluded = _sample_grid(lambda s: resolvent_norm(gen, s), grid)
     if s_ok.size < 2:
         raise NumericalError("scan left fewer than two usable frequencies")
     window = fit_window if fit_window is not None else (float(s_lo), float(s_hi))
@@ -233,7 +243,7 @@ def scan_resolvent(
         norms=norms,
         alpha_fit=alpha,
         window=(float(window[0]), float(window[1])),
-        excluded=tuple(float(s) for s in grid[~keep]),
+        excluded=excluded,
     )
 
 
@@ -250,7 +260,6 @@ def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
         )
     lam = _energy_eigenvalues(gen)
     lam = lam[np.argsort(lam.imag, kind="stable")]
-    gaps = np.column_stack([np.abs(lam.imag), np.abs(lam.real)])
     band_hi = RELIABLE_BAND_FRACTION * float(np.abs(lam.imag).max())
     mask = (
         (lam.imag > 0)
@@ -266,7 +275,6 @@ def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=lam,
         max_real_part=float(lam.real.max()),
-        spectral_gap_curve=gaps,
         asymptotic_slope=slope,
         fit_band=(DEFAULT_FIT_LOW, band_hi),
     )

@@ -54,7 +54,6 @@ class EnergyTrajectory:
     energies: np.ndarray
     channels: dict[str, np.ndarray]
     midpoint_channels: dict[str, np.ndarray]
-    channel_gains: dict[str, float]
     dt: float
     final_state: np.ndarray
 
@@ -123,7 +122,6 @@ def simulate(
         energies=energies,
         channels={name: channels[:, j] for j, name in enumerate(names)},
         midpoint_channels={name: midpoints[:, j] for j, name in enumerate(names)},
-        channel_gains={ch.name: ch.gain for ch in gen.damping_channels},
         dt=dt,
         final_state=z,
     )

@@ -412,7 +412,7 @@ def test_criterion_9_hydraulic_positivity():
             Dm=rng.uniform(0.05, 3.0),
             Bp=bp,
             Bm=bm,
-            kleak_p=float(rng.uniform(0.0, 2.0) * (rng.random() > 0.3)),
+            kleak=float(rng.uniform(0.0, 2.0) * (rng.random() > 0.3)),
         )
         rep = ts.hydraulic_positivity_check(hyd, grid)
         assert rep.ok, hyd

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,7 +250,7 @@ class TestCouplingCheck:
     def test_disabled_check_stays_bare(self, tmp_path):
         path = write_config(tmp_path, model="torque", checks={"coupling_bound": False})
         runner = cli.Runner(cli.load_config(str(path), {}))
-        runner.check_coupling()
+        runner._run_check(("coupling_bound",), "check_coupling")
         (result,) = runner.results
         assert (result.status, result.evidence) == ("not run", {})
 
@@ -262,6 +267,22 @@ class TestCouplingCheck:
         assert statuses["scan"] == statuses["coupling_bound"] == "pass"
         assert len(calls) == 1
         assert runner.s_hi == spectral.RELIABLE_BAND_FRACTION * real(runner.gen)
+
+
+class TestCoarseMesh:
+    @pytest.mark.parametrize("checks", [{}, {"scan": False}])
+    def test_empty_default_band_fails_scan_and_coupling(self, tmp_path, checks):
+        """With one element the reliable band ends near s = 1.68, below
+        s_lo = 2: the run completes and both band checks fail, instead of a
+        config error from the scan or a coupling pass on a descending grid."""
+        path = write_config(tmp_path, model="tmd", n_elements=1, k_modes=2, T=0.5, checks=checks)
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        for name in ("scan", "coupling_bound"):
+            if checks.get(name, True):
+                assert report[name]["status"] == "fail"
+                assert "not above s_lo = 2.0" in report[name]["error"]
+        assert report["spectrum"]["status"] == "pass"
 
 
 class TestKernelEvidence:
@@ -347,6 +368,19 @@ class TestAssemble:
             )
             assert (tmp_path / "out" / name).read_bytes() == expected.encode()
 
+    def test_unwritable_out_dir_is_an_artifact_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = write_config(tmp_path)
+        argv = ["assemble", "--config", str(path), "--out", str(blocker / "out")]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("error: cannot write artifacts")
+
+    def test_report_is_the_first_written_path(self, tmp_path):
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
+        written = cli.emit_report(runner.report(), tmp_path / "o", runner, matrices=True)
+        assert [p.name for p in written] == ["report.json", "A.csv", "gram.csv", "labels.txt"]
+
     def test_report_emitted_even_for_assemble(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["assemble", "--config", str(path)])
@@ -363,3 +397,29 @@ class TestDefaults:
         )
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["provenance"]["seed"] == 3
+
+
+class TestBenchmarkInterface:
+    def test_child_process_reads_every_check(self, tmp_path):
+        """The benchmark's child process runs ``verify`` on a tiny config, as
+        the benchmark does (working directory of its own, relative out dir),
+        and reads the runner's results, spectrum, trajectory and report."""
+        root = Path(__file__).resolve().parents[1]
+        (tmp_path / "config.json").write_text(
+            json.dumps({"model": "tmd", "n_elements": 4, "k_modes": 6, "T": 0.5})
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        argv = [sys.executable, str(root / "perfbench" / "child.py"), "verify",
+                "config.json", "result.json"]
+        child = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert child.returncode == 0, child.stderr
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert set(result["statuses"]) == set(cli.CHECK_NAMES)
+        assert result["values"]["spectrum.eigenvalue_count"] > 0
+        assert 0.0 < result["values"]["dissipation_identity.final_energy_ratio"] <= 1.0
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert result["report_sha256"] == hashlib.sha256(report).hexdigest()

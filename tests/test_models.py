@@ -32,8 +32,8 @@ class TestParameters:
             ts.HydraulicParameters(Dp=0.0, Dm=1.0)
         with pytest.raises(ts.ValidationError):
             ts.HydraulicParameters(Dp=1.0, Dm=1.0, Bp=-0.1)
-        hyd = ts.HydraulicParameters(Dp=1.0, Dm=1.0, kleak_p=0.2, kleak_m=0.3)
-        assert hyd.kleak == pytest.approx(0.5)
+        with pytest.raises(ts.ValidationError, match="kleak"):
+            ts.HydraulicParameters(Dp=1.0, Dm=1.0, kleak=-0.1)
 
 
 class TestCombined:
@@ -127,7 +127,7 @@ class TestHydraulic:
         """The pressure weight V/beta keeps the generator dissipative for
         every admissible parameter set, not only at beta = V."""
         hyd = ts.HydraulicParameters(
-            Dp=1.3, Dm=0.7, Bp=0.5, Bm=1.1, kleak_p=0.2, beta=3.0, V=0.7,
+            Dp=1.3, Dm=0.7, Bp=0.5, Bm=1.1, kleak=0.2, beta=3.0, V=0.7,
             JT=2.0, JG=0.5,
         )
         gen = ts.assemble_hydraulic(desk_beam, desk_params, hyd)
@@ -286,7 +286,7 @@ class TestClosedForms:
                 Dm=rng.uniform(0.1, 2.0),
                 Bp=rng.uniform(0.0, 2.0),
                 Bm=rng.uniform(0.05, 2.0),
-                kleak_m=rng.uniform(0.0, 1.0),
+                kleak=rng.uniform(0.0, 1.0),
             )
             _, d4, d2, d0 = ts.hydraulic_d_coefficients(hyd)
             cubic = ts.hydraulic_characteristic(hyd)
@@ -303,7 +303,7 @@ class TestClosedForms:
                 Dm=rng.uniform(0.1, 2.0),
                 Bp=rng.uniform(0.0, 2.0),
                 Bm=rng.uniform(0.05, 2.0),
-                kleak_p=rng.uniform(0.0, 1.0),
+                kleak=rng.uniform(0.0, 1.0),
             )
             assert ts.routh_hurwitz(ts.hydraulic_characteristic(hyd))
             _, d4, d2, d0 = ts.hydraulic_d_coefficients(hyd)
@@ -341,7 +341,7 @@ class TestHydraulicPositivity:
                 Dm=rng.uniform(0.05, 3.0),
                 Bp=rng.uniform(0.0, 3.0),
                 Bm=rng.uniform(0.01, 3.0),
-                kleak_p=rng.uniform(0.0, 2.0),
+                kleak=rng.uniform(0.0, 2.0),
             )
             assert ts.hydraulic_positivity_check(hyd, grid).ok
 

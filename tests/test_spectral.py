@@ -184,11 +184,6 @@ class TestEigenReport:
             )
             ts.eigen_report(big)
 
-    def test_gap_curve_columns(self, desk_models):
-        rep = ts.eigen_report(desk_models["combined"])
-        assert rep.spectral_gap_curve.shape == (rep.eigenvalues.size, 2)
-        assert np.all(rep.spectral_gap_curve >= 0)
-
 
 class TestEnergyData:
     def test_coordinates_computed_once_per_generator(self, desk_models):

@@ -18,7 +18,6 @@ def synthetic_trajectory(times, energies):
         energies=np.asarray(energies, dtype=float),
         channels={},
         midpoint_channels={},
-        channel_gains={},
         dt=float(times[1] - times[0]),
         final_state=np.zeros(1),
     )
