@@ -125,8 +125,9 @@ def build_beam_matrices(params: BeamParameters, n_elements: int) -> BeamMatrices
     """Assemble stiffness and mass matrices on a uniform mesh.
 
     Coefficients are sampled at the quadrature points only; no interpolation
-    of ``rho`` or ``EI`` is performed.  Raises :class:`ValidationError` on a
-    non-positive coefficient sample, naming the location.
+    of ``rho`` or ``EI`` is performed.  They are also checked, not used, at
+    x = 0 and x = 1.  Raises :class:`ValidationError` on a sample that is
+    not finite and positive, naming the location.
     """
     if n_elements < 1:
         raise ValidationError(f"n_elements must be >= 1, got {n_elements}")
@@ -145,6 +146,9 @@ def build_beam_matrices(params: BeamParameters, n_elements: int) -> BeamMatrices
         sl = slice(2 * e, 2 * e + 4)
         K[sl, sl] += Ke
         M[sl, sl] += Me
+    ends = np.array([0.0, 1.0])
+    _sample_coefficient(params.EI, ends, "EI")
+    _sample_coefficient(params.rho, ends, "rho")
     # Clamp: drop the value and slope dofs of the node at x = 0.
     K = K[2:, 2:]
     M = M[2:, 2:]
@@ -289,8 +293,8 @@ def coefficient_from_spec(spec: float | Mapping | Sequence, n_elements: int | No
     ``{"kind": "exp", "scale": a, "rate": b}`` for ``a exp(b x)``;
     ``{"kind": "csv", "path": p}`` with (x, value) rows, linearly
     interpolated, requiring at least ``4 * n_elements`` samples.  A missing
-    key, a non-numeric value or an unreadable table raises
-    :class:`ValidationError`.
+    key, a non-numeric value, an unreadable table or a table value that is
+    not finite and positive raises :class:`ValidationError`.
     """
     if isinstance(spec, (int, float)):
         return _constant(float(spec))
@@ -348,4 +352,6 @@ def _tabulated_coefficient(path: str, n_elements: int | None) -> Coefficient:
     v_arr = np.asarray(vals)
     order = np.argsort(x_arr)
     x_arr, v_arr = x_arr[order], v_arr[order]
-    return lambda x: float(np.interp(x, x_arr, v_arr))
+    coefficient = lambda x: float(np.interp(x, x_arr, v_arr))
+    _sample_coefficient(coefficient, x_arr, path)  # the table values themselves
+    return coefficient

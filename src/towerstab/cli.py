@@ -6,8 +6,9 @@ written to the output directory as ``report.json`` plus CSV files; identical
 config and seed produce byte-identical JSON (floats are rendered with 17
 significant digits).
 
-Exit codes: 0 all checks pass, 2 config validation failure, 3 at least one
-check failed, 4 numerical failure (factorization or eigensolver).
+Exit codes: 0 all checks pass; 2 the config was rejected before any check
+ran; 3 at least one check failed, or raised and records why as ``error``;
+4 assembling the model or writing the artifacts failed.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .passive_core import (
 from .spectral import (
     KERNEL_TOL,
     RELIABLE_BAND_FRACTION,
+    _frequency_grid,
     eigen_report,
     kernel_check,
     mesh_frequency,
@@ -353,23 +355,19 @@ class Runner:
     def _run_check(self, names: tuple[str, ...], method: str) -> None:
         """Call the check ``method`` unless every one of its ``names`` is disabled.
 
-        A fully disabled check records each name as bare "not run" in place.
+        A :class:`ToolkitError` escaping the check fails each enabled name
+        the check has not recorded, with the message as ``error``.
         """
-        if any(self.cfg.enabled(name) for name in names):
+        enabled = [name for name in names if self.cfg.enabled(name)]
+        if not enabled:
+            return
+        try:
             getattr(self, method)()
-        else:
-            for name in names:
-                self._record(name, "not run")
-
-    def _empty_band(self, name: str) -> bool:
-        """Record ``name`` as failed when the default scan band ends at or below ``s_lo``."""
-        if self.s_hi > self.cfg.s_lo:
-            return False
-        self._record(
-            name, "fail",
-            error=f"reliable band ends at s = {self.s_hi}, not above s_lo = {self.cfg.s_lo}",
-        )
-        return True
+        except ToolkitError as exc:
+            recorded = {c.name for c in self.results}
+            for name in enabled:
+                if name not in recorded:
+                    self._record(name, "fail", error=str(exc))
 
     # individual checks ---------------------------------------------------
 
@@ -395,7 +393,6 @@ class Runner:
     def check_transfer(self) -> None:
         cfg = self.cfg
         if cfg.model == "hydraulic_feedback":
-            self._record("transfer_cross_validation", "not run")
             return
         grid = np.geomspace(0.01, 100.0, 400)
         cv = cross_validate_reH2(cfg.model, cfg.block_parameters(), grid)
@@ -441,8 +438,6 @@ class Runner:
         return any(ch.gain > 0 for ch in self.gen.damping_channels)
 
     def check_scan(self) -> None:
-        if self._empty_band("scan"):
-            return
         cfg = self.cfg
         window = None if cfg.fit_lo is None else (cfg.fit_lo, cfg.fit_hi)
         scan = scan_resolvent(
@@ -474,7 +469,6 @@ class Runner:
         elif cfg.model in ("hydraulic", "hydraulic_feedback"):
             poly = hydraulic_characteristic(cfg.hydraulic_parameters())
         else:
-            self._record("routh_hurwitz", "not run")
             return
         stable = routh_hurwitz(poly)
         roots = np.roots(poly)
@@ -491,10 +485,8 @@ class Runner:
             reason = "model is not a coupling of two passive blocks"
             self._record("coupling_bound", "not run", reason=reason)
             return
-        if self._empty_band("coupling_bound"):
-            return
         cfg = self.cfg
-        grid = np.geomspace(cfg.s_lo, self.s_hi, min(cfg.n_points, 120))
+        grid = _frequency_grid(cfg.s_lo, self.s_hi, min(cfg.n_points, 120), "log")
         rep = check_coupled_resolvent_bound(self.gen, np.eye(1), grid)
         ok = np.isfinite(rep.max_ratio)
         self._record(
@@ -521,35 +513,21 @@ class Runner:
                 relative_residual=residual / scale,
                 monotone=traj.is_monotone(),
             )
-        else:
-            self._record("dissipation_identity", "not run")
         if cfg.enabled("decay"):
             t_hi = traj.times[-1]
             t_lo = max(traj.times[1], 0.1 * t_hi)
-            try:
-                fit = fit_decay_rate(traj, t_lo, t_hi)
-                self._record(
-                    "decay", "pass", slope=fit.slope, window=list(fit.window),
-                    curvature=fit.curvature, power_law=fit.power_law,
-                )
-            except ValidationError as exc:
-                self._record("decay", "fail", error=str(exc))
-        else:
-            self._record("decay", "not run")
+            fit = fit_decay_rate(traj, t_lo, t_hi)
+            self._record(
+                "decay", "pass", slope=fit.slope, window=list(fit.window),
+                curvature=fit.curvature, power_law=fit.power_law,
+            )
 
     def check_positivity(self) -> None:
         cfg = self.cfg
         if cfg.model not in ("hydraulic", "hydraulic_feedback"):
-            self._record("hydraulic_positivity", "not run")
             return
         grid = np.geomspace(1e-2, 100.0, 100)
-        try:
-            rep = hydraulic_positivity_check(cfg.hydraulic_parameters(), grid)
-        except ValidationError as exc:
-            # a violated hypothesis (Bp + Bm = 0) is a failed check, not a
-            # malformed configuration
-            self._record("hydraulic_positivity", "fail", error=str(exc))
-            return
+        rep = hydraulic_positivity_check(cfg.hydraulic_parameters(), grid)
         self._record(
             "hydraulic_positivity",
             "pass" if rep.ok else "fail",
@@ -564,12 +542,11 @@ class Runner:
         return self.report()
 
     def report(self) -> VerificationReport:
-        recorded = {c.name for c in self.results}
-        for name in CHECK_NAMES:
-            if name not in recorded:
-                self.results.append(CheckResult(name, "not run", {}))
+        """Every check in ``CHECK_NAMES`` order; a name not recorded is "not run"."""
+        recorded = {c.name: c for c in self.results}
+        checks = [recorded.get(name, CheckResult(name, "not run", {})) for name in CHECK_NAMES]
         return VerificationReport(
-            checks=self.results,
+            checks=checks,
             provenance={
                 "config_hash": config_hash(self.cfg),
                 "seed": self.cfg.seed,

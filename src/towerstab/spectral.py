@@ -194,6 +194,21 @@ def _sample_grid(evaluate, grid) -> tuple[np.ndarray, np.ndarray, tuple[float, .
     return np.asarray(s_ok, dtype=float), np.asarray(values), tuple(excluded)
 
 
+def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np.ndarray:
+    """``n_points`` frequencies, "log" or "linear" spaced, for ``0 < s_lo < s_hi``."""
+    if not s_lo > 0:
+        raise ValidationError(f"s_lo must be positive, got {s_lo}")
+    if s_hi <= s_lo:
+        raise ValidationError(f"band end s_hi = {s_hi} is not above s_lo = {s_lo}")
+    if n_points < 2:
+        raise ValidationError("n_points must be at least 2")
+    if spacing == "log":
+        return np.geomspace(s_lo, s_hi, n_points)
+    if spacing == "linear":
+        return np.linspace(s_lo, s_hi, n_points)
+    raise ValidationError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+
+
 def mesh_frequency(gen: DiscreteGenerator) -> float:
     """Largest discrete eigenfrequency (max |Im lambda| over the spectrum)."""
     return float(np.abs(_energy_eigenvalues(gen).imag).max())
@@ -218,18 +233,7 @@ def scan_resolvent(
 
     Grid points hitting the spectrum are excluded and reported.
     """
-    if not s_lo > 0:
-        raise ValidationError(f"s_lo must be positive, got {s_lo}")
-    if s_hi <= s_lo:
-        raise ValidationError(f"need s_hi > s_lo, got [{s_lo}, {s_hi}]")
-    if n_points < 2:
-        raise ValidationError("n_points must be at least 2")
-    if spacing == "log":
-        grid = np.geomspace(s_lo, s_hi, n_points)
-    elif spacing == "linear":
-        grid = np.linspace(s_lo, s_hi, n_points)
-    else:
-        raise ValidationError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+    grid = _frequency_grid(s_lo, s_hi, n_points, spacing)
     s_ok, norms, excluded = _sample_grid(lambda s: resolvent_norm(gen, s), grid)
     if s_ok.size < 2:
         raise NumericalError("scan left fewer than two usable frequencies")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -119,6 +120,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "rho(1)" in err
+
+    def test_coefficient_vanishing_at_the_tip_rejected_at_assembly(self, tmp_path):
+        """1 - x is positive at every quadrature point; assembly also samples
+        x = 1, so the model is rejected before any check runs."""
+        rho = {"kind": "affine", "intercept": 1, "slope": -1}
+        cfg = cli.load_config(str(write_config(tmp_path, rho=rho)), {})
+        with pytest.raises(ts.ValidationError, match=r"rho\(1\)"):
+            cli.Runner(cfg)
+
+    def test_nonpositive_table_value_is_a_config_error(self, tmp_path, capsys):
+        table = tmp_path / "rho.csv"
+        values = [1.0] * 24
+        values[11] = 0.0
+        table.write_text("".join(f"{k / 23},{v}\n" for k, v in enumerate(values)))
+        path = write_config(tmp_path, rho={"kind": "csv", "path": str(table)})
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "rho.csv" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCoefficientTables:
@@ -251,7 +272,7 @@ class TestCouplingCheck:
         path = write_config(tmp_path, model="torque", checks={"coupling_bound": False})
         runner = cli.Runner(cli.load_config(str(path), {}))
         runner._run_check(("coupling_bound",), "check_coupling")
-        (result,) = runner.results
+        (result,) = [c for c in runner.report().checks if c.name == "coupling_bound"]
         assert (result.status, result.evidence) == ("not run", {})
 
 
@@ -283,6 +304,89 @@ class TestCoarseMesh:
                 assert report[name]["status"] == "fail"
                 assert "not above s_lo = 2.0" in report[name]["error"]
         assert report["spectrum"]["status"] == "pass"
+
+    @pytest.mark.parametrize("n_elements", [1, 3, 5])
+    @pytest.mark.parametrize("model", sorted(models.MODEL_KINDS))
+    def test_too_few_modes_fail_the_simulation_checks(self, tmp_path, model, n_elements):
+        """The default k_modes = 12 exceeds the 2 n_elements modes of these
+        meshes: both simulation checks fail with that reason, and the run
+        still writes a report naming every check."""
+        cfg = {"model": model, "n_elements": n_elements, "T": 0.5,
+               "out_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert list(report) == sorted(cli.CHECK_NAMES)
+        reason = f"k_modes = 12 exceeds the {2 * n_elements} available modes"
+        for name in ("dissipation_identity", "decay"):
+            assert report[name] == {"status": "fail", "error": reason}
+
+
+class TestCheckOutcomes:
+    """One rule decides what a check records when it produces no result."""
+
+    @staticmethod
+    def statuses(tmp_path, **overrides):
+        path = write_config(tmp_path, model="tmd", T=0.5, **overrides)
+        code = cli.main(["verify-all", "--config", str(path)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        return code, report
+
+    def test_fit_window_beyond_the_band_fails_only_the_scan(self, tmp_path):
+        _, plain = self.statuses(tmp_path)
+        code, report = self.statuses(tmp_path, fit_lo=1e5, fit_hi=2e5)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["scan"]["status"] == "fail"
+        assert "fit window" in report["scan"]["error"]
+        del plain["scan"], report["scan"]
+        assert {n: c["status"] for n, c in report.items()} == {
+            n: c["status"] for n, c in plain.items()
+        }
+
+    def test_numerical_error_in_a_check_fails_that_check(self, tmp_path, monkeypatch):
+        _, plain = self.statuses(tmp_path)
+        assert plain["kernel"]["status"] == "pass"
+
+        def broken(self):
+            raise ts.NumericalError("singular value decomposition did not converge")
+
+        monkeypatch.setattr(cli.Runner, "check_kernel", broken)
+        code, report = self.statuses(tmp_path)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["kernel"] == {
+            "status": "fail", "error": "singular value decomposition did not converge",
+        }
+        names = list(cli.CHECK_NAMES)
+        for name in names[names.index("kernel") + 1:]:
+            assert report[name]["status"] == plain[name]["status"]
+
+    def test_checks_decide_no_outcome_of_their_own(self):
+        """No ``Runner.check_*`` method catches an error or records a bare
+        "not run": ``Runner._run_check`` and ``Runner.report`` decide those."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        (runner,) = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Runner"
+        ]
+        methods = [
+            node for node in runner.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+        ]
+        assert {m.name for m in methods} == {method for _, _, method in cli.CHECKS}
+        for method in methods:
+            for node in ast.walk(method):
+                assert not isinstance(node, ast.Try), method.name
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_record"
+                ):
+                    status = node.args[1]
+                    bare = not node.keywords and len(node.args) == 2
+                    assert not (bare and getattr(status, "value", None) == "not run"), (
+                        method.name
+                    )
 
 
 class TestKernelEvidence:
