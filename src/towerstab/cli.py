@@ -38,8 +38,8 @@ from .errors import NumericalError, ToolkitError, ValidationError
 from .generator import DISSIPATIVITY_TOL, DiscreteGenerator, energy_coordinates
 from .models import (
     MODEL_KINDS,
-    HydraulicParameters,
     TmdParameters,
+    _as_hydraulic,
     assemble_combined,
     assemble_hydraulic,
     assemble_hydraulic_feedback,
@@ -195,6 +195,8 @@ class RunConfig:
             raise ValidationError(f"profile: unknown profile {self.profile!r}")
         if self.k_modes < 1:
             raise ValidationError("k_modes: must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed: {_NONNEGATIVE}, got {self.seed}")
         unknown_checks = set(self.checks) - set(CHECK_NAMES)
         if unknown_checks:
             raise ValidationError(f"checks: unknown toggles {sorted(unknown_checks)}")
@@ -221,11 +223,6 @@ class RunConfig:
 
         return is_const(self.rho) and is_const(self.EI)
 
-    def hydraulic_parameters(self) -> HydraulicParameters:
-        return HydraulicParameters(
-            **{f.name: getattr(self, f.name) for f in fields(HydraulicParameters)}
-        )
-
     def block_parameters(self) -> dict:
         """Every config value by name, as ``control_block`` reads block parameters."""
         return dataclasses.asdict(self)
@@ -244,8 +241,7 @@ def build_generator(cfg: RunConfig, params: BeamParameters | None = None) -> Dis
         return assemble_combined(beam, params, cfg.a, 0.0)
     if cfg.model == "tmd":
         return assemble_tmd(beam, params, TmdParameters(cfg.m1, cfg.k1, cfg.d1))
-    hyd = cfg.hydraulic_parameters()
-    gen = assemble_hydraulic(beam, params, hyd)
+    gen = assemble_hydraulic(beam, params, _as_hydraulic(cfg.block_parameters()))
     if cfg.model == "hydraulic_feedback":
         gen = assemble_hydraulic_feedback(gen, cfg.k_fb)
     return gen
@@ -355,19 +351,21 @@ class Runner:
     def _run_check(self, names: tuple[str, ...], method: str) -> None:
         """Call the check ``method`` unless every one of its ``names`` is disabled.
 
-        A :class:`ToolkitError` escaping the check fails each enabled name
-        the check has not recorded, with the message as ``error``.
+        A :class:`ToolkitError` or ``ArithmeticError`` escaping the check
+        fails each enabled name the check has not recorded, with the message
+        (an ``ArithmeticError``'s after its type name) as ``error``.
         """
         enabled = [name for name in names if self.cfg.enabled(name)]
         if not enabled:
             return
         try:
             getattr(self, method)()
-        except ToolkitError as exc:
+        except (ToolkitError, ArithmeticError) as exc:
+            error = str(exc) if isinstance(exc, ToolkitError) else f"{type(exc).__name__}: {exc}"
             recorded = {c.name for c in self.results}
             for name in enabled:
                 if name not in recorded:
-                    self._record(name, "fail", error=str(exc))
+                    self._record(name, "fail", error=error)
 
     # individual checks ---------------------------------------------------
 
@@ -467,7 +465,7 @@ class Runner:
         if cfg.model == "tmd":
             poly = [1.0, cfg.d1 / cfg.m1, cfg.k1 / cfg.m1]
         elif cfg.model in ("hydraulic", "hydraulic_feedback"):
-            poly = hydraulic_characteristic(cfg.hydraulic_parameters())
+            poly = hydraulic_characteristic(_as_hydraulic(cfg.block_parameters()))
         else:
             return
         stable = routh_hurwitz(poly)
@@ -527,7 +525,7 @@ class Runner:
         if cfg.model not in ("hydraulic", "hydraulic_feedback"):
             return
         grid = np.geomspace(1e-2, 100.0, 100)
-        rep = hydraulic_positivity_check(cfg.hydraulic_parameters(), grid)
+        rep = hydraulic_positivity_check(_as_hydraulic(cfg.block_parameters()), grid)
         self._record(
             "hydraulic_positivity",
             "pass" if rep.ok else "fail",

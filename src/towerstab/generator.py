@@ -120,7 +120,8 @@ class DiscreteGenerator(GramSystem):
     gain_i v_i v_i^T``.  ``blocks`` is the pair of passive blocks a
     generator was coupled from (set by
     :func:`~towerstab.passive_core.couple_systems`), ``None`` otherwise.
-    The dissipation defect is computed once and cached.
+    The dissipation defect and the undamped beam modes
+    (:func:`towerstab.timesim.beam_modes`) are computed once and cached.
     """
 
     def __init__(
@@ -140,6 +141,7 @@ class DiscreteGenerator(GramSystem):
         self.damping_channels = tuple(damping_channels)
         self.blocks = None
         self._defect: float | None = None
+        self._modes: tuple[np.ndarray, np.ndarray] | None = None
 
     def index(self, label: str) -> int:
         """Coordinate index of a labelled state component."""

@@ -188,23 +188,6 @@ def assemble_hydraulic(
     )
 
 
-def _state_blocks(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the (q, v) beam blocks of an assembled generator."""
-    q_idx = [
-        i
-        for i, lab in enumerate(gen.labels)
-        if lab.startswith("disp[") or lab.startswith("slope[")
-    ]
-    v_idx = [
-        i
-        for i, lab in enumerate(gen.labels)
-        if lab.startswith("vel[")
-        or lab.startswith("angvel[")
-        or lab in ("tip_velocity", "tip_angular_velocity")
-    ]
-    return np.asarray(q_idx), np.asarray(v_idx)
-
-
 def assemble_hydraulic_feedback(gen: DiscreteGenerator, k: float) -> DiscreteGenerator:
     """Close the generator-torque loop ``u = -k y`` around the hydraulic model.
 
@@ -430,26 +413,21 @@ def closed_form_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
     raise ValidationError(f"unknown closed-form kind {kind!r}")
 
 
-def state_space_reH2(kind: str, params: Mapping[str, float], s: float) -> np.ndarray:
-    """Hermitian part of the block transfer function from the state space.
+def _reH2_block(kind: str, params: Mapping[str, float]) -> PassiveSystem:
+    """The block of model ``kind`` at the printed formulas' premise: unit
+    inertias and unit fluid capacitance (``JT = JG = 1``, ``beta = V = 1``)."""
+    return control_block(kind, {**params, "JT": 1.0, "JG": 1.0, "beta": 1.0, "V": 1.0})
+
+
+def _reH2(sys: PassiveSystem, s: float) -> np.ndarray:
+    """``Re H_jj(is)`` of a block as the sum of its channels' squares.
 
     Evaluated through the supply-rate identity: with ``x_j = (is gram -
     flux)^{-1} gram_B e_j`` the storage term vanishes on the imaginary axis,
     so ``Re H_jj = sum gain |v . (x_j, e_j)|^2`` over the block's channels,
     free of the subtractive cancellation of ``(H + H*)/2`` when ``Re H`` is
-    orders of magnitude below ``|H|``.  The hydraulic block is taken at
-    ``JT = JG = 1``, the premise of the printed formulas.
+    orders of magnitude below ``|H|``.
     """
-    return _reH2(_reH2_block(kind, params), s)
-
-
-def _reH2_block(kind: str, params: Mapping[str, float]) -> PassiveSystem:
-    """The block of :func:`state_space_reH2`, hydraulic at ``JT = JG = 1``."""
-    return control_block(kind, {**params, "JT": 1.0, "JG": 1.0})
-
-
-def _reH2(sys: PassiveSystem, s: float) -> np.ndarray:
-    """``Re H_jj(is)`` of a block as the sum of its channels' squares."""
     X = _resolvent_apply(sys.gram, sys.flux, float(s), sys.gram_B)
     out = np.zeros((sys.p, sys.p))
     for j, xu in enumerate(np.vstack([X, np.eye(sys.p)]).T):

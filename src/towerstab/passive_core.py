@@ -30,7 +30,7 @@ from .generator import (
     energy_coordinates,
     symmetric_part,
 )
-from .spectral import _sample_grid, resolvent_norm
+from .spectral import _hit_level, _sample_grid, resolvent_norm
 
 PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -200,8 +200,7 @@ def transfer_function(sys: PassiveSystem, s: float) -> TransferSample:
     """
     X = _resolvent_apply(sys.gram, sys.flux, s, sys.gram_B)
     H = sys.C @ X + sys.D
-    eta = float(sla.eigvalsh(symmetric_part(H))[0])
-    return TransferSample(s=float(s), H=H, eta=eta)
+    return TransferSample(s=float(s), H=H, eta=accretive_lower_bound(H))
 
 
 @dataclass(frozen=True)
@@ -405,21 +404,26 @@ def check_feedback_bounds(
 
     ``sys_q`` must be a feedback-transformed passive block and ``c`` the
     accretivity constant of the loop gain; margins are (bound - value), so
-    nonnegative margins mean the estimate holds.
+    nonnegative margins mean the estimate holds.  Each frequency takes one
+    solve ``(is - T) [RB | R] = [B | I]`` in energy coordinates.
     """
-    T = energy_coordinates(sys_q).T
+    ec = energy_coordinates(sys_q)
     U = sys_q._factor()
     B = sla.solve_triangular(U.T, sys_q.gram_B, lower=True)  # U^{-T} gram_B
-    C_adj = sla.solve_triangular(U.T, sys_q.C.conj().T, lower=True)  # (C U^{-1})^*
+    C = sla.solve_triangular(U.T, sys_q.C.T, lower=True).T  # C U^{-1}
     eye = np.eye(sys_q.n)
+    rhs = np.hstack([B, eye])
     inv_c = 1.0 / c
 
     def evaluate(s):
-        r = resolvent_norm(sys_q, s)
-        X = _resolvent_apply(eye, T, s, B)
-        rb = float(sla.svdvals(X)[0])
-        cr = float(sla.svdvals(_resolvent_apply(eye, T.conj().T, -s, C_adj))[0])
-        h = float(sla.svdvals(C_adj.conj().T @ X + sys_q.D)[0])
+        X = _resolvent_apply(eye, ec.T, s, rhs)
+        RB, R = X[:, :sys_q.p], X[:, sys_q.p:]
+        r = float(sla.svdvals(R)[0])
+        if r * _hit_level(s, ec.norm_A) >= 1.0:
+            raise SpectrumHit(s)
+        rb = float(sla.svdvals(RB)[0])
+        cr = float(sla.svdvals(C @ R)[0])
+        h = float(sla.svdvals(C @ RB + sys_q.D)[0])
         return r, inv_c * r - rb**2, inv_c * r - cr**2, inv_c - h
 
     s_ok, values, excluded = _sample_grid(evaluate, s_grid)

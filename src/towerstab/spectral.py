@@ -71,6 +71,11 @@ SPECTRUM_HIT_FACTOR = 10.0
 _EPS = np.finfo(float).eps
 
 
+def _hit_level(s: float, norm_T: float) -> float:
+    """``sigma_min(is - T)`` at or below which ``is`` is a spectrum hit."""
+    return SPECTRUM_HIT_FACTOR * _EPS * (abs(s) + norm_T)
+
+
 def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
     """``1 / sigma_min(is - T)`` by a dense SVD; raises :class:`SpectrumHit` when singular.
 
@@ -78,7 +83,7 @@ def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
     """
     sv = sla.svdvals(1j * s * np.eye(T.shape[0]) - T)
     smin = float(sv[-1])
-    if smin <= SPECTRUM_HIT_FACTOR * _EPS * (abs(s) + norm_T):
+    if smin <= _hit_level(s, norm_T):
         raise SpectrumHit(s)
     return 1.0 / smin
 
@@ -160,14 +165,14 @@ def resolvent_norm(gen: GramSystem, s: float) -> float:
     factor, so calls on one object must not run concurrently.
     """
     s = float(s)
-    scale = abs(s) + energy_coordinates(gen).norm_A
-    hit = SPECTRUM_HIT_FACTOR * _EPS * scale
+    norm_T = energy_coordinates(gen).norm_A
+    hit = _hit_level(s, norm_T)
     R, diagonal, start = _schur_factor(gen)
     shifted = diagonal - 1j * s  # sigma(R - is) = sigma(is - R)
     if np.abs(shifted).min() <= hit:
         raise SpectrumHit(s)
     R.flat[:: R.shape[0] + 1] = shifted
-    norm = float(np.sqrt(_inverse_lanczos(R, start, scale)))
+    norm = float(np.sqrt(_inverse_lanczos(R, start, abs(s) + norm_T)))
     if norm * hit >= 1.0:
         raise SpectrumHit(s)
     return norm

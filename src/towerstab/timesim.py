@@ -30,8 +30,7 @@ import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError, ValidationError
-from .generator import DiscreteGenerator
-from .models import _state_blocks
+from .generator import DiscreteGenerator, _frozen
 
 INITIAL_DATA_PROFILES = ("smooth_modal", "tip_kick", "static_bend")
 
@@ -77,8 +76,9 @@ def simulate(
     a Gram-dissipative generator every step is energy non-increasing up to
     solver roundoff.
 
-    Raises :class:`NumericalError` naming the first step whose energy is not
-    finite; a non-finite state always makes its energy non-finite.
+    Raises :class:`NumericalError` naming ``T``, ``dt`` and the step count
+    when the step arrays cannot be allocated, and naming the first step
+    whose energy is not finite; a non-finite state makes its energy so.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (gen.dim,):
@@ -90,13 +90,18 @@ def simulate(
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
     n_steps = max(1, int(np.ceil(T / dt - 1e-9)))  # horizon always covers T
+    names = [ch.name for ch in gen.damping_channels]
+    try:
+        channels = np.empty((n_steps + 1, len(names)))
+        midpoints = np.empty((n_steps, len(names)))
+        energies = np.empty(n_steps + 1)
+    except (ValueError, MemoryError) as exc:
+        raise NumericalError(
+            f"cannot allocate the step arrays of T = {T} at dt = {dt} ({n_steps:.3g} steps): {exc}"
+        ) from exc
     operators = _sparse_operators if gen.dim >= SPARSE_MIN_DIM else _dense_operators
     M, F, solve = operators(gen, 0.5 * dt)
-    names = [ch.name for ch in gen.damping_channels]
     V = np.array([ch.vector for ch in gen.damping_channels], dtype=float).reshape(-1, gen.dim)
-    channels = np.empty((n_steps + 1, len(names)))
-    midpoints = np.empty((n_steps, len(names)))
-    energies = np.empty(n_steps + 1)
     z = z0.copy()
     e = 0.5 * float(z @ (M @ z))
     energies[0] = e
@@ -157,24 +162,32 @@ def _sparse_operators(gen: DiscreteGenerator, half_dt: float):
         raise NumericalError(f"midpoint factorization failed: {exc}") from exc
 
 
+def _beam_size(gen: DiscreteGenerator) -> int:
+    """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]``: every assembly
+    leads with the beam core, whose last state is ``tip_angular_velocity``."""
+    try:
+        return (gen.index("tip_angular_velocity") + 1) // 2
+    except KeyError:
+        raise ValidationError("generator does not carry beam blocks") from None
+
+
 def beam_modes(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
     """Undamped beam modes of an assembled generator.
 
-    Solves the pencil ``K phi = omega^2 M phi`` recovered from the Gram
-    blocks; returns angular frequencies (ascending) and mass-normalized mode
-    shapes with a fixed sign convention (positive tip displacement).
+    Solves the pencil ``K phi = omega^2 M phi`` of the Gram's ``(q, v)``
+    blocks once per generator and caches it, read-only; returns angular
+    frequencies (ascending) and mass-normalized mode shapes with a fixed
+    sign convention (positive tip displacement).
     """
-    q_idx, v_idx = _state_blocks(gen)
-    if q_idx.size == 0:
-        raise ValidationError("generator does not carry beam blocks")
-    K = gen.gram[np.ix_(q_idx, q_idx)]
-    M = gen.gram[np.ix_(v_idx, v_idx)]
-    lam, phi = sla.eigh(K, M)
-    for j in range(phi.shape[1]):
-        anchor = phi[-2, j] if abs(phi[-2, j]) > 1e-12 else phi[np.argmax(np.abs(phi[:, j])), j]
-        if anchor < 0:
-            phi[:, j] = -phi[:, j]
-    return np.sqrt(np.maximum(lam, 0.0)), phi
+    if gen._modes is None:
+        n = _beam_size(gen)
+        lam, phi = sla.eigh(gen.gram[:n, :n], gen.gram[n:2 * n, n:2 * n])
+        for j in range(phi.shape[1]):
+            anchor = phi[-2, j] if abs(phi[-2, j]) > 1e-12 else phi[np.argmax(np.abs(phi[:, j])), j]
+            if anchor < 0:
+                phi[:, j] = -phi[:, j]
+        gen._modes = (_frozen(np.sqrt(np.maximum(lam, 0.0))), _frozen(phi))
+    return gen._modes
 
 
 def default_timestep(gen: DiscreteGenerator, k_modes: int = 12) -> float:
@@ -199,7 +212,7 @@ def classical_initial_data(
     w(x) = x^2 with zero velocity.  Auxiliary (damper, drivetrain) states
     start at zero.
     """
-    q_idx, _ = _state_blocks(gen)
+    n = _beam_size(gen)
     z = np.zeros(gen.dim)
     if profile == "smooth_modal":
         omega, phi = beam_modes(gen)
@@ -212,18 +225,18 @@ def classical_initial_data(
         weights = np.sqrt(2.0) / (
             np.arange(1, k_modes + 1, dtype=float) ** 2 * omega[:k_modes]
         )
-        z[q_idx] = phi[:, :k_modes] @ weights
+        z[:n] = phi[:, :k_modes] @ weights
         return z
     if profile == "tip_kick":
         z[gen.index("tip_velocity")] = 1.0
         return z
     if profile == "static_bend":
-        n_nodes = q_idx.size // 2
+        n_nodes = n // 2
         h = 1.0 / n_nodes
         for i in range(1, n_nodes + 1):
             x = i * h
-            z[q_idx[2 * (i - 1)]] = x**2
-            z[q_idx[2 * (i - 1) + 1]] = 2.0 * x
+            z[2 * (i - 1)] = x**2
+            z[2 * (i - 1) + 1] = 2.0 * x
         return z
     raise ValidationError(
         f"unknown profile {profile!r}; expected one of {INITIAL_DATA_PROFILES}"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,51 @@ class TestCheckOutcomes:
                     assert not (bare and getattr(status, "value", None) == "not run"), (
                         method.name
                     )
+
+
+class TestExitCodes:
+    """Every run ends in a documented exit code: a rejected config is 2, and
+    a check that overflows or cannot allocate fails with exit 3 and a report."""
+
+    OVERFLOW = "OverflowError: "
+    HYDRAULIC_OVERFLOW = dict.fromkeys(
+        ("transfer_cross_validation", "routh_hurwitz", "hydraulic_positivity"), OVERFLOW
+    )
+
+    @pytest.mark.parametrize(
+        "overrides, argv, code, errors",
+        [
+            ({"seed": -1}, ["check"], cli.EXIT_VALIDATION, {}),
+            ({}, ["verify-all", "--seed", "-3"], cli.EXIT_VALIDATION, {}),
+            ({"a": 1e300}, ["verify-all"], cli.EXIT_CHECK_FAILED,
+             {"transfer_cross_validation": OVERFLOW}),
+            ({"model": "torque", "b": 1e200}, ["verify-all"], cli.EXIT_CHECK_FAILED,
+             {"transfer_cross_validation": OVERFLOW}),
+            ({"model": "tmd", "d1": 1e200}, ["verify-all"], cli.EXIT_CHECK_FAILED,
+             {"transfer_cross_validation": OVERFLOW}),
+            ({"model": "hydraulic", "Dp": 1e200}, ["verify-all"], cli.EXIT_CHECK_FAILED,
+             HYDRAULIC_OVERFLOW),
+            ({"EI": 1e300}, ["verify-all"], cli.EXIT_CHECK_FAILED,
+             {"dissipation_identity": "cannot allocate", "decay": "cannot allocate"}),
+        ],
+        ids=["seed", "seed-flag", "combined-a", "torque-b", "tmd-d1", "hydraulic-Dp", "EI"],
+    )
+    def test_every_run_ends_in_a_documented_exit_code(
+        self, tmp_path, capsys, overrides, argv, code, errors
+    ):
+        path = write_config(tmp_path, T=0.5, **overrides)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main([*argv, "--config", str(path)]) == code
+        report = tmp_path / "out" / "report.json"
+        if code == cli.EXIT_VALIDATION:
+            assert "config error: seed: must be nonnegative" in capsys.readouterr().err
+            assert not report.exists()
+            return
+        checks = json.loads(report.read_text())["checks"]
+        for name, prefix in errors.items():
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["error"].startswith(prefix), checks[name]
 
 
 class TestKernelEvidence:

@@ -255,6 +255,16 @@ class TestClosedForms:
         assert cv.matches, f"{kind}: max rel err {cv.max_rel_err:.2e}"
         assert cv.observed_ratio == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("capacitance", [{"beta": 2.0}, {"V": 2.0}])
+    def test_hydraulic_compared_at_the_printed_premise(self, desk_hydraulic, capacitance):
+        """The printed hydraulic formulas assume unit inertias and unit fluid
+        capacitance; the state-space side is taken there too, whatever the
+        configured ``V / beta``."""
+        params = {**dataclasses.asdict(desk_hydraulic), **capacitance}
+        cv = ts.cross_validate_reH2("hydraulic", params, np.geomspace(0.01, 100.0, 100))
+        assert cv.matches, f"max rel err {cv.max_rel_err:.2e}"
+        assert cv.observed_ratio == pytest.approx(1.0, abs=1e-10)
+
     def test_tmd_mass_factor_mismatch_reported(self):
         """Away from unit nacelle mass the printed damper formula carries an
         extra 1/m; the cross-validation reports the observed ratio m."""

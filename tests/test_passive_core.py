@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerstab as ts
+from towerstab import passive_core, spectral
+from towerstab.generator import energy_coordinates
 from towerstab.passive_core import _defect
 
 
@@ -167,6 +170,46 @@ class TestFeedbackTransform:
             out = ts.feedback_transform(sys, np.eye(2), 1.0)
             report = ts.check_feedback_bounds(out, 1.0, grid)
             assert report.max_violation <= 1e-10
+
+    @pytest.mark.parametrize(
+        "Q, c",
+        [(np.eye(2), 1.0), (np.diag([1.5 + 0.7j, 1.2 - 0.4j]), 1.2)],
+        ids=["real", "complex"],
+    )
+    def test_feedback_bounds_match_dense_oracles(self, monkeypatch, Q, c):
+        """One solve per frequency and no Schur resolvent: ``|R|`` equals the
+        dense-SVD reference, and ``R B``, ``C U^{-1} R`` and ``H`` equal
+        their products with the explicit inverse of ``is - T``."""
+        out = ts.feedback_transform(ts.random_passive_system(5, 2, seed=4), Q, c)
+        grid = np.geomspace(0.05, 50.0, 12)
+        solves = []
+        solve = passive_core._resolvent_apply
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(passive_core, "_resolvent_apply", counted)
+        monkeypatch.setattr(passive_core, "resolvent_norm", None)
+        report = ts.check_feedback_bounds(out, c, grid)
+        assert len(solves) == grid.size
+        assert report.excluded == () and np.array_equal(report.s_values, grid)
+
+        ec = energy_coordinates(out)
+        U = sla.cholesky(out.gram)
+        B = sla.solve_triangular(U, out.gram_B, trans="T")
+        C = out.C @ np.linalg.inv(U)
+        for k, s in enumerate(grid):
+            R = np.linalg.inv(1j * s * np.eye(out.n) - ec.T)
+            r = spectral._resolvent_from_shift(ec.T, s, ec.norm_A)
+            rb, cr, h = (np.linalg.norm(X, 2) for X in (R @ B, C @ R, C @ R @ B + out.D))
+            assert report.resolvent[k] == pytest.approx(r, rel=1e-10)
+            for margin, expected in (
+                (report.input_bound_margin[k], r / c - rb**2),
+                (report.output_bound_margin[k], r / c - cr**2),
+                (report.transfer_bound_margin[k], 1.0 / c - h),
+            ):
+                assert margin == pytest.approx(expected, rel=1e-9, abs=1e-10 * r / c)
 
     def test_complex_gain_supported(self):
         sys = ts.random_passive_system(4, 1, seed=2)

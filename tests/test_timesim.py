@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,6 +83,10 @@ class TestSimulate:
             ts.simulate(gen, np.zeros(3), 1.0, 0.1)
         with pytest.raises(ts.ValidationError, match="dt"):
             ts.simulate(gen, np.zeros(gen.dim), 1.0, 0.0)
+
+    def test_unallocatable_step_arrays_name_the_horizon(self):
+        with pytest.raises(ts.NumericalError, match=r"T = 0\.5 at dt = 1e-200 \(5e\+199 steps\)"):
+            ts.simulate(scalar_generator(), np.array([1.0]), 0.5, 1e-200)
 
 
 def reference_midpoint(gen, z0, n_steps, dt):
@@ -191,6 +198,57 @@ class TestInitialData:
         z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=4)
         for label in ("pump_speed_shift", "motor_speed_shift", "pressure"):
             assert z0[gen.index(label)] == 0.0
+
+
+class TestBeamModes:
+    def test_initial_data_and_timestep_share_one_eigensolve(
+        self, desk_beam, desk_params, monkeypatch
+    ):
+        gen = ts.assemble_combined(desk_beam, desk_params, 1.0, 1.0)
+        calls = []
+        eigh = timesim.sla.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(timesim.sla, "eigh", counted)
+        ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+        ts.default_timestep(gen, 12)
+        assert len(calls) == 1
+
+    def test_modes_cached_read_only_on_the_generator(self, desk_models):
+        gen = desk_models["hydraulic"]
+        omega, phi = ts.beam_modes(gen)
+        assert ts.beam_modes(gen) is ts.beam_modes(gen)
+        assert not omega.flags.writeable and not phi.flags.writeable
+
+    def test_beam_block_leads_every_layout(self, desk_models, feedback_fixture):
+        for gen in [*desk_models.values(), feedback_fixture]:
+            n = ts.beam_modes(gen)[1].shape[0]
+            assert all(lab.startswith(("disp[", "slope[")) for lab in gen.labels[:n])
+            velocities = ("vel[", "angvel[", "tip_velocity", "tip_angular_velocity")
+            assert all(lab.startswith(velocities) for lab in gen.labels[n:2 * n])
+
+    def test_generator_without_beam_rejected(self):
+        blocks = ts.random_passive_system(3, 1, 0), ts.random_passive_system(2, 1, 1)
+        gen = ts.couple_systems(*blocks)
+        with pytest.raises(ts.ValidationError, match="does not carry beam blocks"):
+            ts.beam_modes(gen)
+
+
+def test_timesim_imports_only_errors_and_generator():
+    """The integrator reads the beam block from the generator's layout, not
+    from the model assembly: its package imports are ``errors`` and
+    ``generator``."""
+    tree = ast.parse(Path(timesim.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "towerstab"))} == {".errors", ".generator"}
 
 
 class TestDissipationIdentity:
