@@ -64,6 +64,7 @@ from .spectral import (
     scan_resolvent,
 )
 from .timesim import (
+    IDENTITY_RTOL,
     classical_initial_data,
     default_timestep,
     fit_decay_rate,
@@ -503,7 +504,7 @@ class Runner:
         if cfg.enabled("dissipation_identity"):
             residual = verify_dissipation_identity(self.gen, traj)
             scale = traj.energies[0] or 1.0
-            ok = residual <= 1e-9 * scale and traj.is_monotone()
+            ok = residual <= IDENTITY_RTOL * scale and traj.is_monotone()
             self._record(
                 "dissipation_identity",
                 "pass" if ok else "fail",

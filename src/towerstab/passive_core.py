@@ -15,6 +15,7 @@ bound numerically.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -182,12 +183,17 @@ def _resolvent_apply(
 ) -> np.ndarray:
     """Solve ``(is M - F) x = rhs`` and flag numerically singular shifts."""
     shifted = 1j * s * M - F
-    try:
-        x = sla.solve(shifted, rhs)
-    except sla.LinAlgError as exc:
-        raise SpectrumHit(s, f"shift is M - F is singular at s={s}: {exc}") from exc
-    residual = np.linalg.norm(shifted @ x - rhs)
-    scale = np.linalg.norm(shifted, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
+    # The residual test below decides a near-singular shift, so LAPACK's
+    # ill-conditioning warning and an overflowing residual add nothing to it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        try:
+            x = sla.solve(shifted, rhs)
+        except sla.LinAlgError as exc:
+            raise SpectrumHit(s, f"shift is M - F is singular at s={s}: {exc}") from exc
+    with np.errstate(over="ignore"):
+        residual = np.linalg.norm(shifted @ x - rhs)
+        scale = np.linalg.norm(shifted, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
     if not np.all(np.isfinite(x)) or residual > 1e-8 * scale:
         raise SpectrumHit(s, f"shift is M - F is numerically singular at s={s}")
     return x

@@ -2,22 +2,35 @@
 
 The integrator is the implicit midpoint rule in descriptor form,
 
-    (M - dt/2 F) z_{n+1} = (M + dt/2 F) z_n,       F = M A,
+    (M - dt/2 F) z_{n+1} = (M + dt/2 F) z_n,       F = M A.
 
-factorized once per run.  Because the scheme conserves the quadratic form
-of the skew part of ``F`` exactly, the discrete energy balance
+Because the scheme conserves the quadratic form of the skew part of ``F``
+exactly, the discrete energy balance
 
     E_{n+1} - E_n = dt * Re <A z_mid, z_mid>_M = -dt * sum_i gain_i (v_i . z_mid)^2
 
-holds to linear-solver roundoff, which makes the models' dissipation
-identities machine-checkable.
+holds up to the backward error of the map that is applied, which makes the
+models' dissipation identities machine-checkable.
 
-There are two factorizations of ``M - dt/2 F``, chosen by dimension.  The
-assembled ``M`` and ``F`` have about five nonzeros per row, so from
-``SPARSE_MIN_DIM`` up a sparse LU (SuperLU) with CSR mat-vecs makes a step
-cost grow with ``dim`` instead of ``dim**2``.  Below it the fixed per-call
-cost of the sparse solve outweighs that, and a dense LU is faster; that
-path is bit-for-bit the plain ``lu_factor``/``lu_solve`` loop.
+The map is evaluated by one of three routes, chosen from the generator:
+
+* Below ``SPARSE_MIN_DIM`` the rule is one fixed Cayley map
+  ``C = (I - dt/2 T)^{-1} (I + dt/2 T)`` in energy coordinates ``y = U z``
+  (``M = U^T U``, ``T = U^{-T} F U^{-1}``).  From one eigendecomposition
+  ``T = X diag(lam) X^{-1}`` every step is ``mu**k`` with
+  ``mu = (1 + dt/2 lam) / (1 - dt/2 lam)``, so energies and channels are
+  filled in blocks of steps by matrix products, with no Python work per
+  step.  The computed pair carries its own backward error: it is the exact
+  decomposition of ``T + dT``, ``dT = -(T X - X diag(lam)) X^{-1}``, and
+  perturbs the per-step balance by ``y_mid^T sym(dT) y_mid``.  The route
+  is taken only when ``4 ||sym(dT)||_2 <= IDENTITY_RTOL / 2``, twice the
+  first-order bound ``2 ||sym(dT)||_2 E(0)`` on that perturbation.
+* Below ``SPARSE_MIN_DIM``, where that guard fails (the eigensolver's
+  error grows with the mesh), a dense LU of ``M - dt/2 F`` is factorized
+  once and its LAPACK solve is called step by step.
+* From ``SPARSE_MIN_DIM`` up the assembled ``M`` and ``F``, about five
+  nonzeros per row, are factorized by a sparse LU (SuperLU) and the
+  mat-vecs run in CSR, so a step costs O(dim) instead of O(dim**2).
 """
 
 from __future__ import annotations
@@ -30,14 +43,28 @@ import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError, ValidationError
-from .generator import DiscreteGenerator, _frozen
+from .generator import DiscreteGenerator, _frozen, energy_coordinates
 
 INITIAL_DATA_PROFILES = ("smooth_modal", "tip_kick", "static_bend")
 
 #: Generators of at least this dimension are integrated with a sparse LU
-#: and CSR mat-vecs.  Below it the dense LU's direct LAPACK solve is faster
-#: than SuperLU's per-call overhead; the two break even near dim 256.
+#: and CSR mat-vecs.  Below it the dense routes are faster than SuperLU's
+#: per-call overhead; the two LU loops break even near dim 256.
 SPARSE_MIN_DIM = 256
+
+#: Largest identity residual, relative to ``E(0)``, that the energy balance
+#: of a simulation may show; the step-free route must stay within half of it.
+IDENTITY_RTOL = 1e-9
+
+#: Most steps one simulation may take.  The step arrays (times, energies,
+#: and each channel at the steps and the midpoints) hold ``8 (2 + 2 r)``
+#: bytes a step, so with the four channels of hydraulic_feedback the budget
+#: is 800 MB, and a step loop at 20-135 us a step runs 3.3-23 minutes.
+STEP_BUDGET = 10_000_000
+
+#: Steps per block of the step-free route: its transient arrays are a few
+#: ``STEP_BLOCK x dim`` complex tables, a few hundred kB below dim 256.
+STEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -68,17 +95,22 @@ def simulate(
 ) -> EnergyTrajectory:
     """Integrate ``dz/dt = A z`` with the implicit midpoint rule.
 
-    ``M - dt/2 F`` is factorized once and reused for every step.  Below
-    ``SPARSE_MIN_DIM`` the factorization is a dense LU whose LAPACK solve
-    is called directly; from ``SPARSE_MIN_DIM`` up it is a sparse LU
-    (SuperLU) and both mat-vecs run in CSR, so the cost per step grows with
-    the nonzeros of the assembled matrices instead of with ``dim**2``.  For
-    a Gram-dissipative generator every step is energy non-increasing up to
-    solver roundoff.
+    Below ``SPARSE_MIN_DIM`` the steps are powers of the Cayley map's
+    eigenvalues in energy coordinates, evaluated in blocks of
+    ``STEP_BLOCK`` steps, when the eigendecomposition's own backward error
+    keeps the identity residual within ``IDENTITY_RTOL / 2`` of ``E(0)``;
+    otherwise a dense LU of ``M - dt/2 F`` is solved step by step.  From
+    ``SPARSE_MIN_DIM`` up each step is a sparse LU solve with CSR
+    mat-vecs.  Every route accumulates the energy from per-step increments
+    that carry no subtractive cancellation, so for a Gram-dissipative
+    generator every step is energy non-increasing up to that backward
+    error.
 
     Raises :class:`NumericalError` naming ``T``, ``dt`` and the step count
-    when the step arrays cannot be allocated, and naming the first step
-    whose energy is not finite; a non-finite state makes its energy so.
+    when the steps exceed ``STEP_BUDGET`` (before any allocation or
+    factorization) or the step arrays cannot be allocated, and naming the
+    first step whose energy is not finite; a non-finite state makes its
+    energy so.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (gen.dim,):
@@ -90,23 +122,41 @@ def simulate(
     if not T > 0:
         raise ValidationError(f"T must be positive, got {T}")
     n_steps = max(1, int(np.ceil(T / dt - 1e-9)))  # horizon always covers T
+    horizon = f"the step arrays of T = {T} at dt = {dt} ({n_steps:.3g} steps)"
+    if n_steps > STEP_BUDGET:
+        raise NumericalError(f"cannot allocate {horizon}: the step budget is {STEP_BUDGET:.0e} steps")
     names = [ch.name for ch in gen.damping_channels]
     try:
         channels = np.empty((n_steps + 1, len(names)))
         midpoints = np.empty((n_steps, len(names)))
         energies = np.empty(n_steps + 1)
-    except (ValueError, MemoryError) as exc:
-        raise NumericalError(
-            f"cannot allocate the step arrays of T = {T} at dt = {dt} ({n_steps:.3g} steps): {exc}"
-        ) from exc
-    operators = _sparse_operators if gen.dim >= SPARSE_MIN_DIM else _dense_operators
-    M, F, solve = operators(gen, 0.5 * dt)
+    except MemoryError as exc:
+        raise NumericalError(f"cannot allocate {horizon}: {exc}") from exc
     V = np.array([ch.vector for ch in gen.damping_channels], dtype=float).reshape(-1, gen.dim)
+    basis = _energy_eigenbasis(gen) if gen.dim < SPARSE_MIN_DIM else None
+    if basis is not None:
+        z = _step_free(gen, basis, z0, 0.5 * dt, V, energies, channels, midpoints)
+    else:
+        operators = _sparse_operators if gen.dim >= SPARSE_MIN_DIM else _dense_operators
+        z = _step_loop(operators(gen, 0.5 * dt), z0, dt, V, energies, channels, midpoints)
+    return EnergyTrajectory(
+        times=dt * np.arange(n_steps + 1),
+        energies=energies,
+        channels={name: channels[:, j] for j, name in enumerate(names)},
+        midpoint_channels={name: midpoints[:, j] for j, name in enumerate(names)},
+        dt=dt,
+        final_state=z,
+    )
+
+
+def _step_loop(operators, z0, dt, V, energies, channels, midpoints) -> np.ndarray:
+    """Fill the step arrays one solve with ``M - dt/2 F`` at a time; return the final state."""
+    M, F, solve = operators
     z = z0.copy()
     e = 0.5 * float(z @ (M @ z))
     energies[0] = e
     channels[0] = V @ z
-    for k in range(n_steps):
+    for k in range(midpoints.shape[0]):
         # The increment d = z_{k+1} - z_k solves (M - dt/2 F) d = dt F z_k,
         # so it is computed without subtractive cancellation; the energy
         # update (E_{k+1} = E_k + d . M z_mid) is then exact to the solver
@@ -122,14 +172,75 @@ def simulate(
         energies[k + 1] = e
         midpoints[k] = V @ z_mid
         channels[k + 1] = V @ z
-    return EnergyTrajectory(
-        times=dt * np.arange(n_steps + 1),
-        energies=energies,
-        channels={name: channels[:, j] for j, name in enumerate(names)},
-        midpoint_channels={name: midpoints[:, j] for j, name in enumerate(names)},
-        dt=dt,
-        final_state=z,
-    )
+    return z
+
+
+def _energy_eigenbasis(gen: DiscreteGenerator):
+    """Eigenpairs ``(lam, X)`` of ``T`` and the LU of ``X``, or ``None`` when
+    the guard of the module docstring refuses them,
+    ``4 ||sym(dT)||_2 > IDENTITY_RTOL / 2`` with ``dT = -(T X - X diag(lam)) X^{-1}``.
+    """
+    T = energy_coordinates(gen).T
+    try:
+        lam, X = sla.eig(T)
+        lu = sla.lu_factor(X)
+    except sla.LinAlgError:
+        return None
+    # dT^T = -X^{-T} (T X - X diag(lam))^T: one transposed solve with the LU.
+    dT = -sla.lu_solve(lu, (T @ X - X * lam).T, trans=1, check_finite=False).T
+    rho = np.linalg.norm(0.5 * (dT + dT.conj().T), 2)
+    if not 4.0 * rho <= 0.5 * IDENTITY_RTOL:
+        return None
+    return lam, X, lu
+
+
+def _step_free(gen, basis, z0, half_dt, V, energies, channels, midpoints) -> np.ndarray:
+    """Fill the step arrays from powers of the Cayley map's eigenvalues.
+
+    With ``a_k = mu**k * c`` and ``c = X^{-1} y_0``, step ``k`` has
+    ``y_k = X a_k`` and ``y_mid = X g_k``, ``g_k = a_k / (1 - dt/2 lam)``
+    (``(1 + mu) / 2 = 1 / (1 - dt/2 lam)``).  Like the loop, the energy is
+    accumulated from increments free of cancellation,
+    ``E_{k+1} - E_k = dt y_mid^T T_X y_mid = dt g_k^T (X^T X diag(lam)) g_k``
+    with ``T_X = X diag(lam) X^{-1}``, and channels ``v . z = (U^{-T} v) . y``
+    are read from ``g_k`` alone.  Returns the final state ``z = U^{-1} y_N``.
+    """
+    lam, X, lu = basis
+    n_steps = midpoints.shape[0]
+    r = V.shape[0]
+    U = gen._factor()
+    shrink = 1.0 - half_dt * lam                      # a_k = shrink * g_k
+    mu = (1.0 + half_dt * lam) / shrink
+    y0 = U @ z0
+    # check_finite=False lets a non-finite y0 reach the energy test below,
+    # which names step 0 as the loop does.
+    g = sla.lu_solve(lu, y0.astype(complex), check_finite=False) / shrink
+    WX = sla.solve_triangular(U, V.T, trans="T").T @ X
+    probes = np.hstack([(WX * shrink).T, WX.T])        # channels at y_k, then at y_mid
+    energy_form = 2.0 * half_dt * (X.T @ X) * lam
+    # E(0) and the channels at step 0 (set after the blocks) are read off z0
+    # as the loops read them.
+    energies[0] = 0.5 * float(z0 @ (gen.gram @ z0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = mu ** np.arange(STEP_BLOCK)[:, None]
+        for k0 in range(0, n_steps + 1, STEP_BLOCK):
+            G = powers[: n_steps + 1 - k0] * g
+            mids = min(G.shape[0], n_steps - k0)
+            signals = (G @ probes).real
+            channels[k0:k0 + G.shape[0]] = signals[:, :r]
+            midpoints[k0:k0 + mids] = signals[:mids, r:]
+            block = energies[k0:k0 + mids + 1]
+            block[1:] = np.einsum("ij,ij->i", G[:mids] @ energy_form, G[:mids]).real
+            np.cumsum(block, out=block)
+            bad = np.flatnonzero(~np.isfinite(block[1:]))
+            if bad.size:
+                raise NumericalError(
+                    f"step-free midpoint map produced non-finite energy at step {k0 + bad[0]}"
+                )
+            g = G[-1] * mu
+    channels[0] = V @ z0
+    y = (X @ (G[-1] * shrink)).real
+    return sla.solve_triangular(U, y)
 
 
 def _dense_operators(gen: DiscreteGenerator, half_dt: float):

@@ -12,7 +12,7 @@ import pytest
 
 import towerstab as ts
 import towerstab.cli as cli
-from towerstab import beam_fem, models, passive_core, spectral
+from towerstab import beam_fem, models, passive_core, spectral, timesim
 from towerstab.generator import energy_coordinates
 
 
@@ -433,6 +433,26 @@ class TestExitCodes:
         for name, prefix in errors.items():
             assert checks[name]["status"] == "fail"
             assert checks[name]["error"].startswith(prefix), checks[name]
+
+    def test_step_budget_fails_the_simulation_before_any_work(self, tmp_path, monkeypatch):
+        """The default step of the desk tmd model at ``EI = 1e6`` is 2.27e-7,
+        so ``T = 50`` asks for 2.2e8 steps, over ``timesim.STEP_BUDGET``: both
+        simulation checks fail with an error naming the horizon and the
+        budget, before any eigensolve or factorization, and the run ends in
+        exit 3 with a report."""
+
+        def refuse(*args):
+            raise AssertionError("the simulation started work over the step budget")
+
+        monkeypatch.setattr(timesim, "_energy_eigenbasis", refuse)
+        monkeypatch.setattr(timesim, "_dense_operators", refuse)
+        path = write_config(tmp_path, model="tmd", n_elements=16, k_modes=12, T=50.0, EI=1e6)
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        for name in ("dissipation_identity", "decay"):
+            assert checks[name]["status"] == "fail"
+            assert checks[name]["error"].startswith("cannot allocate the step arrays of T = 50.0")
+            assert checks[name]["error"].endswith("(2.2e+08 steps): the step budget is 1e+07 steps")
 
 
 class TestKernelEvidence:

@@ -110,12 +110,49 @@ def reference_midpoint(gen, z0, n_steps, dt):
 
 
 def force_path(monkeypatch, gen, path):
-    """Select the dense or the sparse factorization for ``gen``."""
-    threshold = gen.dim + 1 if path == "dense" else gen.dim
+    """Select the step-free route, the dense LU loop or the sparse LU loop for ``gen``."""
+    threshold = gen.dim if path == "sparse" else gen.dim + 1
     monkeypatch.setattr(timesim, "SPARSE_MIN_DIM", threshold)
+    if path == "dense":
+        monkeypatch.setattr(timesim, "_energy_eigenbasis", lambda gen: None)
+    elif path == "step_free":
+        assert timesim._energy_eigenbasis(gen) is not None, "the guard refuses the step-free route"
 
 
 class TestKernel:
+    def test_step_free_route_matches_lu_solve_loop(self, desk_models, monkeypatch):
+        """Both routes are midpoint maps of ``T`` up to a backward error, so
+        they agree to roundoff.  E(0) is the same quadratic form.  The energy
+        changes agree to the summed identity residuals (each route's energy
+        change equals its dissipated energy up to dt * residual per step).
+        Each step's evaluation moves the states apart by at most
+        ``dim * eps * |y_0|`` (energy norm ``|y_0|**2 = 2 E(0)``), and the
+        contractive maps carry that drift along, so the states and the
+        channels ``v . z = (U^{-T} v) . y`` agree to ``n * dim * eps`` of
+        ``|y_0|`` and of ``|U^{-T} v| |y_0|``."""
+        gen = desk_models["tmd"]
+        force_path(monkeypatch, gen, "step_free")
+        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+        dt = ts.default_timestep(gen, 12)
+        n = 1000
+        traj = ts.simulate(gen, z0, n * dt, dt)
+        energies, channels, midpoints, z = reference_midpoint(gen, z0, n, dt)
+        assert traj.energies[0] == energies[0]
+        loop = ts.EnergyTrajectory(
+            times=traj.times, energies=energies, channels={}, dt=dt, final_state=z,
+            midpoint_channels={name: np.array(m) for name, m in midpoints.items()},
+        )
+        residuals = [ts.verify_dissipation_identity(gen, t) for t in (traj, loop)]
+        change_gap = np.abs((traj.energies - traj.energies[0]) - (energies - energies[0])).max()
+        assert change_gap <= n * dt * sum(residuals)
+        drift = n * gen.dim * np.finfo(float).eps * np.sqrt(2.0 * energies[0])
+        assert np.sqrt(2.0 * gen.energy(traj.final_state - z)) <= drift
+        U = sla.cholesky(gen.gram)
+        for ch in gen.damping_channels:
+            tol = drift * np.linalg.norm(sla.solve_triangular(U, ch.vector, trans="T"))
+            assert np.abs(traj.channels[ch.name] - channels[ch.name]).max() <= tol
+            assert np.abs(traj.midpoint_channels[ch.name] - midpoints[ch.name]).max() <= tol
+
     def test_dense_path_reproduces_lu_solve_loop_bitwise(self, desk_models, monkeypatch):
         gen = desk_models["tmd"]
         force_path(monkeypatch, gen, "dense")
@@ -151,7 +188,7 @@ class TestKernel:
         rounding = gen.dim * np.finfo(float).eps * (np.abs(z0) @ np.abs(gen.gram) @ np.abs(z0))
         assert abs(dense[0] - sparse[0]) <= rounding
 
-    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    @pytest.mark.parametrize("path", ["step_free", "dense", "sparse"])
     def test_blow_up_names_the_step(self, monkeypatch, path):
         """A = 1, dt = 6: every step maps z to -2 z exactly, so the energy
         increment 1.5 z_k^2 = 1.5 * 4^k first overflows at k = 512."""
@@ -161,6 +198,32 @@ class TestKernel:
             ts.simulate(gen, np.array([1.0]), 6000.0, 6.0)
         with pytest.raises(ts.NumericalError, match=r"step 0$"):
             ts.simulate(gen, np.array([np.nan]), 60.0, 6.0)
+
+
+class TestRouteGuard:
+    @pytest.mark.parametrize("model", ["tmd", "combined"])
+    def test_fine_mesh_keeps_the_lu_loop(self, desk_params, desk_tmd, monkeypatch, model):
+        """At n_elements 48 (dim 194 and 192) the eigendecomposition's
+        backward error bound ``4 ||sym(dT)||_2`` exceeds ``IDENTITY_RTOL / 2``,
+        so the dense LU loop integrates, and its identity residual stays
+        within the ``dissipation_identity`` bound."""
+        beam = ts.build_beam_matrices(desk_params, 48)
+        if model == "tmd":
+            gen = ts.assemble_tmd(beam, desk_params, desk_tmd)
+        else:
+            gen = ts.assemble_combined(beam, desk_params, 1.0, 1.0)
+        assert gen.dim < timesim.SPARSE_MIN_DIM
+        assert timesim._energy_eigenbasis(gen) is None
+        loops = []
+        dense = timesim._dense_operators
+        monkeypatch.setattr(
+            timesim, "_dense_operators", lambda *args: loops.append(args) or dense(*args)
+        )
+        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+        traj = ts.simulate(gen, z0, 5.0, ts.default_timestep(gen, 12))
+        assert len(loops) == 1
+        assert ts.verify_dissipation_identity(gen, traj) <= 1e-9 * traj.energies[0]
+        assert traj.is_monotone()
 
 
 class TestInitialData:
