@@ -431,6 +431,8 @@ class Runner:
             "pass" if ok else "fail",
             max_real_part=rep.max_real_part,
             asymptotic_slope=rep.asymptotic_slope,
+            route=rep.route,
+            trace_residual=rep.trace_residual,
         )
 
     def _is_damped(self) -> bool:

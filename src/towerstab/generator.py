@@ -73,10 +73,10 @@ class GramSystem:
     arrays an assembly produces.  The Gram is checked symmetric positive
     definite on construction; its Cholesky factor is not kept.  ``A`` is
     derived on first read by one Cholesky solve.  Instances are immutable
-    by convention, so :func:`energy_coordinates`,
-    :func:`_energy_eigenvalues` and the resolvent's Schur factor
-    (:func:`towerstab.spectral.resolvent_norm`) cache their data on the
-    object.
+    by convention, so :func:`energy_coordinates`, the spectrum
+    (:func:`towerstab.spectral.energy_spectrum`) and the resolvent's Schur
+    factor (:func:`towerstab.spectral.resolvent_norm`) cache their data on
+    the object.
     """
 
     def __init__(self, gram: np.ndarray, flux: np.ndarray):
@@ -88,7 +88,7 @@ class GramSystem:
             raise DimensionError(f"flux must be {n}x{n} like gram, got {self.flux.shape}")
         self._A: np.ndarray | None = None
         self._coords: EnergyCoordinates | None = None
-        self._eigenvalues: np.ndarray | None = None
+        self._eigenvalues = None  # a spectral.Spectrum once computed
         self._schur: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @staticmethod
@@ -189,13 +189,29 @@ def transform_flux(flux: np.ndarray, U: np.ndarray) -> np.ndarray:
     """``U^{-T} flux U^{-1}``, the generator in energy coordinates.
 
     Equals ``U A U^{-1}`` for ``flux = gram A`` and ``gram = U^T U``, but the
-    congruence-style evaluation preserves the assembled symmetric part.
+    congruence-style evaluation preserves the assembled symmetric part.  The
+    second solve runs in the first one's buffer, transposed in place, so the
+    transform holds two ``dim^2`` arrays besides ``U`` instead of three.
     """
     try:
-        left = sla.solve_triangular(U.T, flux, lower=True)
-        return sla.solve_triangular(U.T, left.T, lower=True).T
+        left = sla.solve_triangular(U.T, flux, lower=True)  # Fortran-ordered
+        _transpose_in_place(left)
+        return sla.solve_triangular(U.T, left, lower=True, overwrite_b=True).T
     except sla.LinAlgError as exc:  # pragma: no cover - U is an SPD factor
         raise NumericalError(f"energy transform failed: {exc}") from exc
+
+
+def _transpose_in_place(a: np.ndarray, block: int = 256) -> None:
+    """Transpose a square array in place, one pair of ``block``-square tiles at a time."""
+    n = a.shape[0]
+    for i in range(0, n, block):
+        rows = slice(i, i + block)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + block, n, block):
+            cols = slice(j, j + block)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -219,11 +235,14 @@ def energy_coordinates(gen: GramSystem) -> EnergyCoordinates:
 
 
 def _energy_eigenvalues(gen: GramSystem) -> np.ndarray:
-    """Eigenvalues of ``T`` in LAPACK order, computed once per object."""
-    if gen._eigenvalues is None:
-        try:
-            lam = sla.eigvals(energy_coordinates(gen).T)
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed: {exc}") from exc
-        gen._eigenvalues = _frozen(lam)
-    return gen._eigenvalues
+    """Eigenvalues of ``T`` by a dense ``eigvals``, in LAPACK order.
+
+    The route of :func:`towerstab.spectral.energy_spectrum` for objects
+    without a modal form, and the reference that form is tested against;
+    the spectrum is cached there, not here.
+    """
+    try:
+        lam = sla.eigvals(energy_coordinates(gen).T)
+    except sla.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return _frozen(lam)

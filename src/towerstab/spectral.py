@@ -2,11 +2,12 @@
 
 All quantities are computed on the energy-coordinate representative
 ``T = U A U^{-1}`` (with ``gram = U^T U``): the resolvent norm is the
-reciprocal smallest singular value of the shifted matrix, eigenvalues are
-those of ``T`` (well conditioned there because damped generators are small
-perturbations of skew matrices), and the kernel diagnostic is the singular
-spectrum of ``T`` itself, i.e. the reciprocal of the energy-norm resolvent
-at zero frequency.
+reciprocal smallest singular value of the shifted matrix, and the kernel
+diagnostic is the singular spectrum of ``T`` itself, i.e. the reciprocal of
+the energy-norm resolvent at zero frequency.  Eigenvalues are those of
+``T``; a beam generator's come from its modal form
+(:mod:`towerstab.modal`) when that form's guard accepts them, anything
+else's from a dense ``eigvals`` of ``T``.
 
 Resolvent norms are read from one complex Schur factor ``T = Z R Z^H`` per
 generator or block, computed on the first call and cached on the object.
@@ -18,6 +19,7 @@ inverse Lanczos steps, each two triangular solves with the shifted ``R``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,14 +30,18 @@ from .generator import (
     DiscreteGenerator,
     GramSystem,
     _energy_eigenvalues,
+    _frozen,
     energy_coordinates,
 )
+from .modal import modal_roots
 
 #: scans and asymptotic fits are restricted to s below this fraction of the
 #: largest discrete eigenfrequency; the mesh misrepresents the band above.
 RELIABLE_BAND_FRACTION = 0.5
 DEFAULT_FIT_LOW = 2.0
 KERNEL_TOL = 1e-8
+#: Largest object whose spectrum the dense ``eigvals`` computes.
+DENSE_MAX_DIM = 4000
 
 
 @dataclass(frozen=True)
@@ -56,12 +62,52 @@ class ResolventScan:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Full spectrum of a generator with axis-distance diagnostics."""
+    """Full spectrum of a generator with axis-distance diagnostics.
+
+    ``route`` and ``trace_residual`` are those of :class:`Spectrum`.
+    """
 
     eigenvalues: np.ndarray
     max_real_part: float
     asymptotic_slope: float
     fit_band: tuple[float, float]
+    route: str
+    trace_residual: float | None
+
+
+class Spectrum(NamedTuple):
+    """Eigenvalues of a generator or block and how they were computed.
+
+    ``route`` is "modal" (:func:`towerstab.modal.modal_roots`, accepted by
+    its guard) or "dense" (:func:`towerstab.generator._energy_eigenvalues`).
+    ``trace_residual`` is the modal solve's relative trace-identity
+    residual, also when its guard sent the spectrum to the dense route;
+    ``None`` when the object has no modal form.
+    """
+
+    eigenvalues: np.ndarray
+    route: str
+    trace_residual: float | None
+
+
+def energy_spectrum(gen: GramSystem) -> Spectrum:
+    """Eigenvalues of ``gen`` in the energy norm, computed once and cached on it.
+
+    Raises :class:`ValidationError` when the dense route would exceed
+    ``DENSE_MAX_DIM``.
+    """
+    if gen._eigenvalues is None:
+        roots = modal_roots(gen) if isinstance(gen, DiscreteGenerator) else None
+        residual = None if roots is None else roots.trace_residual
+        if roots is not None and roots.accepted:
+            gen._eigenvalues = Spectrum(_frozen(roots.eigenvalues), "modal", residual)
+        elif gen.dim > DENSE_MAX_DIM:
+            raise ValidationError(
+                f"dense eigensolve limited to dimension {DENSE_MAX_DIM}, got {gen.dim}"
+            )
+        else:
+            gen._eigenvalues = Spectrum(_energy_eigenvalues(gen), "dense", residual)
+    return gen._eigenvalues
 
 
 #: ``is`` counts as a spectrum hit when the shifted matrix has a singular
@@ -216,7 +262,7 @@ def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np
 
 def mesh_frequency(gen: DiscreteGenerator) -> float:
     """Largest discrete eigenfrequency (max |Im lambda| over the spectrum)."""
-    return float(np.abs(_energy_eigenvalues(gen).imag).max())
+    return float(np.abs(energy_spectrum(gen).eigenvalues.imag).max())
 
 
 def power_fit(x: np.ndarray, y: np.ndarray) -> float:
@@ -257,17 +303,14 @@ def scan_resolvent(
 
 
 def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
-    """Dense spectrum of the generator with the axis-approach slope.
+    """Spectrum of the generator (:func:`energy_spectrum`) with the axis-approach slope.
 
     ``asymptotic_slope`` fits ``log |Re lambda|`` against ``log |Im lambda|``
     over eigenvalues whose frequency lies in the reliable band, from 2 up to
     half the largest eigenfrequency.
     """
-    if gen.dim > 4000:
-        raise ValidationError(
-            f"dense eigensolve limited to dimension 4000, got {gen.dim}"
-        )
-    lam = _energy_eigenvalues(gen)
+    spectrum = energy_spectrum(gen)
+    lam = spectrum.eigenvalues
     lam = lam[np.argsort(lam.imag, kind="stable")]
     band_hi = RELIABLE_BAND_FRACTION * float(np.abs(lam.imag).max())
     mask = (
@@ -286,6 +329,8 @@ def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
         max_real_part=float(lam.real.max()),
         asymptotic_slope=slope,
         fit_band=(DEFAULT_FIT_LOW, band_hi),
+        route=spectrum.route,
+        trace_residual=spectrum.trace_residual,
     )
 
 

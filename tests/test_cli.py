@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -433,6 +434,22 @@ class TestExitCodes:
         for name, prefix in errors.items():
             assert checks[name]["status"] == "fail"
             assert checks[name]["error"].startswith(prefix), checks[name]
+
+    def test_diverging_step_loop_fails_without_warnings(self):
+        """A diverging run is decided by the loop's finiteness test alone:
+        no numpy warning escapes on the way, and the failure names the step
+        (324 here; the step of an overflow moves with the last bits of dt
+        and of the initial data, so only its form is asserted)."""
+        runner = cli.Runner(cli.RunConfig.from_dict({"model": "tmd", "d1": 1e200}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = runner.run_all()
+        (identity,) = [c for c in report.checks if c.name == "dissipation_identity"]
+        assert identity.status == "fail"
+        assert re.fullmatch(
+            r"midpoint solve produced non-finite state or energy at step \d+",
+            identity.evidence["error"],
+        )
 
     def test_step_budget_fails_the_simulation_before_any_work(self, tmp_path, monkeypatch):
         """The default step of the desk tmd model at ``EI = 1e6`` is 2.27e-7,
