@@ -339,12 +339,12 @@ def test_criterion_7_random_passive_suite():
         n = int(rng.integers(2, 7))
         p = int(rng.integers(1, 4))
         sys = ts.random_passive_system(n, p, seed=SEED + i)
-        cert = ts.verify_passivity(sys, n_samples=20, seed=i)
+        cert = ts.verify_passivity(sys)
         assert cert.passive
-        worst_defect = min(worst_defect, cert.min_defect)
+        worst_defect = min(worst_defect, -cert.lambda_max)
         worst_lambda = max(worst_lambda, cert.lambda_max)
         closed = ts.feedback_transform(sys, np.eye(p), 1.0)
-        cert2 = ts.verify_passivity(closed, n_samples=10, seed=i)
+        cert2 = ts.verify_passivity(closed)
         assert cert2.passive
         bounds = ts.check_feedback_bounds(closed, 1.0, grid)
         worst_violation = max(worst_violation, bounds.max_violation)

@@ -214,6 +214,25 @@ class TestVerifyAll:
         cli.main(["verify-all", "--config", str(path)])
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
+    def test_seed_is_recorded_only(self, tmp_path):
+        """Desk tmd with seed 0 and 7: the reports differ only in the
+        provenance's seed and config hash, and every CSV is byte-identical."""
+        reports, csvs = [], []
+        for seed in (0, 7):
+            out = tmp_path / f"seed{seed}"
+            path = tmp_path / f"seed{seed}.json"
+            path.write_text(json.dumps({"model": "tmd", "seed": seed, "out_dir": str(out)}))
+            assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            provenance = report["provenance"]
+            assert provenance.pop("seed") == seed
+            reports.append((report, provenance.pop("config_hash")))
+            csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        (first, hash0), (second, hash7) = reports
+        assert first == second and hash0 != hash7
+        assert csvs[0] == csvs[1]
+        assert sorted(csvs[0]) == ["scan.csv", "spectrum.csv", "trajectory.csv"]
+
     def test_artifact_set(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["verify-all", "--config", str(path)])

@@ -144,7 +144,7 @@ class TestHydraulic:
         assert gen.gram[i5, i5] == 2.0
         assert gen.gram[i6, i6] == 0.5
         assert np.array_equal(gen.flux, unit.flux)
-        assert ts.verify_passivity(ts.hydraulic_block(hyd), n_samples=50).passive
+        assert ts.verify_passivity(ts.hydraulic_block(hyd)).passive
 
     def test_dissipation_identity_on_random_states(self, desk_models, desk_hydraulic):
         gen = desk_models["hydraulic"]

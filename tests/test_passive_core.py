@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerstab as ts
-from towerstab import passive_core, spectral
+from towerstab import models, passive_core, spectral
+from towerstab.cli import RunConfig
 from towerstab.generator import energy_coordinates
 from towerstab.passive_core import _defect
 
@@ -18,20 +19,29 @@ def lossless_system(n=4, p=2, seed=3):
     return ts.PassiveSystem(flux=S, gram_B=B, C=B.T, D=np.zeros((p, p)), gram=np.eye(n))
 
 
+def scalar_block(flux, D=0.0):
+    """One state, one port, unit Gram, ``gram_B = C = 1``."""
+    return ts.PassiveSystem(
+        flux=np.array([[flux]]), gram_B=np.eye(1), C=np.eye(1), D=np.array([[D]]),
+        gram=np.eye(1),
+    )
+
+
 class TestVerifyPassivity:
     def test_torque_block_is_passive_with_quadratic_defect(self):
         sys = ts.torque_block(b=1.0, J=1.0)
-        report = ts.verify_passivity(sys, n_samples=100, seed=0)
+        report = ts.verify_passivity(sys)
         assert report.passive
-        assert report.min_defect >= -1e-12
+        assert report.lambda_max <= 1e-12
         # defect equals b |x|^2 for this block
         assert _defect(sys, np.array([2.0]), np.array([0.3])) == pytest.approx(4.0)
 
     def test_lossless_block_has_identically_zero_defect(self):
         sys = lossless_system()
-        report = ts.verify_passivity(sys, n_samples=200, seed=1)
+        report = ts.verify_passivity(sys)
         assert report.passive
-        assert abs(report.min_defect) <= 1e-12
+        eig = sla.eigvalsh(passive_core._passivity_form(sys))
+        assert abs(eig[0]) <= 1e-12 and abs(eig[-1]) <= 1e-12
         assert abs(report.lambda_max) <= 1e-12
 
     def test_hydraulic_block_defect_is_the_stated_sum_of_squares(
@@ -57,9 +67,9 @@ class TestVerifyPassivity:
             D=np.zeros((1, 1)),
             gram=np.eye(1),
         )
-        report = ts.verify_passivity(sys, n_samples=50, seed=0)
+        report = ts.verify_passivity(sys)
         assert not report.passive
-        assert report.min_defect < -1e-3
+        assert report.lambda_max > 1e-3
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ts.DimensionError):
@@ -67,6 +77,53 @@ class TestVerifyPassivity:
                 flux=np.eye(2), gram_B=np.ones((3, 1)), C=np.ones((1, 2)),
                 D=np.zeros((1, 1)), gram=np.eye(2),
             )
+
+
+CERTIFIED_BLOCKS = (
+    *(f"control_{kind}" for kind in models.MODEL_KINDS),
+    "tmd_tip", "tmd_tip_feedback", "hydraulic_tip", "hydraulic_tip_feedback",
+    "random_5x2", "random_3x1", "random_6x3", "complex_gain_feedback",
+)
+
+
+@pytest.fixture(scope="module")
+def certified_blocks(desk_beam, desk_params):
+    blocks = {
+        f"control_{kind}": models.control_block(kind, RunConfig().block_parameters())
+        for kind in models.MODEL_KINDS
+    }
+    for model, port in (("tmd", "displacement"), ("hydraulic", "rotation")):
+        tip = ts.scole_tip_block(desk_beam, desk_params, port)
+        blocks[f"{model}_tip"] = tip
+        blocks[f"{model}_tip_feedback"] = ts.feedback_transform(tip, np.eye(1), 1.0)
+    for seed, (n, p) in enumerate(((5, 2), (3, 1), (6, 3))):
+        blocks[f"random_{n}x{p}"] = ts.random_passive_system(n, p, seed=seed)
+    blocks["complex_gain_feedback"] = ts.feedback_transform(
+        ts.random_passive_system(4, 1, seed=2), np.array([[1.5 + 0.7j]]), 1.5
+    )
+    return blocks
+
+
+@pytest.mark.parametrize("name", CERTIFIED_BLOCKS)
+def test_certificate_is_the_minimum_defect_over_unit_pairs(certified_blocks, name):
+    """``-lambda_max`` is the smallest defect of a unit pair: ``_defect`` at
+    the form's top eigenvector attains it, and no random unit pair reads
+    below it.  The tolerance is the rounding scale of evaluating the defect
+    with the unsymmetrised block matrix ``N``, ``dim eps |N|``."""
+    sys = certified_blocks[name]
+    n, dim = sys.n, sys.n + sys.p
+    report = ts.verify_passivity(sys)
+    N = np.block([[sys.flux, sys.gram_B], [-sys.C, -sys.D]])
+    tol = dim * np.finfo(float).eps * np.linalg.norm(N, 2)
+    top = sla.eigh(passive_core._passivity_form(sys))[1][:, -1]
+    assert _defect(sys, top[:n], top[n:]) == pytest.approx(-report.lambda_max, abs=tol)
+    rng = np.random.default_rng(dim)
+    for _ in range(200):
+        w = rng.standard_normal(dim)
+        if not sys.is_real():
+            w = w + 1j * rng.standard_normal(dim)
+        w /= np.linalg.norm(w)
+        assert _defect(sys, w[:n], w[n:]) >= -report.lambda_max - tol
 
 
 class TestTransferFunction:
@@ -160,7 +217,7 @@ class TestFeedbackTransform:
         for seed in range(5):
             sys = ts.random_passive_system(6, 2, seed=seed)
             out = ts.feedback_transform(sys, np.eye(2), 1.0)
-            report = ts.verify_passivity(out, n_samples=50, seed=seed)
+            report = ts.verify_passivity(out)
             assert report.passive
 
     def test_resolvent_bounds_hold_on_grid(self):
@@ -215,7 +272,17 @@ class TestFeedbackTransform:
         sys = ts.random_passive_system(4, 1, seed=2)
         Q = np.array([[1.5 + 0.7j]])
         out = ts.feedback_transform(sys, Q, 1.5)
-        assert ts.verify_passivity(out, n_samples=50, seed=0).passive
+        assert ts.verify_passivity(out).passive
+
+    def test_active_output_fails_recertification(self):
+        sys = scalar_block(flux=2.0)
+        with pytest.raises(ts.NumericalError, match="lost passivity"):
+            ts.feedback_transform(sys, np.array([[1.0]]), 1.0)
+
+    def test_singular_loop_rejected(self):
+        sys = scalar_block(flux=-1.0, D=-1.0)
+        with pytest.raises(ts.NumericalError, match=r"I \+ DQ is near-singular"):
+            ts.feedback_transform(sys, np.array([[1.0]]), 1.0)
 
 
 class TestCoupleSystems:
@@ -273,6 +340,10 @@ class TestCoupleSystems:
         sys2 = ts.random_passive_system(4, 2, seed=22)
         gen = ts.couple_systems(sys1, sys2)
         assert gen.dissipation_defect() <= 1e-10
+
+    def test_active_block_rejected(self):
+        with pytest.raises(ts.NumericalError, match="not Gram-dissipative"):
+            ts.couple_systems(scalar_block(flux=1.0), ts.torque_block(1.0, 1.0))
 
 
 class TestRouthHurwitz:
@@ -348,7 +419,7 @@ class TestCoupledResolventBound:
 def test_random_passive_systems_are_positive_real(seed, n, p, s):
     """lambda_min(Re H(is)) >= 0 whenever is is in the resolvent set."""
     sys = ts.random_passive_system(n, p, seed=seed)
-    assert ts.verify_passivity(sys, n_samples=30, seed=seed).passive
+    assert ts.verify_passivity(sys).passive
     try:
         sample = ts.transfer_function(sys, s)
     except ts.SpectrumHit:
