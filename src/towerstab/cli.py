@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .beam_fem import (
@@ -549,8 +550,29 @@ class Runner:
                 "seed": self.cfg.seed,
                 "toolkit_version": __version__,
                 "model": self.cfg.model,
+                "libraries": _library_builds(),
             },
         )
+
+
+def _library_builds() -> dict:
+    """numpy's and scipy's versions and the BLAS and LAPACK builds each loads.
+
+    Read from ``show_config(mode="dicts")``; the two packages ship separate
+    OpenBLAS builds, whose versions and threading settings can move the last
+    digits of a result.
+    """
+    builds = {}
+    for module in (np, scipy):
+        deps = module.show_config(mode="dicts")["Build Dependencies"]
+        builds[module.__name__] = {
+            "version": module.__version__,
+            **{
+                lib: {key: deps[lib].get(key) for key in ("name", "version", "openblas configuration")}
+                for lib in ("blas", "lapack")
+            },
+        }
+    return builds
 
 
 def emit_report(

@@ -63,7 +63,8 @@ def check_spd(M: np.ndarray, name: str = "gram") -> np.ndarray:
 
 
 def symmetric_part(F: np.ndarray) -> np.ndarray:
-    return 0.5 * (F + F.conj().T)
+    """Hermitian part of a square matrix, or of each matrix of a stack."""
+    return 0.5 * (F + F.conj().swapaxes(-1, -2))
 
 
 class GramSystem:

@@ -15,7 +15,6 @@ bound numerically.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +30,7 @@ from .generator import (
     energy_coordinates,
     symmetric_part,
 )
-from .spectral import _hit_level, _sample_grid, resolvent_norm
+from .spectral import STACK_ENTRIES, _as_grid, _hit_level, resolvent_norms
 
 PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -143,34 +142,84 @@ def verify_passivity(sys: PassiveSystem) -> PassivityReport:
 
 
 def _resolvent_apply(
-    M: np.ndarray, F: np.ndarray, s: float, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve ``(is M - F) x = rhs`` and flag numerically singular shifts."""
-    shifted = 1j * s * M - F
-    # The residual test below decides a near-singular shift, so LAPACK's
-    # ill-conditioning warning and an overflowing residual add nothing to it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
+    M: np.ndarray, F: np.ndarray, grid: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``(is M - F) X = rhs`` at every frequency ``s`` of ``grid``.
+
+    Returns the solutions, stacked along the first axis, and a mask of the
+    numerically singular shifts: those LAPACK rejects, those with a
+    non-finite solution and those whose residual exceeds ``1e-8 (|is M -
+    F|_1 |X| + |rhs|)``.  The shifts are solved in stacks of at most
+    ``STACK_ENTRIES`` matrix entries by one ``np.linalg.solve`` each, so a
+    beam-sized system takes one shift per stack.  LAPACK rejects a whole
+    stack for one exactly singular shift; its shifts are then solved one by
+    one.  The solution of every hit is NaN.
+    """
+    X = np.full((grid.size, *rhs.shape), np.nan, dtype=complex)
+    hit = np.empty(grid.size, dtype=bool)
+    step = max(1, STACK_ENTRIES // M.size)
+    for start in range(0, grid.size, step):
+        part = slice(start, start + step)
+        shifted = 1j * grid[part, None, None] * M - F
         try:
-            x = sla.solve(shifted, rhs)
-        except sla.LinAlgError as exc:
-            raise SpectrumHit(s, f"shift is M - F is singular at s={s}: {exc}") from exc
-    with np.errstate(over="ignore"):
-        residual = np.linalg.norm(shifted @ x - rhs)
-        scale = np.linalg.norm(shifted, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
-    if not np.all(np.isfinite(x)) or residual > 1e-8 * scale:
-        raise SpectrumHit(s, f"shift is M - F is numerically singular at s={s}")
-    return x
+            X[part] = np.linalg.solve(shifted, rhs)
+        except np.linalg.LinAlgError:
+            for k, matrix in enumerate(shifted, start):
+                try:
+                    X[k] = np.linalg.solve(matrix, rhs)
+                except np.linalg.LinAlgError:
+                    pass  # left NaN, so flagged below
+        # The tests below decide a near-singular shift, so an overflowing
+        # residual adds nothing to them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.linalg.norm(shifted @ X[part] - rhs, axis=(1, 2))
+            scale = np.abs(shifted).sum(axis=1).max(axis=1) * np.linalg.norm(
+                X[part], axis=(1, 2)
+            ) + np.linalg.norm(rhs)
+            hit[part] = ~np.isfinite(X[part]).all(axis=(1, 2)) | (residual > 1e-8 * scale)
+    X[hit] = np.nan
+    return X, hit
+
+
+@dataclass(frozen=True)
+class TransferGrid:
+    """Transfer function over a frequency grid.
+
+    ``H[k]`` and ``eta[k]`` are the :class:`TransferSample` values at
+    ``s_values[k]``; where ``hit[k]`` flags a spectrum hit both are NaN.
+    """
+
+    s_values: np.ndarray
+    H: np.ndarray
+    eta: np.ndarray
+    hit: np.ndarray
+
+
+def transfer_grid(sys: PassiveSystem, s_grid: Sequence[float]) -> TransferGrid:
+    """Sample ``H(is) = C (is gram - flux)^{-1} gram_B + D`` on a grid of real frequencies.
+
+    All frequencies share the stacked solves of :func:`_resolvent_apply`.
+    Raises :class:`ValidationError` for an empty or non-finite grid.
+    """
+    grid = _as_grid(s_grid)
+    X, hit = _resolvent_apply(sys.gram, sys.flux, grid, sys.gram_B)
+    H = sys.C @ X + sys.D
+    eta = np.full(grid.size, np.nan)
+    ok = ~hit
+    eta[ok] = np.linalg.eigvalsh(symmetric_part(H[ok]))[:, 0]
+    return TransferGrid(s_values=grid, H=H, eta=eta, hit=hit)
 
 
 def transfer_function(sys: PassiveSystem, s: float) -> TransferSample:
     """Sample ``H(is) = C (is gram - flux)^{-1} gram_B + D`` at a real frequency.
 
-    Raises :class:`SpectrumHit` when ``is`` lies in the spectrum of ``A``.
+    The one-point case of :func:`transfer_grid`.  Raises
+    :class:`SpectrumHit` when ``is`` lies in the spectrum of ``A``.
     """
-    X = _resolvent_apply(sys.gram, sys.flux, s, sys.gram_B)
-    H = sys.C @ X + sys.D
-    return TransferSample(s=float(s), H=H, eta=accretive_lower_bound(H))
+    tf = transfer_grid(sys, [s])
+    if tf.hit[0]:
+        raise SpectrumHit(float(s))
+    return TransferSample(s=float(s), H=tf.H[0], eta=float(tf.eta[0]))
 
 
 @dataclass(frozen=True)
@@ -191,7 +240,8 @@ class EtaBound:
 
 def eta_lower_bound(sys: PassiveSystem, s_grid: Sequence[float]) -> EtaBound:
     """Evaluate ``eta(s)`` on a grid and fit the ``M/(1+s^2)`` envelope."""
-    s_ok, eta, excluded = _sample_grid(lambda s: transfer_function(sys, s).eta, s_grid)
+    tf = transfer_grid(sys, s_grid)
+    s_ok, eta = tf.s_values[~tf.hit], tf.eta[~tf.hit]
     if not s_ok.size:
         raise ValidationError("every grid point hit the spectrum")
     return EtaBound(
@@ -199,7 +249,7 @@ def eta_lower_bound(sys: PassiveSystem, s_grid: Sequence[float]) -> EtaBound:
         eta=eta,
         coefficient=float(np.min(eta * (1.0 + s_ok**2))),
         floor=float(np.min(eta)),
-        excluded=excluded,
+        excluded=tuple(tf.s_values[tf.hit].tolist()),
     )
 
 
@@ -372,7 +422,8 @@ def check_feedback_bounds(
     ``sys_q`` must be a feedback-transformed passive block and ``c`` the
     accretivity constant of the loop gain; margins are (bound - value), so
     nonnegative margins mean the estimate holds.  Each frequency takes one
-    solve ``(is - T) [RB | R] = [B | I]`` in energy coordinates.
+    solve ``(is - T) [RB | R] = [B | I]`` in energy coordinates.  Raises
+    :class:`ValidationError` for an empty or non-finite grid.
     """
     ec = energy_coordinates(sys_q)
     U = sys_q._factor()
@@ -383,8 +434,10 @@ def check_feedback_bounds(
     inv_c = 1.0 / c
 
     def evaluate(s):
-        X = _resolvent_apply(eye, ec.T, s, rhs)
-        RB, R = X[:, :sys_q.p], X[:, sys_q.p:]
+        X, hit = _resolvent_apply(eye, ec.T, np.array([s]), rhs)
+        if hit[0]:
+            raise SpectrumHit(s)
+        RB, R = X[0, :, :sys_q.p], X[0, :, sys_q.p:]
         r = float(sla.svdvals(R)[0])
         if r * _hit_level(s, ec.norm_A) >= 1.0:
             raise SpectrumHit(s)
@@ -393,8 +446,15 @@ def check_feedback_bounds(
         h = float(sla.svdvals(C @ RB + sys_q.D)[0])
         return r, inv_c * r - rb**2, inv_c * r - cr**2, inv_c - h
 
-    s_ok, values, excluded = _sample_grid(evaluate, s_grid)
-    res, m_in, m_out, m_tf = values.reshape(-1, 4).T
+    s_ok, values, excluded = [], [], []
+    for s in _as_grid(s_grid):
+        try:
+            values.append(evaluate(s))
+            s_ok.append(s)
+        except SpectrumHit:
+            excluded.append(float(s))
+    s_ok = np.asarray(s_ok, dtype=float)
+    res, m_in, m_out, m_tf = np.asarray(values).reshape(-1, 4).T
     margins = np.concatenate([m_in, m_out, m_tf]) if s_ok.size else np.array([0.0])
     return FeedbackBoundReport(
         s_values=s_ok,
@@ -402,7 +462,7 @@ def check_feedback_bounds(
         input_bound_margin=m_in,
         output_bound_margin=m_out,
         transfer_bound_margin=m_tf,
-        excluded=excluded,
+        excluded=tuple(excluded),
         max_violation=float(max(0.0, -margins.min())),
     )
 
@@ -435,9 +495,10 @@ def check_coupled_resolvent_bound(
     ``coupled`` comes from :func:`couple_systems`; with ``(sys1, sys2) =
     coupled.blocks`` the bound reads the resolvents of ``sys1`` under the
     feedback transform with gain ``K`` (``Re K >= cI``, ``c > 0``) and of
-    ``sys2``, all through :func:`resolvent_norm`.  Grid points where ``is``
-    hits a spectrum or where ``eta(s)`` is not strictly positive are
-    excluded and reported.
+    ``sys2``, all through :func:`resolvent_norms`, and ``eta(s)`` of
+    ``sys2`` from :func:`transfer_grid`.  Grid points where ``is`` hits a
+    spectrum or where ``eta(s)`` is not strictly positive are excluded and
+    reported.
     """
     if coupled.blocks is None:
         raise ValidationError("generator is not a coupling of two passive blocks")
@@ -446,24 +507,21 @@ def check_coupled_resolvent_bound(
     if not c > 0:
         raise ValidationError(f"Re K must be positive definite, lambda_min = {c:.3e}")
     sys_k = feedback_transform(sys1, K, c)
-
-    def evaluate(s):
-        eta = transfer_function(sys2, s).eta
-        if eta <= ETA_EXCLUSION_TOL:
-            return None
-        r_coupled = resolvent_norm(coupled, s)
-        r_k = resolvent_norm(sys_k, s)
-        r_2 = resolvent_norm(sys2, s)
-        return r_coupled, (1.0 + r_k) * (1.0 + r_2**2) / eta
-
-    s_ok, values, excluded = _sample_grid(evaluate, s_grid)
-    lhs, rhs = values.reshape(-1, 2).T
+    tf = transfer_grid(sys2, s_grid)
+    keep = np.flatnonzero(tf.eta > ETA_EXCLUSION_TOL)  # a hit's NaN eta fails the test
+    columns = [tf.eta[keep]]
+    for system in (sys2, coupled, sys_k):
+        norms = resolvent_norms(system, tf.s_values[keep]) if keep.size else np.empty(0)
+        finite = np.isfinite(norms)
+        keep, columns = keep[finite], [col[finite] for col in columns] + [norms[finite]]
+    eta, r_2, lhs, r_k = columns
+    rhs = (1.0 + r_k) * (1.0 + r_2**2) / eta
     ratios = lhs / rhs
     return CouplingBoundReport(
-        s_values=s_ok,
+        s_values=tf.s_values[keep],
         lhs=lhs,
         rhs=rhs,
         ratios=ratios,
         max_ratio=float(ratios.max()) if ratios.size else float("nan"),
-        excluded=excluded,
+        excluded=tuple(np.delete(tf.s_values, keep).tolist()),
     )

@@ -14,6 +14,14 @@ generator or block, computed on the first call and cached on the object.
 The 2-norm is unitarily invariant, so ``|(is - T)^{-1}| = |(is - R)^{-1}|``
 and ``Z`` is never formed; each frequency then costs ``O(k dim^2)``: ``k``
 inverse Lanczos steps, each two triangular solves with the shifted ``R``.
+A grid on a block of a few states, whose shifted matrices fit in one stack
+of ``STACK_ENTRIES`` entries, takes one stacked SVD instead
+(:func:`resolvent_norms`).
+
+The Lanczos loop forms its products with scipy's BLAS, like its triangular
+solves: numpy and scipy each load their own OpenBLAS, and a threaded numpy
+product there leaves its workers spinning while the scipy calls that follow
+it run.
 """
 
 from __future__ import annotations
@@ -117,9 +125,33 @@ SPECTRUM_HIT_FACTOR = 10.0
 _EPS = np.finfo(float).eps
 
 
-def _hit_level(s: float, norm_T: float) -> float:
-    """``sigma_min(is - T)`` at or below which ``is`` is a spectrum hit."""
+#: Entries of the largest stack of shifted matrices that one stacked solve
+#: or SVD takes (128 kB complex): the checks' grids of 120 to 400
+#: frequencies on the 1-3-state control blocks fit in one stack, while a
+#: beam-sized system (dim >= 91) takes one frequency at a time.
+STACK_ENTRIES = 1 << 13
+
+
+def _hit_level(s, norm_T: float):
+    """``sigma_min(is - T)`` at or below which ``is`` is a spectrum hit
+    (elementwise for an array of ``s``)."""
     return SPECTRUM_HIT_FACTOR * _EPS * (abs(s) + norm_T)
+
+
+def _as_grid(s_grid) -> np.ndarray:
+    """A frequency grid as a one-dimensional float array.
+
+    Raises :class:`ValidationError` when it is empty, not one-dimensional or
+    not finite.
+    """
+    grid = np.asarray(s_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError(f"frequency grid must be one-dimensional, got shape {grid.shape}")
+    if not grid.size:
+        raise ValidationError("frequency grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"frequency grid has non-finite entries: {grid[~np.isfinite(grid)]}")
+    return grid
 
 
 def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
@@ -185,9 +217,10 @@ def _inverse_lanczos(R: np.ndarray, q: np.ndarray, scale: float) -> float:
         w = lapack.ztrtrs(R, lapack.ztrtrs(R, q)[0], trans=2, overwrite_b=1)[0]
         c = blas.zgemv(1.0, Qk, w, trans=2)  # Qk^H w
         alpha[k] = c[k].real
-        w -= Qk @ c
+        w = blas.zgemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)  # w - Qk c
         # a second Gram-Schmidt pass restores orthogonality lost to cancellation
-        w -= Qk @ blas.zgemv(1.0, Qk, w, trans=2)
+        c = blas.zgemv(1.0, Qk, w, trans=2)
+        w = blas.zgemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)
         beta[k] = blas.dznrm2(w)
         ritz, y, _ = lapack.dstev(alpha[: k + 1], beta[: max(k, 1)])
         theta = float(ritz[-1])
@@ -224,25 +257,28 @@ def resolvent_norm(gen: GramSystem, s: float) -> float:
     return norm
 
 
-def _sample_grid(evaluate, grid) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Evaluate ``evaluate(s)`` at each grid frequency, in grid order.
+def resolvent_norms(gen: GramSystem, s_grid) -> np.ndarray:
+    """:func:`resolvent_norm` at every frequency of a grid, ``inf`` at spectrum hits.
 
-    Returns the usable frequencies, their values (one row each) and the
-    excluded frequencies: those where ``evaluate`` raises
-    :class:`SpectrumHit` or returns ``None``.
+    When the shifted matrices ``is - T`` of the whole grid fit in one stack
+    of ``STACK_ENTRIES`` entries, ``sigma_min`` comes from one stacked SVD
+    with the hit rule of :func:`_resolvent_from_shift`; otherwise each
+    frequency takes :func:`resolvent_norm` on the cached Schur factor.
+    Raises :class:`ValidationError` for an empty or non-finite grid.
     """
-    s_ok, values, excluded = [], [], []
-    for s in np.asarray(grid, dtype=float):
-        try:
-            value = evaluate(s)
-        except SpectrumHit:
-            value = None
-        if value is None:
-            excluded.append(float(s))
-        else:
-            s_ok.append(s)
-            values.append(value)
-    return np.asarray(s_ok, dtype=float), np.asarray(values), tuple(excluded)
+    grid = _as_grid(s_grid)
+    norms = np.full(grid.size, np.inf)
+    if grid.size * gen.dim**2 > STACK_ENTRIES:
+        for k, s in enumerate(grid):
+            try:
+                norms[k] = resolvent_norm(gen, s)
+            except SpectrumHit:
+                pass
+        return norms
+    ec = energy_coordinates(gen)
+    shifted = 1j * grid[:, None, None] * np.eye(gen.dim) - ec.T
+    smin = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    return np.divide(1.0, smin, out=norms, where=smin > _hit_level(grid, ec.norm_A))
 
 
 def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np.ndarray:
@@ -285,7 +321,9 @@ def scan_resolvent(
     Grid points hitting the spectrum are excluded and reported.
     """
     grid = _frequency_grid(s_lo, s_hi, n_points, spacing)
-    s_ok, norms, excluded = _sample_grid(lambda s: resolvent_norm(gen, s), grid)
+    norms = resolvent_norms(gen, grid)
+    hit = np.isinf(norms)
+    s_ok, norms = grid[~hit], norms[~hit]
     if s_ok.size < 2:
         raise NumericalError("scan left fewer than two usable frequencies")
     window = fit_window if fit_window is not None else (float(s_lo), float(s_hi))
@@ -298,7 +336,7 @@ def scan_resolvent(
         norms=norms,
         alpha_fit=alpha,
         window=(float(window[0]), float(window[1])),
-        excluded=excluded,
+        excluded=tuple(grid[hit].tolist()),
     )
 
 

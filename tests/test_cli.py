@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import towerstab as ts
 import towerstab.cli as cli
@@ -199,11 +200,21 @@ class TestVerifyAll:
         assert report["checks"]["coupling_bound"]["excluded_points"] == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        """Byte-identical reruns, also with the numpy and scipy builds that
+        the provenance records."""
         path = write_config(tmp_path)
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
         first = (tmp_path / "out" / "report.json").read_bytes()
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+        libraries = json.loads(first)["provenance"]["libraries"]
+        for module in (np, scipy):
+            build = libraries[module.__name__]
+            assert build["version"] == module.__version__
+            deps = module.show_config(mode="dicts")["Build Dependencies"]
+            for lib in ("blas", "lapack"):
+                assert build[lib]["name"] == deps[lib]["name"]
+                assert build[lib]["version"] == deps[lib]["version"]
 
     @pytest.mark.parametrize("model", cli.MODEL_KINDS)
     def test_rerun_is_byte_identical_for_every_model(self, tmp_path, model):

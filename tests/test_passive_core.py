@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerstab as ts
-from towerstab import models, passive_core, spectral
+from towerstab import cli, models, passive_core, spectral
 from towerstab.cli import RunConfig
 from towerstab.generator import energy_coordinates
 from towerstab.passive_core import _defect
@@ -17,6 +17,14 @@ def lossless_system(n=4, p=2, seed=3):
     S = 0.5 * (W - W.T)
     B = rng.standard_normal((n, p))
     return ts.PassiveSystem(flux=S, gram_B=B, C=B.T, D=np.zeros((p, p)), gram=np.eye(n))
+
+
+def plus_minus_i_system():
+    """Lossless two-state block with eigenvalues exactly +-i."""
+    return ts.PassiveSystem(
+        flux=np.array([[0.0, 1.0], [-1.0, 0.0]]), gram_B=np.array([[0.0], [1.0]]),
+        C=np.array([[0.0, 1.0]]), D=np.zeros((1, 1)), gram=np.eye(2),
+    )
 
 
 def scalar_block(flux, D=0.0):
@@ -195,6 +203,77 @@ class TestEtaLowerBound:
         assert set(bound.s_values) == {0.5, 2.0}
 
 
+class TestGridSolve:
+    @pytest.mark.parametrize("n", [3, 40, 100])
+    def test_stacks_match_per_frequency_solves(self, n):
+        """A grid on one stack (n=3), on several (40) and one frequency per
+        stack (100, beam-sized) gives the per-frequency ``sla.solve``."""
+        sys = ts.random_passive_system(n, 2, seed=n)
+        grid = np.geomspace(0.05, 50.0, 12)
+        X, hit = passive_core._resolvent_apply(sys.gram, sys.flux, grid, sys.gram_B)
+        assert X.shape == (12, n, 2) and not hit.any()
+        for k, s in enumerate(grid):
+            expected = sla.solve(1j * s * sys.gram - sys.flux, sys.gram_B)
+            assert np.abs(X[k] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_residual_rule_flags_a_finite_inaccurate_solve(self):
+        """Wilkinson's growth matrix as the shifted matrix: partial pivoting
+        grows its entries by 2^59 at n = 60, so LAPACK returns a finite
+        solution whose residual is 1e-2 of its scale, and only the residual
+        rule flags the shift."""
+        n = 60
+        W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        W[:, -1] = 1.0
+        rhs = np.random.default_rng(0).standard_normal((n, 1))
+        assert np.isfinite(np.linalg.solve(W.astype(complex), rhs)).all()
+        X, hit = passive_core._resolvent_apply(np.eye(n), -W, np.array([0.0]), rhs)
+        assert hit.tolist() == [True] and np.isnan(X).all()
+
+    def test_pole_in_the_middle_of_a_stack(self, monkeypatch):
+        """The +-i system on a grid with its pole in the middle: LAPACK
+        rejects the whole stack, and exactly s = 1 is reported, by
+        ``eta_lower_bound`` as excluded, by the stacked SVD of
+        ``resolvent_norms`` as an infinite norm and by
+        ``cross_validate_reH2`` as the frequency of its ``SpectrumHit``."""
+        sys = plus_minus_i_system()
+        grid = np.array([0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(1j * grid[:, None, None] * sys.gram - sys.flux, sys.gram_B)
+        bound = ts.eta_lower_bound(sys, grid)
+        assert bound.excluded == (1.0,)
+        assert np.array_equal(bound.s_values, np.delete(grid, 3))
+        assert np.array_equal(np.isinf(ts.resolvent_norms(sys, grid)), grid == 1.0)
+        monkeypatch.setattr(models, "_reH2_block", lambda kind, params: sys)
+        with pytest.raises(ts.SpectrumHit) as raised:
+            ts.cross_validate_reH2("torque", {"b": 1.0, "J": 1.0}, grid)
+        assert raised.value.s == 1.0
+
+    @pytest.mark.parametrize(
+        "grid, problem",
+        [([], "empty"), ([0.5, np.nan], "non-finite"), ([np.inf, 1.0], "non-finite"),
+         ([[0.5, 1.0]], "one-dimensional")],
+        ids=["empty", "nan", "inf", "2d"],
+    )
+    def test_bad_grids_rejected_by_name(self, grid, problem):
+        sys = ts.torque_block(1.0, 1.0)
+        coupled = ts.couple_systems(ts.torque_block(1.0, 1.0), ts.force_block(1.0, 1.0))
+        calls = (
+            lambda: ts.eta_lower_bound(sys, grid),
+            lambda: ts.cross_validate_reH2("torque", {"b": 1.0, "J": 1.0}, grid),
+            lambda: ts.transfer_grid(sys, grid),
+            lambda: ts.resolvent_norms(sys, grid),
+            lambda: ts.check_coupled_resolvent_bound(coupled, np.eye(1), grid),
+            lambda: ts.check_feedback_bounds(sys, 1.0, grid),
+        )
+        for call in calls:
+            with pytest.raises(ts.ValidationError, match=problem):
+                call()
+
+    def test_nan_frequency_rejected_by_name(self):
+        with pytest.raises(ts.ValidationError, match="non-finite"):
+            ts.transfer_function(ts.torque_block(1.0, 1.0), np.nan)
+
+
 class TestFeedbackTransform:
     def test_identity_gain_without_feedthrough_collapses(self):
         sys = lossless_system(n=5, p=2, seed=9)
@@ -247,7 +326,7 @@ class TestFeedbackTransform:
             return solve(*args)
 
         monkeypatch.setattr(passive_core, "_resolvent_apply", counted)
-        monkeypatch.setattr(passive_core, "resolvent_norm", None)
+        monkeypatch.setattr(passive_core, "resolvent_norms", None)
         report = ts.check_feedback_bounds(out, c, grid)
         assert len(solves) == grid.size
         assert report.excluded == () and np.array_equal(report.s_values, grid)
@@ -390,6 +469,39 @@ class TestCoupledResolventBound:
         )
         assert len(report.excluded) == 0
         assert report.max_ratio <= 10.0
+
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_stacked_control_block_norms_match_dense_svd(self, model):
+        """On the check's grid the control block's norms come from one
+        stacked SVD and equal ``_resolvent_from_shift`` at every point,
+        within ``n eps (|s| + |T|) / sigma_min`` relative."""
+        gen = cli.build_generator(RunConfig.from_dict({"model": model}))
+        sys2 = gen.blocks[1]
+        grid = spectral._frequency_grid(0.5, 0.5 * ts.mesh_frequency(gen), 120, "log")
+        assert grid.size * sys2.n**2 <= spectral.STACK_ENTRIES
+        ec = energy_coordinates(sys2)
+        norms = ts.resolvent_norms(sys2, grid)
+        for s, norm in zip(grid, norms):
+            dense = spectral._resolvent_from_shift(ec.T, s, ec.norm_A)
+            tol = sys2.n * np.finfo(float).eps * (s + ec.norm_A) * dense
+            assert abs(norm / dense - 1.0) <= tol, s
+
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_schur_resolvent_twice_per_usable_frequency(self, monkeypatch, model):
+        """Each usable frequency reads the coupled and the feedback-transformed
+        resolvent through ``resolvent_norm``; the control block's stacked
+        norms do not call it."""
+        gen = cli.build_generator(RunConfig.from_dict({"model": model}))
+        objects = []
+        norm = spectral.resolvent_norm
+        monkeypatch.setattr(
+            spectral, "resolvent_norm", lambda system, s: objects.append(system) or norm(system, s)
+        )
+        grid = spectral._frequency_grid(0.5, 0.5 * ts.mesh_frequency(gen), 120, "log")
+        report = ts.check_coupled_resolvent_bound(gen, np.eye(1), grid)
+        assert report.excluded == () and report.s_values.size == 120
+        assert len(objects) == 2 * 120
+        assert objects.count(gen) == 120 and gen.blocks[1] not in objects
 
     def test_lossless_block_frequencies_excluded(self):
         sys1 = ts.torque_block(1.0, 1.0)
