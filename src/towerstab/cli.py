@@ -36,7 +36,7 @@ from .beam_fem import (
     coefficient_from_spec,
 )
 from .errors import NumericalError, ToolkitError, ValidationError
-from .generator import DISSIPATIVITY_TOL, DiscreteGenerator, energy_coordinates
+from .generator import DISSIPATIVITY_TOL, DiscreteGenerator, energy_norm
 from .models import (
     MODEL_KINDS,
     TmdParameters,
@@ -453,7 +453,7 @@ class Runner:
 
     def check_kernel(self) -> None:
         dim, smin = kernel_check(self.gen)
-        smax = energy_coordinates(self.gen).norm_A
+        smax = energy_norm(self.gen)
         ok = dim == 0 and smin > KERNEL_TOL * smax
         self._record(
             "kernel", "pass" if ok else "fail", dimension=dim, sigma_min=smin,

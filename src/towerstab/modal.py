@@ -55,8 +55,8 @@ import numpy as np
 from scipy.linalg import blas
 
 from .errors import ValidationError
-from .generator import DiscreteGenerator
-from .timesim import _beam_size, beam_modes
+from .generator import DiscreteGenerator, _beam_size
+from .timesim import beam_modes
 
 #: Largest number of nonzero rows of ``E`` the modal form takes; each
 #: Newton step costs ``O(dim m^2)`` per root.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -374,43 +374,63 @@ def closed_form_reH2(kind: str, params: Mapping[str, float], s: float) -> np.nda
     state-space transfer functions at unit inertias.  Raises
     :class:`SpectrumHit` when the printed denominator vanishes.
     """
-    s = float(s)
-    if kind == "torque":
-        b, J = params["b"], params["J"]
-        return np.array([[(b / J) / ((b / J) ** 2 + s**2)]])
-    if kind == "force":
-        a, m = params["a"], params["m"]
-        return np.array([[(a / m) / ((a / m) ** 2 + s**2)]])
+    return np.diag(_printed_reH2(kind, params)(float(s)))
+
+
+def _closed_form_reH2_grid(kind: str, params: Mapping[str, float], grid: np.ndarray) -> np.ndarray:
+    """:func:`closed_form_reH2` at every grid frequency, the parameters read
+    once; row ``k`` holds the diagonal at ``grid[k]``."""
+    diagonal = _printed_reH2(kind, params)
+    return np.array([diagonal(s) for s in grid.tolist()]).reshape(grid.size, -1)
+
+
+def _printed_reH2(kind: str, params: Mapping[str, float]) -> Callable[[float], tuple]:
+    """The printed diagonal of ``Re H2`` as a function of a float ``s``.
+
+    The parameter terms are computed once; each evaluation is the printed
+    expression in Python floats, so that an overflow raises
+    :class:`OverflowError` as it does in the formula.
+    """
+    if kind in ("torque", "force"):
+        rate = params["b"] / params["J"] if kind == "torque" else params["a"] / params["m"]
+        return lambda s: (rate / (rate**2 + s**2),)
     if kind == "combined":
         a, b, m, J = params["a"], params["b"], params["m"], params["J"]
-        denom = (s**2 - a * b / (m * J)) ** 2 + (b / J + a / m) ** 2 * s**2
-        if denom == 0.0:
-            raise SpectrumHit(s, "combined closed-form denominator vanishes")
-        return (
-            np.diag(
-                [
-                    a / m * (s**2 + (b / J) ** 2),
-                    b / J * (s**2 + (a / m) ** 2),
-                ]
-            )
-            / denom
-        )
+        ra, rb = a / m, b / J
+        shift, width = a * b / (m * J), (rb + ra) ** 2
+
+        def combined(s):
+            denom = (s**2 - shift) ** 2 + width * s**2
+            if denom == 0.0:
+                raise SpectrumHit(s, "combined closed-form denominator vanishes")
+            return ra * (s**2 + rb**2) / denom, rb * (s**2 + ra**2) / denom
+
+        return combined
     if kind == "tmd":
         m = params["m"]
         m1, k1, d1 = params["m1"], params["k1"], params["d1"]
-        denom = m * (d1**2 * s**2 + (k1 - m1 * s**2) ** 2)
-        if denom == 0.0:
-            raise SpectrumHit(s, "mass-damper closed-form denominator vanishes")
-        return np.array([[d1 * m1**2 * s**4 / denom]])
+        gain = d1 * m1**2
+
+        def tmd(s):
+            denom = m * (d1**2 * s**2 + (k1 - m1 * s**2) ** 2)
+            if denom == 0.0:
+                raise SpectrumHit(s, "mass-damper closed-form denominator vanishes")
+            return (gain * s**4 / denom,)
+
+        return tmd
     if kind == "hydraulic":
         hyd = _as_hydraulic(params)
         a2, a1, a0 = hydraulic_n_coefficients(hyd)
         _, d4, d2, d0 = hydraulic_d_coefficients(hyd)
-        n_val = a2 * s**4 + a1 * s**2 + a0
-        d_val = s**6 + d4 * s**4 + d2 * s**2 + d0
-        if d_val == 0.0:
-            raise SpectrumHit(s, "hydraulic closed-form denominator vanishes")
-        return np.array([[s**2 * n_val / d_val]])
+
+        def hydraulic(s):
+            n_val = a2 * s**4 + a1 * s**2 + a0
+            d_val = s**6 + d4 * s**4 + d2 * s**2 + d0
+            if d_val == 0.0:
+                raise SpectrumHit(s, "hydraulic closed-form denominator vanishes")
+            return (s**2 * n_val / d_val,)
+
+        return hydraulic
     raise ValidationError(f"unknown closed-form kind {kind!r}")
 
 
@@ -468,11 +488,9 @@ def cross_validate_reH2(
     block = _reH2_block(kind, params)
     grid = _as_grid(s_grid)
     state_space, hit = _reH2(block, grid)
-    printed = np.empty_like(state_space)
-    for k, s in enumerate(grid):
-        printed[k] = np.diag(closed_form_reH2(kind, params, s))
-        if hit[k]:
-            raise SpectrumHit(float(s))
+    printed = _closed_form_reH2_grid(kind, params, grid)
+    if hit.any():
+        raise SpectrumHit(float(grid[np.argmax(hit)]))
     scale = np.abs(printed).max(axis=1)
     nonzero = scale > 0.0
     # where the printed form vanishes, the error is the state-space value itself

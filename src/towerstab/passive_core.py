@@ -28,6 +28,7 @@ from .generator import (
     DiscreteGenerator,
     GramSystem,
     energy_coordinates,
+    energy_norm,
     symmetric_part,
 )
 from .spectral import STACK_ENTRIES, _as_grid, _hit_level, resolvent_norms
@@ -439,7 +440,7 @@ def check_feedback_bounds(
             raise SpectrumHit(s)
         RB, R = X[0, :, :sys_q.p], X[0, :, sys_q.p:]
         r = float(sla.svdvals(R)[0])
-        if r * _hit_level(s, ec.norm_A) >= 1.0:
+        if r * _hit_level(s, energy_norm(sys_q)) >= 1.0:
             raise SpectrumHit(s)
         rb = float(sla.svdvals(RB)[0])
         cr = float(sla.svdvals(C @ R)[0])

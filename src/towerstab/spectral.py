@@ -1,13 +1,16 @@
 """Eigenvalue and resolvent-norm analysis in the energy norm.
 
-All quantities are computed on the energy-coordinate representative
+All quantities are those of the energy-coordinate representative
 ``T = U A U^{-1}`` (with ``gram = U^T U``): the resolvent norm is the
 reciprocal smallest singular value of the shifted matrix, and the kernel
-diagnostic is the singular spectrum of ``T`` itself, i.e. the reciprocal of
-the energy-norm resolvent at zero frequency.  Eigenvalues are those of
-``T``; a beam generator's come from its modal form
-(:mod:`towerstab.modal`) when that form's guard accepts them, anything
-else's from a dense ``eigvals`` of ``T``.
+diagnostic is ``sigma_min(T)``, the reciprocal of the energy-norm
+resolvent at zero frequency, against ``sigma_max(T)``, the energy norm
+(:func:`towerstab.generator.energy_norm`).  Both extreme singular values
+come from Lanczos on the banded factors of the assembled Gram and flux,
+without forming ``T``; only a kernel check that fails counts the kernel
+from a dense SVD.  Eigenvalues are those of ``T``; a beam generator's come
+from its modal form (:mod:`towerstab.modal`) when that form's guard
+accepts them, anything else's from a dense ``eigvals`` of ``T``.
 
 Resolvent norms are read from one complex Schur factor ``T = Z R Z^H`` per
 generator or block, computed on the first call and cached on the object.
@@ -18,10 +21,9 @@ A grid on a block of a few states, whose shifted matrices fit in one stack
 of ``STACK_ENTRIES`` entries, takes one stacked SVD instead
 (:func:`resolvent_norms`).
 
-The Lanczos loop forms its products with scipy's BLAS, like its triangular
-solves: numpy and scipy each load their own OpenBLAS, and a threaded numpy
-product there leaves its workers spinning while the scipy calls that follow
-it run.
+The resolvent norm, ``sigma_min`` and ``sigma_max`` share one Lanczos
+loop, :func:`towerstab.generator._top_eigenvalue`, whose products run on
+scipy's BLAS like its operators.
 """
 
 from __future__ import annotations
@@ -31,15 +33,19 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .errors import NumericalError, SpectrumHit, ValidationError
 from .generator import (
+    _EPS,
     DiscreteGenerator,
     GramSystem,
+    _BandFactors,
     _energy_eigenvalues,
     _frozen,
+    _top_eigenvalue,
     energy_coordinates,
+    energy_norm,
 )
 from .modal import modal_roots
 
@@ -122,7 +128,6 @@ def energy_spectrum(gen: GramSystem) -> Spectrum:
 #: value at most this many ``eps * (|s| + |T|)``, the backward-error scale
 #: of a shift-and-factor of ``T``.
 SPECTRUM_HIT_FACTOR = 10.0
-_EPS = np.finfo(float).eps
 
 
 #: Entries of the largest stack of shifted matrices that one stacked solve
@@ -193,41 +198,19 @@ def _schur_factor(gen: GramSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gen._schur
 
 
-def _inverse_lanczos(R: np.ndarray, q: np.ndarray, scale: float) -> float:
-    """Largest eigenvalue ``theta = 1 / sigma_min(R)^2`` of ``R^{-H} R^{-1}``.
+def _inverse_lanczos(apply, q: np.ndarray, scale: float) -> float:
+    """``theta = 1 / sigma_min(X)^2`` from an ``apply`` that multiplies by
+    ``(X^H X)^{-1}`` or by ``(X X^H)^{-1}``; ``inf`` when a step overflows.
 
-    Lanczos with full reorthogonalisation from the unit start vector ``q``.
-    Each step applies the operator by two triangular solves with ``R``.
-    The Ritz residual ``beta_k |y_k|`` bounds the distance of the top Ritz
-    value ``theta`` to an eigenvalue, which moves ``sigma_min =
-    theta^{-1/2}`` by at most ``sigma_min beta_k |y_k| / (2 theta)``.
-    Iteration stops once that is at most ``eps * scale`` -- for ``scale =
-    |s| + |T|`` the backward-error scale of a dense SVD of the shifted
-    matrix -- i.e. when ``beta_k |y_k| <= tol * theta`` with ``tol = 2 eps
-    scale theta^{1/2}``; or at ``k = dim``, where the Krylov space is the
-    whole space and ``theta`` is exact.
+    :func:`~towerstab.generator._top_eigenvalue` from the unit start
+    vector ``q`` finds ``theta``, the top eigenvalue.  A Ritz residual
+    ``beta_k |y_k|`` moves ``sigma_min = theta^{-1/2}`` by at most
+    ``sigma_min beta_k |y_k| / (2 theta)``; iteration stops once that is at
+    most ``eps * scale`` -- for ``scale = |s| + |T|`` the backward-error
+    scale of a dense SVD of the shifted matrix, for ``scale = |T|`` that of
+    ``T`` -- i.e. when ``beta_k |y_k| <= 2 eps scale theta^{3/2}``.
     """
-    n = R.shape[0]
-    Q = np.empty((n, n), dtype=complex, order="F")  # columns filled as used
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    for k in range(n):
-        Q[:, k] = q
-        Qk = Q[:, : k + 1]
-        w = lapack.ztrtrs(R, lapack.ztrtrs(R, q)[0], trans=2, overwrite_b=1)[0]
-        c = blas.zgemv(1.0, Qk, w, trans=2)  # Qk^H w
-        alpha[k] = c[k].real
-        w = blas.zgemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)  # w - Qk c
-        # a second Gram-Schmidt pass restores orthogonality lost to cancellation
-        c = blas.zgemv(1.0, Qk, w, trans=2)
-        w = blas.zgemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)
-        beta[k] = blas.dznrm2(w)
-        ritz, y, _ = lapack.dstev(alpha[: k + 1], beta[: max(k, 1)])
-        theta = float(ritz[-1])
-        if beta[k] * abs(y[-1, -1]) <= 2.0 * _EPS * scale * theta * np.sqrt(theta):
-            break
-        q = w / beta[k]
-    return theta
+    return _top_eigenvalue(apply, q, lambda t: 2.0 * _EPS * scale * t * np.sqrt(t))
 
 
 def resolvent_norm(gen: GramSystem, s: float) -> float:
@@ -244,14 +227,20 @@ def resolvent_norm(gen: GramSystem, s: float) -> float:
     factor, so calls on one object must not run concurrently.
     """
     s = float(s)
-    norm_T = energy_coordinates(gen).norm_A
+    if not np.isfinite(s):
+        raise ValidationError(f"frequency must be finite, got {s}")
+    norm_T = energy_norm(gen)
     hit = _hit_level(s, norm_T)
     R, diagonal, start = _schur_factor(gen)
     shifted = diagonal - 1j * s  # sigma(R - is) = sigma(is - R)
     if np.abs(shifted).min() <= hit:
         raise SpectrumHit(s)
     R.flat[:: R.shape[0] + 1] = shifted
-    norm = float(np.sqrt(_inverse_lanczos(R, start, abs(s) + norm_T)))
+
+    def apply(x):  # R^{-H} R^{-1} x for the shifted R
+        return lapack.ztrtrs(R, lapack.ztrtrs(R, x)[0], trans=2, overwrite_b=1)[0]
+
+    norm = float(np.sqrt(_inverse_lanczos(apply, start, abs(s) + norm_T)))
     if norm * hit >= 1.0:
         raise SpectrumHit(s)
     return norm
@@ -275,10 +264,9 @@ def resolvent_norms(gen: GramSystem, s_grid) -> np.ndarray:
             except SpectrumHit:
                 pass
         return norms
-    ec = energy_coordinates(gen)
-    shifted = 1j * grid[:, None, None] * np.eye(gen.dim) - ec.T
+    shifted = 1j * grid[:, None, None] * np.eye(gen.dim) - energy_coordinates(gen).T
     smin = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-    return np.divide(1.0, smin, out=norms, where=smin > _hit_level(grid, ec.norm_A))
+    return np.divide(1.0, smin, out=norms, where=smin > _hit_level(grid, energy_norm(gen)))
 
 
 def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np.ndarray:
@@ -373,13 +361,26 @@ def eigen_report(gen: DiscreteGenerator) -> SpectrumReport:
 
 
 def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
-    """Estimate the kernel dimension from the energy-norm singular spectrum.
+    """Estimate the kernel dimension from the extreme singular values of ``T``.
 
     Returns ``(dimension_estimate, sigma_min)`` where singular values below
     ``KERNEL_TOL * sigma_max`` count towards the kernel; ``sigma_min`` is the
     reciprocal of the energy-norm resolvent at zero frequency when the
-    generator is invertible.  ``sigma_max`` is ``energy_coordinates(gen).norm_A``.
+    generator is invertible, and ``sigma_max`` is :func:`energy_norm`.
+    ``sigma_min`` comes from :func:`_inverse_lanczos` on ``(T^H T)^{-1} =
+    U F^{-1} M F^{-H} U^T``, applied by one banded LU of the flux, with an
+    error of at most ``eps * sigma_max``, the backward-error scale of a
+    dense SVD of ``T``; the kernel is then trivial.  When the LU meets a
+    zero pivot or ``sigma_min <= KERNEL_TOL * sigma_max``, the kernel is
+    counted from a dense SVD of ``T``, which also gives ``sigma_min``.
     """
-    sv = energy_coordinates(gen).singular_values
-    dimension = int(np.count_nonzero(sv < KERNEL_TOL * sv[0]))
-    return dimension, float(sv[-1])
+    sigma_max = energy_norm(gen)
+    bands = _BandFactors(gen)
+    inverse = bands.inverse_normal()
+    if inverse is not None:  # it acts on T / bands.scale
+        theta = _inverse_lanczos(inverse, bands.start.copy(), sigma_max / bands.scale)
+        sigma_min = bands.scale / float(np.sqrt(theta))
+        if sigma_min > KERNEL_TOL * sigma_max:
+            return 0, sigma_min
+    sv = sla.svdvals(energy_coordinates(gen).T)
+    return int(np.count_nonzero(sv < KERNEL_TOL * sigma_max)), float(sv[-1])

@@ -43,7 +43,7 @@ import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError, ValidationError
-from .generator import DiscreteGenerator, _frozen, energy_coordinates
+from .generator import DiscreteGenerator, _beam_size, _frozen, energy_coordinates
 
 INITIAL_DATA_PROFILES = ("smooth_modal", "tip_kick", "static_bend")
 
@@ -279,15 +279,6 @@ def _sparse_operators(gen: DiscreteGenerator, half_dt: float):
         return M, F, splu((M - half_dt * F).tocsc()).solve
     except (RuntimeError, ValueError) as exc:
         raise NumericalError(f"midpoint factorization failed: {exc}") from exc
-
-
-def _beam_size(gen: DiscreteGenerator) -> int:
-    """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]``: every assembly
-    leads with the beam core, whose last state is ``tip_angular_velocity``."""
-    try:
-        return (gen.index("tip_angular_velocity") + 1) // 2
-    except KeyError:
-        raise ValidationError("generator does not carry beam blocks") from None
 
 
 def beam_modes(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,25 @@ class TestHydraulicFeedback:
         assert ch.vector[i6] == pytest.approx(-1.0, abs=1e-12)
 
 
+def printed_reH2(kind, p, s):
+    """The published ``Re H2`` diagonal, each expression written as printed."""
+    if kind == "torque":
+        return [(p["b"] / p["J"]) / ((p["b"] / p["J"]) ** 2 + s**2)]
+    if kind == "force":
+        return [(p["a"] / p["m"]) / ((p["a"] / p["m"]) ** 2 + s**2)]
+    if kind == "combined":
+        a, b, m, J = p["a"], p["b"], p["m"], p["J"]
+        denom = (s**2 - a * b / (m * J)) ** 2 + (b / J + a / m) ** 2 * s**2
+        return [a / m * (s**2 + (b / J) ** 2) / denom, b / J * (s**2 + (a / m) ** 2) / denom]
+    if kind == "tmd":
+        m, m1, k1, d1 = p["m"], p["m1"], p["k1"], p["d1"]
+        return [d1 * m1**2 * s**4 / (m * (d1**2 * s**2 + (k1 - m1 * s**2) ** 2))]
+    hyd = ts.HydraulicParameters(**{k: p[k] for k in ("Dp", "Dm", "Bp", "Bm", "kleak")})
+    a2, a1, a0 = ts.hydraulic_n_coefficients(hyd)
+    _, d4, d2, d0 = ts.hydraulic_d_coefficients(hyd)
+    return [s**2 * (a2 * s**4 + a1 * s**2 + a0) / (s**6 + d4 * s**4 + d2 * s**2 + d0)]
+
+
 class TestClosedForms:
     def test_torque_value(self):
         assert ts.closed_form_reH2("torque", {"b": 1.0, "J": 1.0}, 1.0)[0, 0] == (
@@ -244,6 +263,18 @@ class TestClosedForms:
     def test_hydraulic_leading_coefficient_is_total_damping(self, desk_hydraulic):
         a2, _, _ = ts.hydraulic_n_coefficients(desk_hydraulic)
         assert a2 == desk_hydraulic.Bm + desk_hydraulic.Bp
+
+    @pytest.mark.parametrize("kind", ["torque", "force", "combined", "tmd", "hydraulic"])
+    def test_grid_form_equals_the_scalar_calls_bit_for_bit(self, kind):
+        """The grid form and the scalar calls both equal the printed
+        expressions evaluated term by term in Python floats, bit for bit."""
+        params = {"a": 1.5, "b": 0.5, "m": 2.0, "J": 3.0, "m1": 0.7, "k1": 1.3, "d1": 0.4,
+                  "Dp": 1.0, "Dm": 0.5, "Bp": 0.3, "Bm": 2.0, "kleak": 0.1}
+        grid = np.geomspace(0.01, 100.0, 400)
+        printed = np.array([printed_reH2(kind, params, float(s)) for s in grid])
+        scalar = np.array([np.diag(ts.closed_form_reH2(kind, params, s)) for s in grid])
+        assert np.array_equal(models._closed_form_reH2_grid(kind, params, grid), printed)
+        assert np.array_equal(scalar, printed)
 
     @pytest.mark.parametrize("kind", ["torque", "force", "combined", "tmd", "hydraulic"])
     def test_state_space_matches_printed_form_at_desk(self, kind, desk_hydraulic):

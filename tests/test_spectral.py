@@ -1,3 +1,5 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import scipy.linalg as sla
 import towerstab as ts
 import towerstab.cli as cli
 from towerstab import spectral
-from towerstab.generator import energy_coordinates, transform_flux
+from towerstab import generator
+from towerstab.generator import energy_coordinates, energy_norm, symmetric_part, transform_flux
 
 EPS = np.finfo(float).eps
 
@@ -84,6 +87,11 @@ class TestResolventNorm:
         assert ts.resolvent_norm(scalar_generator(), 1.0) == pytest.approx(
             1.0 / np.sqrt(2.0)
         )
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_non_finite_frequency_rejected_by_name(self, s):
+        with pytest.raises(ts.ValidationError, match=f"frequency must be finite, got {s}"):
+            ts.resolvent_norm(scalar_generator(), s)
 
     def test_exactly_singular_shift_is_a_hit(self):
         # is - R has an exact zero on its diagonal, which no triangular solve accepts
@@ -195,12 +203,10 @@ class TestEnergyData:
         lam = ts.eigen_report(gen).eigenvalues
         assert ts.mesh_frequency(gen) == np.abs(lam.imag).max()
 
-    def test_kernel_singular_values_are_the_cached_ones(self, desk_models):
+    def test_norm_is_the_cached_energy_norm(self, desk_models):
         gen = desk_models["combined"]
-        ec = energy_coordinates(gen)
-        _, smin = ts.kernel_check(gen)
-        assert ec.norm_A == ec.singular_values[0]
-        assert smin == ec.singular_values[-1]
+        assert energy_coordinates(gen).norm_A == energy_norm(gen)
+        assert energy_norm(gen) is energy_norm(gen)
 
     def test_block_coordinates_computed_once(self, desk_hydraulic):
         block = ts.hydraulic_block(desk_hydraulic)
@@ -277,6 +283,110 @@ class TestSchurResolvent:
                 assert rel <= ORACLE_C * n * EPS * (s + ec.norm_A) / smin, (s, rel)
 
 
+MODELS = ("combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback")
+
+
+@functools.lru_cache(maxsize=None)
+def cached_model(model, n_elements):
+    return desk_model(model, n_elements)
+
+
+def dense_singular_values(gen):
+    return sla.svdvals(transform_flux(gen.flux, sla.cholesky(gen.gram, lower=False)))
+
+
+class TestBandedNorms:
+    """``sigma_max(T)``, ``sigma_min(T)`` and the dissipation defect read off
+    the banded Gram and flux.  A backward-stable dense SVD of ``T`` and the
+    banded Lanczos each carry an error of order ``dim eps sigma_max`` in
+    every singular value, ``sigma_min`` included."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_band_order_gives_bandwidths_five_and_seven(self, model):
+        gen = desk_model(model, 16)
+        order = generator._band_order(gen)
+        assert generator._bandwidths(gen.gram, order) == (5, 5)
+        assert generator._bandwidths(gen.flux, order) == (7, 7)
+
+    def test_objects_without_the_beam_layout_keep_identity_order(self, desk_hydraulic):
+        assert generator._band_order(ts.hydraulic_block(desk_hydraulic)) is None
+        assert generator._band_order(scalar_generator()) is None
+
+    @pytest.mark.parametrize("n_elements", [16, 64])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_extreme_singular_values_match_dense_svd(self, model, n_elements):
+        gen = cached_model(model, n_elements)
+        sv = dense_singular_values(gen)
+        dimension, smin = ts.kernel_check(gen)
+        tol = gen.dim * EPS * sv[0] / sv[-1]
+        assert dimension == 0
+        assert abs(energy_norm(gen) / sv[0] - 1.0) <= gen.dim * EPS
+        assert abs(smin / sv[-1] - 1.0) <= tol, (smin, sv[-1], tol)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_extreme_singular_values_match_extended_precision_svd(self, model):
+        """Against a 40-digit Cholesky, transform and SVD of the same double
+        Gram and flux, within 10 eps sigma_max / sigma_min relative."""
+        gen = desk_model(model, 4)
+        with mpmath.workdps(40):
+            L = mpmath.cholesky(mpmath.matrix(gen.gram.tolist()))
+            L_inv = mpmath.inverse(L)
+            T = L_inv * mpmath.matrix(gen.flux.tolist()) * L_inv.T
+            sv = sorted(float(x) for x in mpmath.svd_r(T, compute_uv=False))
+        _, smin = ts.kernel_check(gen)
+        assert abs(energy_norm(gen) / sv[-1] - 1.0) <= 10 * EPS
+        assert abs(smin / sv[0] - 1.0) <= 10 * EPS * sv[-1] / sv[0]
+
+    def test_norm_whose_square_overflows(self):
+        """At EI = 1e303 sigma_max is 2.0e154, so sigma_max^2 is past the
+        float range: the operators act on T / scale, a power of two, and
+        the Lanczos steps on T^H T and its inverse stay finite."""
+        gen = cli.build_generator(
+            cli.RunConfig.from_dict({"model": "combined", "n_elements": 4, "EI": 1e303})
+        )
+        sv = dense_singular_values(gen)
+        assert sv[0] > np.sqrt(np.finfo(float).max)
+        dimension, smin = ts.kernel_check(gen)
+        assert dimension == 0
+        assert abs(energy_norm(gen) / sv[0] - 1.0) <= gen.dim * EPS
+        assert abs(smin / sv[-1] - 1.0) <= gen.dim * EPS * sv[0] / sv[-1]
+
+    @pytest.mark.parametrize("size", ["random", "beam"])
+    def test_energy_norm_of_a_complex_gain_block(self, desk_beam, desk_params, size):
+        base = (
+            ts.random_passive_system(4, 1, seed=2)
+            if size == "random"
+            else ts.scole_tip_block(desk_beam, desk_params, "rotation")
+        )
+        block = ts.feedback_transform(base, np.array([[1.5 + 0.7j]]), 1.5)
+        assert np.iscomplexobj(block.flux)
+        sv = dense_singular_values(block)
+        assert abs(energy_norm(block) / sv[0] - 1.0) <= block.dim * EPS
+
+    @pytest.mark.parametrize("n_elements", [16, 64])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_dissipation_defect_matches_dense_eigvalsh(self, model, n_elements):
+        gen = cached_model(model, n_elements)
+        S = symmetric_part(gen.flux)
+        tol = gen.dim * EPS * np.linalg.norm(S, 2)
+        assert abs(gen.dissipation_defect() - sla.eigvalsh(S)[-1]) <= tol
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_kernel_and_dissipativity_checks_take_no_dense_transform(self, model, monkeypatch):
+        runner = cli.Runner(cli.RunConfig.from_dict({"model": model, "n_elements": 64}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense transform or SVD ran")
+
+        monkeypatch.setattr(generator, "transform_flux", refuse)
+        monkeypatch.setattr(sla, "svdvals", refuse)
+        runner.check_kernel()
+        runner.check_dissipativity()
+        assert [(c.name, c.status) for c in runner.results] == [
+            ("kernel", "pass"), ("dissipativity", "pass")
+        ]
+
+
 class TestKernelCheck:
     def test_hydraulic_desk_fixture_trivial_kernel(self, desk_models):
         dim, smin = ts.kernel_check(desk_models["hydraulic"])
@@ -299,3 +409,19 @@ class TestKernelCheck:
         dim, smin = ts.kernel_check(gen)
         assert dim == 1
         assert smin == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_zero_mode_counted_by_the_dense_svd(self, desk_models):
+        """A decoupled state damped at 1e-20: the banded LU of the flux has
+        no zero pivot, but sigma_min <= KERNEL_TOL sigma_max sends the count
+        to the dense SVD, which finds the one near-kernel direction."""
+        base = desk_models["combined"]
+        n = base.dim
+        gram = np.eye(n + 1)
+        gram[:n, :n] = base.gram
+        flux = np.zeros((n + 1, n + 1))
+        flux[:n, :n] = base.flux
+        flux[n, n] = -1e-20
+        gen = ts.DiscreteGenerator(gram=gram, labels=list(base.labels) + ["extra"], flux=flux)
+        dim, smin = ts.kernel_check(gen)
+        assert dim == 1
+        assert smin <= spectral.KERNEL_TOL * energy_norm(gen)
