@@ -257,6 +257,18 @@ def _band(A: np.ndarray, order: np.ndarray | None, kl: int, ku: int) -> np.ndarr
     return ab
 
 
+def _band_times(gbmv, ab, kl, ku, x, alpha=1.0, trans=0) -> np.ndarray:
+    """``alpha B x``, or ``alpha B^H x`` for ``trans=2``, by ``gbmv`` on the band
+    ``ab`` of :func:`_band`.  scipy's ``?gbmv`` wrapper asks for at least
+    ``kl + ku + 1`` rows, more than a few states with a full band have; the
+    product then runs on ``B`` bordered below by zero rows."""
+    n = x.shape[0]
+    m = max(n, kl + ku + 1)
+    if trans and m > n:
+        x = np.concatenate([x, np.zeros(m - n, dtype=x.dtype)])
+    return gbmv(m, n, kl, ku, alpha, ab, x, trans=trans)[:n]
+
+
 class _BandFactors:
     """Gram and flux of a Gram system in band storage, in its band order.
 
@@ -304,19 +316,8 @@ class _BandFactors:
         return self._tbmv(self.U.shape[0] - 1, self.U, x, trans=trans, overwrite_x=1)
 
     def _times_flux(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """``F x / scale``, or ``F^H x / scale`` for ``trans=2``.
-
-        scipy's ``?gbmv`` wrapper asks for at least ``kl + ku + 1`` rows, more
-        than a block of a few states whose band is full has; the product
-        then runs on ``F`` bordered below by zero rows.
-        """
-        n = x.shape[0]
-        m = max(n, self.kl + self.ku + 1)
-        if trans and m > n:
-            x = np.concatenate([x, np.zeros(m - n, dtype=x.dtype)])
-        return self._gbmv(
-            m, n, self.kl, self.ku, 1.0 / self.scale, self.flux, x, trans=trans
-        )[:n]
+        """``F x / scale``, or ``F^H x / scale`` for ``trans=2``."""
+        return _band_times(self._gbmv, self.flux, self.kl, self.ku, x, 1.0 / self.scale, trans)
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """``T^H T x = U^{-T} F^H M^{-1} F U^{-1} x`` for ``T / scale``; overwrites ``x``."""

@@ -12,9 +12,9 @@ exactly, the discrete energy balance
 holds up to the backward error of the map that is applied, which makes the
 models' dissipation identities machine-checkable.
 
-The map is evaluated by one of three routes, chosen from the generator:
+The map is evaluated by one of two routes, chosen from the generator:
 
-* Below ``SPARSE_MIN_DIM`` the rule is one fixed Cayley map
+* Below ``STEP_FREE_DIM_LIMIT`` the rule is one fixed Cayley map
   ``C = (I - dt/2 T)^{-1} (I + dt/2 T)`` in energy coordinates ``y = U z``
   (``M = U^T U``, ``T = U^{-T} F U^{-1}``).  From one eigendecomposition
   ``T = X diag(lam) X^{-1}`` every step is ``mu**k`` with
@@ -25,12 +25,10 @@ The map is evaluated by one of three routes, chosen from the generator:
   perturbs the per-step balance by ``y_mid^T sym(dT) y_mid``.  The route
   is taken only when ``4 ||sym(dT)||_2 <= IDENTITY_RTOL / 2``, twice the
   first-order bound ``2 ||sym(dT)||_2 E(0)`` on that perturbation.
-* Below ``SPARSE_MIN_DIM``, where that guard fails (the eigensolver's
-  error grows with the mesh), a dense LU of ``M - dt/2 F`` is factorized
-  once and its LAPACK solve is called step by step.
-* From ``SPARSE_MIN_DIM`` up the assembled ``M`` and ``F``, about five
-  nonzeros per row, are factorized by a sparse LU (SuperLU) and the
-  mat-vecs run in CSR, so a step costs O(dim) instead of O(dim**2).
+* Otherwise the assembled ``M`` and ``F`` are taken in the band order of
+  the generator (bandwidth 5 and 7 on the assembled models), ``M - dt/2 F``
+  is factorized once by a banded LU with partial pivoting, and each step
+  is one banded solve and two banded mat-vecs, O(dim) work at any mesh.
 """
 
 from __future__ import annotations
@@ -40,17 +38,26 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError, ValidationError
-from .generator import DiscreteGenerator, _beam_size, _frozen, energy_coordinates
+from .generator import (
+    DiscreteGenerator,
+    _band,
+    _band_order,
+    _band_times,
+    _bandwidths,
+    _beam_size,
+    _frozen,
+    energy_coordinates,
+)
 
 INITIAL_DATA_PROFILES = ("smooth_modal", "tip_kick", "static_bend")
 
-#: Generators of at least this dimension are integrated with a sparse LU
-#: and CSR mat-vecs.  Below it the dense routes are faster than SuperLU's
-#: per-call overhead; the two LU loops break even near dim 256.
-SPARSE_MIN_DIM = 256
+#: The step-free route is tried only below this dimension.  Its guard needs
+#: a dense ``eig`` of ``T``, O(dim**3) (about 1.2 s at dim 1024), and it
+#: already refuses most models at ``n_elements`` 32 (dim about 130).
+STEP_FREE_DIM_LIMIT = 256
 
 #: Largest identity residual, relative to ``E(0)``, that the energy balance
 #: of a simulation may show; the step-free route must stay within half of it.
@@ -59,7 +66,7 @@ IDENTITY_RTOL = 1e-9
 #: Most steps one simulation may take.  The step arrays (times, energies,
 #: and each channel at the steps and the midpoints) hold ``8 (2 + 2 r)``
 #: bytes a step, so with the four channels of hydraulic_feedback the budget
-#: is 800 MB, and a step loop at 20-135 us a step runs 3.3-23 minutes.
+#: is 800 MB, and the banded loop at 15-80 us a step runs 2.5-13 minutes.
 STEP_BUDGET = 10_000_000
 
 #: Mode shapes per block of the Rayleigh quotients in :func:`beam_modes`:
@@ -68,7 +75,7 @@ STEP_BUDGET = 10_000_000
 MODE_BLOCK = 64
 
 #: Steps per block of the step-free route: its transient arrays are a few
-#: ``STEP_BLOCK x dim`` complex tables, a few hundred kB below dim 256.
+#: ``STEP_BLOCK x dim`` complex tables, a few hundred kB below ``STEP_FREE_DIM_LIMIT``.
 STEP_BLOCK = 256
 
 
@@ -100,16 +107,11 @@ def simulate(
 ) -> EnergyTrajectory:
     """Integrate ``dz/dt = A z`` with the implicit midpoint rule.
 
-    Below ``SPARSE_MIN_DIM`` the steps are powers of the Cayley map's
-    eigenvalues in energy coordinates, evaluated in blocks of
-    ``STEP_BLOCK`` steps, when the eigendecomposition's own backward error
-    keeps the identity residual within ``IDENTITY_RTOL / 2`` of ``E(0)``;
-    otherwise a dense LU of ``M - dt/2 F`` is solved step by step.  From
-    ``SPARSE_MIN_DIM`` up each step is a sparse LU solve with CSR
-    mat-vecs.  Every route accumulates the energy from per-step increments
-    that carry no subtractive cancellation, so for a Gram-dissipative
-    generator every step is energy non-increasing up to that backward
-    error.
+    Takes the step-free route of the module docstring where it is tried and
+    its guard accepts, and the banded LU loop otherwise.  Both routes
+    accumulate the energy from per-step increments that carry no
+    subtractive cancellation, so for a Gram-dissipative generator every
+    step is energy non-increasing up to the backward error of its map.
 
     Raises :class:`NumericalError` naming ``T``, ``dt`` and the step count
     when the steps exceed ``STEP_BUDGET`` (before any allocation or
@@ -138,12 +140,13 @@ def simulate(
     except MemoryError as exc:
         raise NumericalError(f"cannot allocate {horizon}: {exc}") from exc
     V = np.array([ch.vector for ch in gen.damping_channels], dtype=float).reshape(-1, gen.dim)
-    basis = _energy_eigenbasis(gen) if gen.dim < SPARSE_MIN_DIM else None
+    basis = _energy_eigenbasis(gen) if gen.dim < STEP_FREE_DIM_LIMIT else None
     if basis is not None:
         z = _step_free(gen, basis, z0, 0.5 * dt, V, energies, channels, midpoints)
     else:
-        operators = _sparse_operators if gen.dim >= SPARSE_MIN_DIM else _dense_operators
-        z = _step_loop(operators(gen, 0.5 * dt), z0, dt, V, energies, channels, midpoints)
+        order, operators = _band_operators(gen, 0.5 * dt)
+        z = np.empty(gen.dim)
+        z[order] = _step_loop(operators, z0[order], dt, V[:, order], energies, channels, midpoints)
     return EnergyTrajectory(
         times=dt * np.arange(n_steps + 1),
         energies=energies,
@@ -155,10 +158,12 @@ def simulate(
 
 
 def _step_loop(operators, z0, dt, V, energies, channels, midpoints) -> np.ndarray:
-    """Fill the step arrays one solve with ``M - dt/2 F`` at a time; return the final state."""
-    M, F, solve = operators
-    z = z0.copy()
-    e = 0.5 * float(z @ (M @ z))
+    """Fill the step arrays one solve with ``M - dt/2 F`` at a time; return the
+    final state.  All states and ``V``'s columns are in the band order of
+    the ``operators`` of :func:`_band_operators`."""
+    times_gram, times_flux, solve = operators
+    z = z0
+    e = 0.5 * float(z @ times_gram(z))
     energies[0] = e
     channels[0] = V @ z
     # The finiteness test on e decides a diverging run, so numpy's overflow
@@ -169,10 +174,10 @@ def _step_loop(operators, z0, dt, V, energies, channels, midpoints) -> np.ndarra
             # so it is computed without subtractive cancellation; the energy
             # update (E_{k+1} = E_k + d . M z_mid) is then exact to the solver
             # residual instead of to eps |M| |z|^2 / dt.
-            d = dt * solve(F @ z)
+            d = solve(times_flux(z, dt))
             z_mid = z + 0.5 * d
             z = z + d
-            e = e + float(d @ (M @ z_mid))
+            e = e + float(d @ times_gram(z_mid))
             # A non-finite entry of d reaches d . M z_mid through the positive
             # diagonal of M, so this one scalar test covers the whole state.
             if not math.isfinite(e):
@@ -251,34 +256,26 @@ def _step_free(gen, basis, z0, half_dt, V, energies, channels, midpoints) -> np.
     return sla.solve_triangular(U, y)
 
 
-def _dense_operators(gen: DiscreteGenerator, half_dt: float):
-    """``gram``, ``flux`` and a solve with the dense LU of ``gram - half_dt * flux``.
-
-    The solve calls LAPACK ``getrs`` directly: ``sla.lu_solve`` would repeat
-    its finiteness check and function lookup on every call, and its
-    arithmetic, hence every bit of the result, is the same.
-    """
-    M, F = gen.gram, gen.flux
-    try:
-        lu, piv = sla.lu_factor(M - half_dt * F)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"midpoint factorization failed: {exc}") from exc
-    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
-    return M, F, lambda b: getrs(lu, piv, b)[0]
-
-
-def _sparse_operators(gen: DiscreteGenerator, half_dt: float):
-    """CSR ``gram`` and ``flux`` and a SuperLU solve with ``gram - half_dt * flux``."""
-    # Imported here because only fine meshes need it: scipy.sparse.linalg
-    # adds about 4 MB and 50 ms to every process that imports it.
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    M, F = sp.csr_array(gen.gram), sp.csr_array(gen.flux)
-    try:
-        return M, F, splu((M - half_dt * F).tocsc()).solve
-    except (RuntimeError, ValueError) as exc:
-        raise NumericalError(f"midpoint factorization failed: {exc}") from exc
+def _band_operators(gen: DiscreteGenerator, half_dt: float):
+    """The band order of ``gen`` and, in it, ``x -> gram x``, ``(x, alpha) ->
+    alpha flux x`` and a solve with ``gram - half_dt * flux``, all on one
+    common band (7 wide on the assembled models, full on a generator
+    without the beam layout).  The solve reuses one ``dgbtrf`` LU of the
+    band bordered above by ``kl`` zero rows for the fill-in."""
+    order = _band_order(gen)
+    if order is None:
+        order = np.arange(gen.dim)
+    kl, ku = map(max, _bandwidths(gen.gram, order), _bandwidths(gen.flux, order))
+    M, F = _band(gen.gram, order, kl, ku), _band(gen.flux, order, kl, ku)
+    padded = np.vstack([np.zeros((kl, gen.dim)), M - half_dt * F])
+    lu, piv, info = lapack.dgbtrf(padded, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"midpoint factorization failed: dgbtrf info {info}")
+    return order, (
+        lambda x: _band_times(blas.dgbmv, M, kl, ku, x),
+        lambda x, alpha: _band_times(blas.dgbmv, F, kl, ku, x, alpha),
+        lambda b: lapack.dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0],
+    )
 
 
 def beam_modes(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
@@ -320,8 +317,7 @@ def _bands(K: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]
     """The nonzero diagonals of ``K``, scaled by ``2**-exponent`` so that no
     entry exceeds 1 (exact), each as ``(offset, high, low)`` halves of
     :func:`_split`; and that exponent."""
-    rows, cols = np.nonzero(K)
-    width = int(np.abs(rows - cols).max()) if rows.size else 0
+    width = max(_bandwidths(K, None))
     exponent = int(np.frexp(np.abs(K).max())[1])
     diagonals = [np.ldexp(np.diagonal(K, k), -exponent)[:, None] for k in range(-width, width + 1)]
     return exponent, [(k, *_split(d)) for k, d in zip(range(-width, width + 1), diagonals)]

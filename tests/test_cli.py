@@ -492,7 +492,7 @@ class TestExitCodes:
             raise AssertionError("the simulation started work over the step budget")
 
         monkeypatch.setattr(timesim, "_energy_eigenbasis", refuse)
-        monkeypatch.setattr(timesim, "_dense_operators", refuse)
+        monkeypatch.setattr(timesim, "_band_operators", refuse)
         path = write_config(tmp_path, model="tmd", n_elements=16, k_modes=12, T=50.0, EI=1e6)
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
         checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]

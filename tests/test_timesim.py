@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -111,13 +114,34 @@ def reference_midpoint(gen, z0, n_steps, dt):
 
 
 def force_path(monkeypatch, gen, path):
-    """Select the step-free route, the dense LU loop or the sparse LU loop for ``gen``."""
-    threshold = gen.dim if path == "sparse" else gen.dim + 1
-    monkeypatch.setattr(timesim, "SPARSE_MIN_DIM", threshold)
-    if path == "dense":
+    """Select the step-free route or the banded LU loop for ``gen``."""
+    if path == "loop":
         monkeypatch.setattr(timesim, "_energy_eigenbasis", lambda gen: None)
-    elif path == "step_free":
+    else:
+        monkeypatch.setattr(timesim, "STEP_FREE_DIM_LIMIT", gen.dim + 1)
         assert timesim._energy_eigenbasis(gen) is not None, "the guard refuses the step-free route"
+
+
+def loop_case(name, desk_params, desk_tmd):
+    """Generator, initial state and step of a banded-loop comparison: tmd at
+    16 elements, combined at 64 (dim 256) and a coupled pair of random
+    blocks, whose band is full (dim 7)."""
+    if name == "coupled_pair":
+        pair = ts.couple_systems(ts.random_passive_system(4, 2, 1), ts.random_passive_system(3, 2, 2))
+        # both blocks name their channels loss[0..3]; numbered apart, each
+        # is recorded under its own name
+        gen = ts.DiscreteGenerator(
+            gram=pair.gram, flux=pair.flux, labels=pair.labels,
+            damping_channels=tuple(
+                ch._replace(name=f"{ch.name}#{i}") for i, ch in enumerate(pair.damping_channels)
+            ),
+        )
+        return gen, np.random.default_rng(0).standard_normal(gen.dim), 0.01
+    if name == "tmd_n16":
+        gen = ts.assemble_tmd(ts.build_beam_matrices(desk_params, 16), desk_params, desk_tmd)
+    else:
+        gen = ts.assemble_combined(ts.build_beam_matrices(desk_params, 64), desk_params, 1.0, 1.0)
+    return gen, ts.classical_initial_data(gen, "smooth_modal", k_modes=12), ts.default_timestep(gen, 12)
 
 
 class TestKernel:
@@ -154,42 +178,60 @@ class TestKernel:
             assert np.abs(traj.channels[ch.name] - channels[ch.name]).max() <= tol
             assert np.abs(traj.midpoint_channels[ch.name] - midpoints[ch.name]).max() <= tol
 
-    def test_dense_path_reproduces_lu_solve_loop_bitwise(self, desk_models, monkeypatch):
-        gen = desk_models["tmd"]
-        force_path(monkeypatch, gen, "dense")
-        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
-        dt = ts.default_timestep(gen, 12)
-        traj = ts.simulate(gen, z0, 300 * dt, dt)
-        energies, channels, midpoints, z = reference_midpoint(gen, z0, 300, dt)
-        assert np.array_equal(traj.energies, energies)
-        assert np.array_equal(traj.final_state, z)
-        for name in channels:
-            assert np.array_equal(traj.channels[name], channels[name])
-            assert np.array_equal(traj.midpoint_channels[name], midpoints[name])
-
-    def test_sparse_path_agrees_with_dense_path(self, desk_params, monkeypatch):
-        """Each path's energy change equals its dissipated energy up to
+    @pytest.mark.parametrize("case", ["tmd_n16", "combined_n64", "coupled_pair"])
+    def test_band_loop_agrees_with_lu_solve_loop(self, desk_params, desk_tmd, monkeypatch, case):
+        """Each loop's energy change equals its dissipated energy up to
         dt * (its per-step identity residual) per step, and the contractive
         midpoint map keeps the two states, hence the dissipated energies, at
         roundoff distance: the energy changes agree to the summed residuals.
-        E(0) itself is a dense or a CSR quadratic form, which agree to the
-        dot-product rounding bound dim * eps * |z0|^T |M| |z0|."""
-        gen = ts.assemble_combined(ts.build_beam_matrices(desk_params, 64), desk_params, 1.0, 1.0)
-        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
-        dt = ts.default_timestep(gen, 12)
-        runs = {}
-        for path in ("dense", "sparse"):
-            force_path(monkeypatch, gen, path)
-            runs[path] = ts.simulate(gen, z0, 500 * dt, dt)
-        n_steps = runs["dense"].times.size - 1
-        residuals = [ts.verify_dissipation_identity(gen, t) for t in runs.values()]
-        dense, sparse = runs["dense"].energies, runs["sparse"].energies
-        change_gap = np.abs((dense - dense[0]) - (sparse - sparse[0])).max()
-        assert 0.0 < change_gap <= n_steps * dt * sum(residuals)
+        E(0) itself is a dense or a banded quadratic form, which agree to the
+        dot-product rounding bound dim * eps * |z0|^T |M| |z0|.  The final
+        states, the banded one put back in the generator's order, agree to
+        ``sqrt(eps) |y_0|`` in the energy norm, a tolerance fixed from the
+        dtype.  The coupled pair has a full band, fewer rows than scipy's
+        ``dgbmv`` wrapper asks for unbordered."""
+        gen, z0, dt = loop_case(case, desk_params, desk_tmd)
+        force_path(monkeypatch, gen, "loop")
+        n = 500
+        traj = ts.simulate(gen, z0, n * dt, dt)
+        energies, _, midpoints, z = reference_midpoint(gen, z0, n, dt)
+        loop = ts.EnergyTrajectory(
+            times=traj.times, energies=energies, channels={}, dt=dt, final_state=z0,
+            midpoint_channels={name: np.array(m) for name, m in midpoints.items()},
+        )
+        residuals = [ts.verify_dissipation_identity(gen, t) for t in (traj, loop)]
+        change_gap = np.abs((traj.energies - traj.energies[0]) - (energies - energies[0])).max()
+        assert change_gap <= n * dt * sum(residuals)
         rounding = gen.dim * np.finfo(float).eps * (np.abs(z0) @ np.abs(gen.gram) @ np.abs(z0))
-        assert abs(dense[0] - sparse[0]) <= rounding
+        assert abs(traj.energies[0] - energies[0]) <= rounding
+        gap = np.sqrt(2.0 * gen.energy(traj.final_state - z))
+        assert gap <= np.sqrt(np.finfo(float).eps) * np.sqrt(2.0 * energies[0])
 
-    @pytest.mark.parametrize("path", ["step_free", "dense", "sparse"])
+    def test_singular_midpoint_matrix_fails_the_factorization(self, monkeypatch):
+        """A = 1 at dt = 2 makes ``M - dt/2 F`` zero."""
+        gen = ts.DiscreteGenerator(flux=np.array([[1.0]]), gram=np.array([[1.0]]), labels=["x"])
+        force_path(monkeypatch, gen, "loop")
+        with pytest.raises(ts.NumericalError, match="^midpoint factorization failed: "):
+            ts.simulate(gen, np.array([1.0]), 10.0, 2.0)
+
+    def test_fine_mesh_loop_leaves_scipy_sparse_unloaded(self):
+        """Combined at 64 elements (dim 256) skips the step-free route; the
+        banded loop runs on ``scipy.linalg`` alone."""
+        script = (
+            "import sys; import towerstab as ts; "
+            "p = ts.BeamParameters(rho=1.0, EI=1.0, m=1.0, J=1.0); "
+            "gen = ts.assemble_combined(ts.build_beam_matrices(p, 64), p, 1.0, 1.0); "
+            "ts.simulate(gen, ts.classical_initial_data(gen, 'tip_kick'), 0.01, 1e-3); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        )
+        src = str(Path(timesim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("path", ["step_free", "loop"])
     def test_blow_up_names_the_step(self, monkeypatch, path):
         """A = 1, dt = 6: every step maps z to -2 z exactly, so the energy
         increment 1.5 z_k^2 = 1.5 * 4^k first overflows at k = 512."""
@@ -206,19 +248,19 @@ class TestRouteGuard:
     def test_fine_mesh_keeps_the_lu_loop(self, desk_params, desk_tmd, monkeypatch, model):
         """At n_elements 48 (dim 194 and 192) the eigendecomposition's
         backward error bound ``4 ||sym(dT)||_2`` exceeds ``IDENTITY_RTOL / 2``,
-        so the dense LU loop integrates, and its identity residual stays
+        so the banded LU loop integrates, and its identity residual stays
         within the ``dissipation_identity`` bound."""
         beam = ts.build_beam_matrices(desk_params, 48)
         if model == "tmd":
             gen = ts.assemble_tmd(beam, desk_params, desk_tmd)
         else:
             gen = ts.assemble_combined(beam, desk_params, 1.0, 1.0)
-        assert gen.dim < timesim.SPARSE_MIN_DIM
+        assert gen.dim < timesim.STEP_FREE_DIM_LIMIT
         assert timesim._energy_eigenbasis(gen) is None
         loops = []
-        dense = timesim._dense_operators
+        band = timesim._band_operators
         monkeypatch.setattr(
-            timesim, "_dense_operators", lambda *args: loops.append(args) or dense(*args)
+            timesim, "_band_operators", lambda *args: loops.append(args) or band(*args)
         )
         z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
         traj = ts.simulate(gen, z0, 5.0, ts.default_timestep(gen, 12))
