@@ -503,13 +503,14 @@ class Runner:
         if cfg.enabled("dissipation_identity"):
             residual = verify_dissipation_identity(self.gen, traj)
             scale = traj.energies[0] or 1.0
-            ok = residual <= IDENTITY_RTOL * scale and traj.is_monotone()
+            monotone = traj.is_monotone()
+            ok = residual <= IDENTITY_RTOL * scale and monotone
             self._record(
                 "dissipation_identity",
                 "pass" if ok else "fail",
                 max_dissipation_residual=residual,
                 relative_residual=residual / scale,
-                monotone=traj.is_monotone(),
+                monotone=monotone,
             )
         if cfg.enabled("decay"):
             t_hi = traj.times[-1]

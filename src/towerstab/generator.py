@@ -130,8 +130,9 @@ class DiscreteGenerator(GramSystem):
     Constructed once from the ``gram`` and ``flux`` an assembly produces;
     the explicit ``A`` is only ever derived.  ``damping_channels`` carries
     the model's closed-form dissipation identity so that ``sym(flux) = -sum
-    gain_i v_i v_i^T``.  ``blocks`` is the pair of passive blocks a
-    generator was coupled from (set by
+    gain_i v_i v_i^T``; its names are unique, since a simulation records
+    each channel under its name.  ``blocks`` is the pair of passive blocks
+    a generator was coupled from (set by
     :func:`~towerstab.passive_core.couple_systems`), ``None`` otherwise.
     The dissipation defect and the undamped beam modes
     (:func:`towerstab.timesim.beam_modes`) are computed once and cached.
@@ -152,6 +153,9 @@ class DiscreteGenerator(GramSystem):
         if len(set(self.labels)) != self.dim:
             raise ValidationError("coordinate labels must be unique")
         self.damping_channels = tuple(damping_channels)
+        names = [ch.name for ch in self.damping_channels]
+        if len(set(names)) != len(names):
+            raise ValidationError(f"damping channel names must be unique, got {names}")
         self.blocks = None
         self._defect: float | None = None
         self._modes: tuple[np.ndarray, np.ndarray] | None = None

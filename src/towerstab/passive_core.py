@@ -312,9 +312,10 @@ def couple_systems(
     With ``u_i = L_i z`` the flux is ``blkdiag(flux1, flux2) + [[gram_B1
     L1], [gram_B2 L2]]`` on the block-diagonal Gram (every product with a
     unit input map is exact).  The supplies cancel, so each block channel
-    ``(v_x, v_u)`` lifts to ``v_x + v_u L_i``; the coupled generator is
-    certified Gram-dissipative (the defect stays cached on it) and keeps
-    ``(sys1, sys2)`` as ``gen.blocks``, which
+    ``(v_x, v_u)`` lifts to ``v_x + v_u L_i`` (a second-block channel named
+    like a first-block one is renamed ``sys2.<name>``); the coupled
+    generator is certified Gram-dissipative (the defect stays cached on it)
+    and keeps ``(sys1, sys2)`` as ``gen.blocks``, which
     :func:`check_coupled_resolvent_bound` reads.
     """
     if sys1.p != sys2.p:
@@ -333,13 +334,17 @@ def couple_systems(
     gram = np.zeros((n1 + n2, n1 + n2))
     flux = np.zeros((n1 + n2, n1 + n2))
     channels = []
-    for block, L, rows in ((sys1, L1, slice(0, n1)), (sys2, L2, slice(n1, n1 + n2))):
+    taken = {ch.name for ch in sys1.channels}
+    for block, L, rows, clash in (
+        (sys1, L1, slice(0, n1), set()), (sys2, L2, slice(n1, n1 + n2), taken)
+    ):
         gram[rows, rows] = block.gram
         flux[rows, rows] = block.flux
         flux[rows] += block.gram_B @ L
         for name, gain, v in block.channels:
             lifted = np.zeros(n1 + n2)
             lifted[rows] = v[: block.n]
+            name = f"sys2.{name}" if name in clash else name
             channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
     if labels is None:
         labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]

@@ -20,11 +20,16 @@ The map is evaluated by one of two routes, chosen from the generator:
   ``T = X diag(lam) X^{-1}`` every step is ``mu**k`` with
   ``mu = (1 + dt/2 lam) / (1 - dt/2 lam)``, so energies and channels are
   filled in blocks of steps by matrix products, with no Python work per
-  step.  The computed pair carries its own backward error: it is the exact
-  decomposition of ``T + dT``, ``dT = -(T X - X diag(lam)) X^{-1}``, and
-  perturbs the per-step balance by ``y_mid^T sym(dT) y_mid``.  The route
-  is taken only when ``4 ||sym(dT)||_2 <= IDENTITY_RTOL / 2``, twice the
-  first-order bound ``2 ||sym(dT)||_2 E(0)`` on that perturbation.
+  step.  ``T`` is real, so its eigenpairs are real or come in conjugate
+  pairs, and the real columns with the real and imaginary parts of one
+  column of each pair span the states (the real block-diagonal
+  eigenbasis; Golub & Van Loan, *Matrix Computations*, §7.4): the products
+  are real and take one column per pair.  The computed ``(lam, X)`` carries its own
+  backward error: it is the exact decomposition of ``T + dT``,
+  ``dT = -(T X - X diag(lam)) X^{-1}``, and perturbs the per-step balance
+  by ``y_mid^T sym(dT) y_mid``.  The route is taken only when the pairs
+  are exact conjugates and ``4 ||sym(dT)||_2 <= IDENTITY_RTOL / 2``, twice
+  the first-order bound ``2 ||sym(dT)||_2 E(0)`` on that perturbation.
 * Otherwise the assembled ``M`` and ``F`` are taken in the band order of
   the generator (bandwidth 5 and 7 on the assembled models), ``M - dt/2 F``
   is factorized once by a banded LU with partial pivoting, and each step
@@ -75,8 +80,15 @@ STEP_BUDGET = 10_000_000
 MODE_BLOCK = 64
 
 #: Steps per block of the step-free route: its transient arrays are a few
-#: ``STEP_BLOCK x dim`` complex tables, a few hundred kB below ``STEP_FREE_DIM_LIMIT``.
-STEP_BLOCK = 256
+#: ``STEP_BLOCK x dim`` real tables (the powers ``mu**k`` of one eigenvalue
+#: per conjugate pair, viewed as real and imaginary parts, and their
+#: products), a few hundred kB below ``STEP_FREE_DIM_LIMIT``.  At the desk
+#: size (dim 64-68) a block's energy product stays below the size from which
+#: numpy's OpenBLAS 0.3.31 splits a product over threads (at 66 columns, 224
+#: rows stay on one thread and 255 are split); split, its spare worker spins
+#: against the block's other array work, and on a 2-vCPU x86 VM the desk
+#: tmd simulation took 0.20 s with 256 steps a block against 0.14 s with 192.
+STEP_BLOCK = 192
 
 
 @dataclass(frozen=True)
@@ -191,13 +203,25 @@ def _step_loop(operators, z0, dt, V, energies, channels, midpoints) -> np.ndarra
 def _energy_eigenbasis(gen: DiscreteGenerator):
     """Eigenpairs ``(lam, X)`` of ``T`` and the LU of ``X``, or ``None`` when
     the guard of the module docstring refuses them,
-    ``4 ||sym(dT)||_2 > IDENTITY_RTOL / 2`` with ``dT = -(T X - X diag(lam)) X^{-1}``.
+    ``4 ||sym(dT)||_2 > IDENTITY_RTOL / 2`` with ``dT = -(T X - X diag(lam)) X^{-1}``,
+    or when the spectrum does not split exactly into real eigenvalues and
+    pairs ``(lam_j, x_j)``, ``(conj lam_j, conj x_j)`` in adjacent columns
+    (LAPACK's ``geev`` layout, which gives a real eigenvalue a real vector).
     """
     T = energy_coordinates(gen).T
     try:
         lam, X = sla.eig(T)
         lu = sla.lu_factor(X)
     except sla.LinAlgError:
+        return None
+    upper = np.flatnonzero(lam.imag > 0)
+    n_real = np.count_nonzero(lam.imag == 0)
+    partner = np.minimum(upper + 1, lam.size - 1)   # a last column has none
+    if (
+        2 * upper.size + n_real != lam.size
+        or not np.array_equal(lam[partner], lam[upper].conj())
+        or not np.array_equal(X[:, partner], X[:, upper].conj())
+    ):
         return None
     # dT^T = -X^{-T} (T X - X diag(lam))^T: one transposed solve with the LU.
     dT = -sla.lu_solve(lu, (T @ X - X * lam).T, trans=1, check_finite=False).T
@@ -212,38 +236,55 @@ def _step_free(gen, basis, z0, half_dt, V, energies, channels, midpoints) -> np.
 
     With ``a_k = mu**k * c`` and ``c = X^{-1} y_0``, step ``k`` has
     ``y_k = X a_k`` and ``y_mid = X g_k``, ``g_k = a_k / (1 - dt/2 lam)``
-    (``(1 + mu) / 2 = 1 / (1 - dt/2 lam)``).  Like the loop, the energy is
-    accumulated from increments free of cancellation,
-    ``E_{k+1} - E_k = dt y_mid^T T_X y_mid = dt g_k^T (X^T X diag(lam)) g_k``
-    with ``T_X = X diag(lam) X^{-1}``, and channels ``v . z = (U^{-T} v) . y``
-    are read from ``g_k`` alone.  Returns the final state ``z = U^{-1} y_N``.
+    (``(1 + mu) / 2 = 1 / (1 - dt/2 lam)``).  ``y`` is real, so a conjugate
+    pair adds ``2 Re(x_j g_j)``: only the real eigenvalues and one of each
+    pair are kept, and a kept ``g_j`` acts through its real coordinates
+    ``(Re g_j, Im g_j)`` on the real columns ``(2 Re x_j, -2 Im x_j)``
+    (weight 1 for a real eigenvalue, whose ``x_j`` is real).  Any product
+    ``X diag(d)`` the route needs becomes such a real matrix, so every
+    block of steps is real matrix products; only ``mu**k`` stays complex.
+    Like the loop, the energy is accumulated from increments free of
+    cancellation, ``E_{k+1} - E_k = dt y_mid^T T_X y_mid`` with ``T_X y_mid
+    = X diag(lam) g_k``, and channels ``v . z = (U^{-T} v) . y`` are read
+    from ``g_k`` alone.  Returns the final state ``z = U^{-1} y_N``.
     """
     lam, X, lu = basis
     n_steps = midpoints.shape[0]
     r = V.shape[0]
     U = gen._factor()
+    kept = np.flatnonzero(lam.imag >= 0)
+    # complex (eig returns a real X for a real spectrum), rows viewable as real
+    lam, X = lam[kept], np.ascontiguousarray(X[:, kept], dtype=complex)
+    weight = np.where(lam.imag > 0, 2.0, 1.0)
     shrink = 1.0 - half_dt * lam                      # a_k = shrink * g_k
     mu = (1.0 + half_dt * lam) / shrink
     y0 = U @ z0
     # check_finite=False lets a non-finite y0 reach the energy test below,
     # which names step 0 as the loop does.
-    g = sla.lu_solve(lu, y0.astype(complex), check_finite=False) / shrink
-    WX = sla.solve_triangular(U, V.T, trans="T").T @ X
-    probes = np.hstack([(WX * shrink).T, WX.T])        # channels at y_k, then at y_mid
-    energy_form = 2.0 * half_dt * (X.T @ X) * lam
+    g = sla.lu_solve(lu, y0.astype(complex), check_finite=False)[kept] / shrink
+
+    def real(Y):
+        """Columns ``(w Re y_j, -w Im y_j)`` of ``Y``, against ``(Re g_j, Im g_j)``."""
+        return (weight * Y.conj()).view(float)
+
+    Xr, Xs = real(X), real(X * shrink)
+    W = sla.solve_triangular(U, V.T, trans="T")
+    probes = np.hstack([Xs.T @ W, Xr.T @ W])          # channels at y_k, then at y_mid
+    energy_form = 2.0 * half_dt * (Xr.T @ real(X * lam))
     # E(0) and the channels at step 0 (set after the blocks) are read off z0
-    # as the loops read them.
+    # as the loop reads them.
     energies[0] = 0.5 * float(z0 @ (gen.gram @ z0))
     with np.errstate(over="ignore", invalid="ignore"):
         powers = mu ** np.arange(STEP_BLOCK)[:, None]
         for k0 in range(0, n_steps + 1, STEP_BLOCK):
             G = powers[: n_steps + 1 - k0] * g
+            Gr = G.view(float)                         # rows (Re g_j, Im g_j, ...)
             mids = min(G.shape[0], n_steps - k0)
-            signals = (G @ probes).real
+            signals = Gr @ probes
             channels[k0:k0 + G.shape[0]] = signals[:, :r]
             midpoints[k0:k0 + mids] = signals[:mids, r:]
             block = energies[k0:k0 + mids + 1]
-            block[1:] = np.einsum("ij,ij->i", G[:mids] @ energy_form, G[:mids]).real
+            block[1:] = np.einsum("ij,ij->i", Gr[:mids] @ energy_form, Gr[:mids])
             np.cumsum(block, out=block)
             bad = np.flatnonzero(~np.isfinite(block[1:]))
             if bad.size:
@@ -252,8 +293,7 @@ def _step_free(gen, basis, z0, half_dt, V, energies, channels, midpoints) -> np.
                 )
             g = G[-1] * mu
     channels[0] = V @ z0
-    y = (X @ (G[-1] * shrink)).real
-    return sla.solve_triangular(U, y)
+    return sla.solve_triangular(U, Xs @ Gr[-1])
 
 
 def _band_operators(gen: DiscreteGenerator, half_dt: float):
@@ -471,7 +511,18 @@ def fit_decay_rate(traj: EnergyTrajectory, t_lo: float, t_hi: float) -> DecayFit
 
 
 def _loglog_fit(t: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    x, y = np.log(t), np.log(e)
-    slope = float(np.polyfit(x, y, 1)[0])
-    curvature = float(np.polyfit(x, y, 2)[0]) if x.size >= 3 else 0.0
-    return slope, curvature
+    """Slope of the linear and leading coefficient of the quadratic
+    least-squares fit of ``log e`` against ``log t``.
+
+    Both come from one QR of ``[1, x, x**2, log e]``, ``x`` the centred
+    ``log t`` scaled into ``[-1, 1]`` (a well-conditioned Vandermonde):
+    the fit on the first ``j`` columns solves ``R[:j, :j] c = R[:j, 3]``.
+    """
+    x = np.log(t)
+    x -= x.mean()
+    scale = np.abs(x).max()
+    x /= scale
+    R = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x, np.log(e)]), mode="r")
+    slope = sla.solve_triangular(R[:2, :2], R[:2, 3])[1] / scale
+    curvature = sla.solve_triangular(R[:3, :3], R[:3, 3])[2] / scale**2
+    return float(slope), float(curvature)

@@ -122,20 +122,47 @@ def force_path(monkeypatch, gen, path):
         assert timesim._energy_eigenbasis(gen) is not None, "the guard refuses the step-free route"
 
 
+def random_pair():
+    """Two random passive blocks (dim 4 and 3) that both name their
+    channels ``loss[0..3]``."""
+    return ts.couple_systems(ts.random_passive_system(4, 2, 1), ts.random_passive_system(3, 2, 2))
+
+
+def real_spectrum_generator():
+    """A dim-3 generator with a symmetric negative definite flux, so that
+    ``T`` is symmetric and its spectrum all real."""
+    gains = (1.0, 2.0, 3.0)
+    return ts.DiscreteGenerator(
+        gram=np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+        flux=-np.diag(gains),
+        labels=["a", "b", "c"],
+        damping_channels=tuple(
+            ts.DampingChannel(f"e{i}", gain, np.eye(3)[i]) for i, gain in enumerate(gains)
+        ),
+    )
+
+
+def step_free_case(name, desk_models):
+    """Generator, initial state and step of a step-free comparison: the
+    desk tmd and combined models (complex pairs only), the desk hydraulic
+    model (one real eigenvalue, -1, whose mode is the pump and motor speed
+    shifts alone, so the pump starts at unit speed shift) and
+    :func:`real_spectrum_generator`."""
+    if name == "real_spectrum":
+        return real_spectrum_generator(), np.array([1.0, -0.5, 0.25]), 0.01
+    gen = desk_models[name]
+    z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
+    if name == "hydraulic":
+        z0 = z0 + gen.unit_state("pump_speed_shift")
+    return gen, z0, ts.default_timestep(gen, 12)
+
+
 def loop_case(name, desk_params, desk_tmd):
     """Generator, initial state and step of a banded-loop comparison: tmd at
     16 elements, combined at 64 (dim 256) and a coupled pair of random
     blocks, whose band is full (dim 7)."""
     if name == "coupled_pair":
-        pair = ts.couple_systems(ts.random_passive_system(4, 2, 1), ts.random_passive_system(3, 2, 2))
-        # both blocks name their channels loss[0..3]; numbered apart, each
-        # is recorded under its own name
-        gen = ts.DiscreteGenerator(
-            gram=pair.gram, flux=pair.flux, labels=pair.labels,
-            damping_channels=tuple(
-                ch._replace(name=f"{ch.name}#{i}") for i, ch in enumerate(pair.damping_channels)
-            ),
-        )
+        gen = random_pair()
         return gen, np.random.default_rng(0).standard_normal(gen.dim), 0.01
     if name == "tmd_n16":
         gen = ts.assemble_tmd(ts.build_beam_matrices(desk_params, 16), desk_params, desk_tmd)
@@ -145,7 +172,8 @@ def loop_case(name, desk_params, desk_tmd):
 
 
 class TestKernel:
-    def test_step_free_route_matches_lu_solve_loop(self, desk_models, monkeypatch):
+    @pytest.mark.parametrize("case", ["tmd", "combined", "hydraulic", "real_spectrum"])
+    def test_step_free_route_matches_lu_solve_loop(self, desk_models, monkeypatch, case):
         """Both routes are midpoint maps of ``T`` up to a backward error, so
         they agree to roundoff.  E(0) is the same quadratic form.  The energy
         changes agree to the summed identity residuals (each route's energy
@@ -154,11 +182,11 @@ class TestKernel:
         ``dim * eps * |y_0|`` (energy norm ``|y_0|**2 = 2 E(0)``), and the
         contractive maps carry that drift along, so the states and the
         channels ``v . z = (U^{-T} v) . y`` agree to ``n * dim * eps`` of
-        ``|y_0|`` and of ``|U^{-T} v| |y_0|``."""
-        gen = desk_models["tmd"]
+        ``|y_0|`` and of ``|U^{-T} v| |y_0|``.  The cases cover spectra of
+        conjugate pairs only, of pairs and one real eigenvalue, and of real
+        eigenvalues only."""
+        gen, z0, dt = step_free_case(case, desk_models)
         force_path(monkeypatch, gen, "step_free")
-        z0 = ts.classical_initial_data(gen, "smooth_modal", k_modes=12)
-        dt = ts.default_timestep(gen, 12)
         n = 1000
         traj = ts.simulate(gen, z0, n * dt, dt)
         energies, channels, midpoints, z = reference_midpoint(gen, z0, n, dt)
@@ -206,6 +234,33 @@ class TestKernel:
         assert abs(traj.energies[0] - energies[0]) <= rounding
         gap = np.sqrt(2.0 * gen.energy(traj.final_state - z))
         assert gap <= np.sqrt(np.finfo(float).eps) * np.sqrt(2.0 * energies[0])
+
+    def test_broken_conjugate_partner_refuses_the_step_free_route(self, desk_models, monkeypatch):
+        """The real route reads each conjugate pair off one of its columns,
+        so an ``eig`` whose partner eigenvalue is one ulp off the conjugate
+        (the pair of smallest modulus, far inside the backward-error guard)
+        is refused, and the banded loop integrates."""
+        gen = desk_models["tmd"]
+        assert timesim._energy_eigenbasis(gen) is not None
+        eig = timesim.sla.eig
+
+        def broken(*args, **kwargs):
+            lam, X = eig(*args, **kwargs)
+            j = np.flatnonzero(lam.imag > 0)[np.argmin(np.abs(lam[lam.imag > 0]))]
+            lam[j + 1] = complex(lam[j + 1].real, np.nextafter(lam[j + 1].imag, 0.0))
+            return lam, X
+
+        monkeypatch.setattr(timesim.sla, "eig", broken)
+        assert timesim._energy_eigenbasis(gen) is None
+        loops = []
+        band = timesim._band_operators
+        monkeypatch.setattr(
+            timesim, "_band_operators", lambda *args: loops.append(args) or band(*args)
+        )
+        z0 = ts.classical_initial_data(gen, "tip_kick")
+        traj = ts.simulate(gen, z0, 0.5, 0.01)
+        assert len(loops) == 1
+        assert ts.verify_dissipation_identity(gen, traj) <= 1e-9 * traj.energies[0]
 
     def test_singular_midpoint_matrix_fails_the_factorization(self, monkeypatch):
         """A = 1 at dt = 2 makes ``M - dt/2 F`` zero."""
@@ -391,6 +446,25 @@ class TestDissipationIdentity:
         traj = ts.simulate(gen, z0, 10.0, 1e-3)  # 10^4 steps
         residual = ts.verify_dissipation_identity(gen, traj)
         assert residual <= 1e-9 * traj.energies[0]
+
+    def test_coupled_pair_records_every_channel(self):
+        """Both blocks of :func:`random_pair` name their channels
+        ``loss[0..3]``; the coupled generator renames the second block's, so
+        all eight are recorded and the identity counts each once."""
+        gen = random_pair()
+        names = [ch.name for ch in gen.damping_channels]
+        assert names[4:] == [f"sys2.loss[{j}]" for j in range(4)]
+        traj = ts.simulate(gen, np.random.default_rng(0).standard_normal(gen.dim), 5.0, 0.01)
+        assert list(traj.midpoint_channels) == names
+        assert ts.verify_dissipation_identity(gen, traj) <= timesim.IDENTITY_RTOL * traj.energies[0]
+
+    def test_duplicate_channel_names_rejected(self):
+        channel = ts.DampingChannel("loss", 1.0, np.ones(1))
+        with pytest.raises(ts.ValidationError, match="channel names must be unique"):
+            ts.DiscreteGenerator(
+                flux=np.array([[-2.0]]), gram=np.array([[1.0]]), labels=["x"],
+                damping_channels=(channel, channel),
+            )
 
     def test_missing_channels_rejected(self, desk_models):
         gen = desk_models["combined"]
