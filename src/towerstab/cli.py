@@ -18,6 +18,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -35,7 +37,7 @@ from .beam_fem import (
     check_condition_eq1,
     coefficient_from_spec,
 )
-from .errors import NumericalError, ToolkitError, ValidationError
+from .errors import DimensionError, NumericalError, ToolkitError, ValidationError
 from .generator import DISSIPATIVITY_TOL, DiscreteGenerator, energy_norm
 from .models import (
     MODEL_KINDS,
@@ -316,16 +318,71 @@ def config_hash(cfg: RunConfig) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
-def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Columns side by side as CSV, floats with 17 significant digits."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n_rows = min((c.shape[0] for c in columns), default=0)
+def _write_rows(fh, columns: list[np.ndarray], start: int, stop: int) -> None:
+    """Rows ``[start, stop)`` of ``columns``, formatted ``CSV_CHUNK_ROWS`` at a time."""
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join([row_format % row for row in zip(*chunk)]))
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        chunk = [c[lo:min(lo + CSV_CHUNK_ROWS, stop)].tolist() for c in columns]
+        fh.write("".join([row_format % row for row in zip(*chunk)]))
+
+
+def _fork_writer(part: Path, columns: list[np.ndarray], start: int, stop: int) -> int:
+    """Fork a process that writes rows ``[start, stop)`` into ``part``; its pid.
+
+    The child only formats and writes, and leaves through ``os._exit`` so that
+    it runs no atexit handler and flushes no inherited buffer.  Its exit status
+    is 0, the errno of an ``OSError``, or 255 for any other exception.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 255
+    try:
+        with open(part, "w", newline="") as fh:
+            _write_rows(fh, columns, start, stop)
+        status = 0
+    except OSError as exc:
+        status = exc.errno or status
+    finally:
+        os._exit(status)
+
+
+def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Columns side by side as CSV, floats with 17 significant digits.
+
+    Where ``os.fork`` exists, a table of more than ``2 * CSV_CHUNK_ROWS`` rows
+    is formatted on two cores: a forked writer puts rows ``[n//2, n)`` into
+    ``<name>.part`` beside ``path`` while this process writes the header and
+    the first half; the part is then appended and removed.  The bytes are
+    those of one process.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    lengths = [c.shape[0] for c in columns]
+    if len(set(lengths)) > 1:
+        raise DimensionError(f"{path.name}: columns differ in length: {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    split = n_rows // 2 if n_rows > 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") else n_rows
+    part = path.with_name(path.name + ".part")
+    pid = None
+    try:
+        if split < n_rows:
+            pid = _fork_writer(part, columns, split, n_rows)
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            _write_rows(fh, columns, 0, split)
+        if pid is not None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if status:
+                detail = f": {os.strerror(status)}" if 0 < status < 255 else ""
+                raise OSError(f"writer of {part} exited with status {status}{detail}")
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        if pid is not None:
+            os.waitpid(pid, 0)
+        if split < n_rows and not part.is_dir():
+            part.unlink(missing_ok=True)
 
 
 class Runner:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -542,15 +544,92 @@ class TestRendering:
         )
 
     def test_columns_csv_matches_per_value_formatting(self, tmp_path):
-        n = cli.CSV_CHUNK_ROWS + 3
-        x = np.linspace(-1.0, 1.0, n)
-        x[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
-        columns = [x, np.arange(n), 1.0 / 3.0 * x]
-        cli.write_columns_csv(tmp_path / "c.csv", ["a", "b", "c"], columns)
-        expected = "a,b,c\n" + "".join(
-            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns)
-        )
-        assert (tmp_path / "c.csv").read_text() == expected
+        # one process up to 2 * CSV_CHUNK_ROWS rows, a forked writer above
+        for n in (
+            cli.CSV_CHUNK_ROWS + 3,
+            2 * cli.CSV_CHUNK_ROWS,
+            2 * cli.CSV_CHUNK_ROWS + 1,
+            3 * cli.CSV_CHUNK_ROWS + 7,
+        ):
+            x = np.linspace(-1.0, 1.0, n)
+            x[:5] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+            x[-3:] = [-0.0, np.inf, 5e-324]
+            columns = [x, np.arange(n), 1.0 / 3.0 * x]
+            cli.write_columns_csv(tmp_path / "c.csv", ["a", "b", "c"], columns)
+            expected = "a,b,c\n" + "".join(
+                ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns)
+            )
+            assert (tmp_path / "c.csv").read_text() == expected, n
+            assert [p.name for p in tmp_path.iterdir()] == ["c.csv"], n
+
+    def test_columns_csv_without_fork_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        n = 2 * cli.CSV_CHUNK_ROWS + 1
+        columns = [np.linspace(0.0, 1.0, n), np.geomspace(1e-300, 1e300, n)]
+        cli.write_columns_csv(tmp_path / "forked.csv", ["a", "b"], columns)
+        monkeypatch.delattr(os, "fork")
+        cli.write_columns_csv(tmp_path / "single.csv", ["a", "b"], columns)
+        assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        with pytest.raises(ts.ValidationError, match=r"columns differ in length: \[3, 2\]"):
+            cli.write_columns_csv(tmp_path / "c.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+class TestSplitWriter:
+    """emit_report when the forked writer of a long table, or the parent's half, fails."""
+
+    @staticmethod
+    def runner_with_long_trajectory(tmp_path):
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
+        t = np.linspace(0.0, 1.0, 2 * cli.CSV_CHUNK_ROWS + 1)
+        runner.trajectory = SimpleNamespace(times=t, energies=np.exp(-t), channels={"v": np.sin(t)})
+        return runner
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def fail_in(monkeypatch, where):
+        """Make ``cli._write_rows`` raise ENOSPC in the parent or in the child."""
+        parent, write_rows = os.getpid(), cli._write_rows
+
+        def write_rows_or_fail(fh, columns, start, stop):
+            if (os.getpid() == parent) == (where == "parent"):
+                fh.write("partial\n")
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_rows(fh, columns, start, stop)
+
+        monkeypatch.setattr(cli, "_write_rows", write_rows_or_fail)
+
+    def test_part_path_taken_by_a_directory(self, tmp_path):
+        runner = self.runner_with_long_trajectory(tmp_path)
+        out = tmp_path / "o"
+        (out / "trajectory.csv.part").mkdir(parents=True)
+        with pytest.raises(ts.ToolkitError, match=f"cannot write artifacts.*status {errno.EISDIR}"):
+            cli.emit_report(runner.report(), out, runner)
+        # the directory is not the writer's to remove, and no file took its place
+        assert [p.name for p in out.glob("*.part")] == ["trajectory.csv.part"]
+        assert (out / "trajectory.csv.part").is_dir()
+        self.assert_no_child_left()
+
+    def test_child_failing_mid_table(self, tmp_path, monkeypatch):
+        runner = self.runner_with_long_trajectory(tmp_path)
+        self.fail_in(monkeypatch, "child")
+        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
+            cli.emit_report(runner.report(), tmp_path / "o", runner)
+        assert list((tmp_path / "o").glob("*.part")) == []
+        self.assert_no_child_left()
+
+    def test_parent_half_failing_reaps_the_child(self, tmp_path, monkeypatch):
+        runner = self.runner_with_long_trajectory(tmp_path)
+        self.fail_in(monkeypatch, "parent")
+        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
+            cli.emit_report(runner.report(), tmp_path / "o", runner)
+        assert list((tmp_path / "o").glob("*.part")) == []
+        self.assert_no_child_left()
 
 
 class TestAssemble:
