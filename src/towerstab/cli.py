@@ -354,7 +354,9 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
     is formatted on two cores: a forked writer puts rows ``[n//2, n)`` into
     ``<name>.part`` beside ``path`` while this process writes the header and
     the first half; the part is then appended and removed.  The bytes are
-    those of one process.
+    those of one process.  When either half fails, neither the part nor a
+    partial ``path`` is left; a ``path`` that could not be opened is not
+    touched.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = [c.shape[0] for c in columns]
@@ -364,10 +366,12 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
     split = n_rows // 2 if n_rows > 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") else n_rows
     part = path.with_name(path.name + ".part")
     pid = None
+    partial = False  # path holds an unfinished table
     try:
         if split < n_rows:
             pid = _fork_writer(part, columns, split, n_rows)
         with open(path, "w", newline="") as fh:
+            partial = True
             fh.write(",".join(header) + "\n")
             _write_rows(fh, columns, 0, split)
         if pid is not None:
@@ -378,11 +382,14 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
                 raise OSError(f"writer of {part} exited with status {status}{detail}")
             with open(part, "rb") as src, open(path, "ab") as dst:
                 shutil.copyfileobj(src, dst)
+        partial = False
     finally:
         if pid is not None:
             os.waitpid(pid, 0)
         if split < n_rows and not part.is_dir():
             part.unlink(missing_ok=True)
+        if partial:
+            path.unlink(missing_ok=True)
 
 
 class Runner:

@@ -28,6 +28,7 @@ from the dense ones; only ``scipy.linalg`` routines touch them.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,15 +173,6 @@ class DiscreteGenerator(GramSystem):
         z[self.index(label)] = 1.0
         return z
 
-    def energy(self, z: np.ndarray) -> float:
-        """Energy ``(1/2) z^T M z`` of a state in the Gram norm."""
-        z = np.asarray(z)
-        if z.shape[0] != self.dim:
-            raise DimensionError(
-                f"state dimension {z.shape[0]} does not match gram {self.gram.shape}"
-            )
-        return 0.5 * float(np.real(np.conj(z) @ self.gram @ z))
-
     def dissipation_defect(self) -> float:
         """Largest eigenvalue of ``sym(gram A)``; <= 0 means Gram-dissipative.
 
@@ -216,9 +208,8 @@ def _beam_size(gen: DiscreteGenerator) -> int:
         raise ValidationError("generator does not carry beam blocks") from None
 
 
-def _band_order(gen: GramSystem) -> np.ndarray | None:
-    """State order in which the Gram and the flux are banded, ``None`` for
-    the identity order.
+def _band_order(gen: GramSystem) -> np.ndarray:
+    """State order in which the Gram and the flux are banded.
 
     A generator with the beam layout (:func:`_beam_size`) takes each beam
     node's displacement, slope and their two velocities together, node by
@@ -229,35 +220,29 @@ def _band_order(gen: GramSystem) -> np.ndarray | None:
         n = _beam_size(gen)
         q = np.arange(n).reshape(-1, 2)  # (displacement, slope) of each node
         return np.concatenate([np.hstack([q, q + n]).ravel(), np.arange(2 * n, gen.dim)])
-    return None
+    return np.arange(gen.dim)
 
 
-def _bandwidths(A: np.ndarray, order: np.ndarray | None) -> tuple[int, int]:
+def _bandwidths(A: np.ndarray, order: np.ndarray) -> tuple[int, int]:
     """Lower and upper bandwidth ``(kl, ku)`` of ``A[order][:, order]``,
     read off the nonzeros of ``A`` by one scan, without a permuted copy."""
     # ten times faster than np.nonzero(A) on a dense float array
     rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
-    if order is not None:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        rows, cols = rank[rows], rank[cols]
-    offset = cols - rows
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    offset = rank[cols] - rank[rows]
     return max(0, -int(offset.min(initial=0))), max(0, int(offset.max(initial=0)))
 
 
-def _band(A: np.ndarray, order: np.ndarray | None, kl: int, ku: int) -> np.ndarray:
+def _band(A: np.ndarray, order: np.ndarray, kl: int, ku: int) -> np.ndarray:
     """LAPACK general band storage ``ab[ku + i - j, j] = B[i, j]`` of
     ``B = A[order][:, order]``, gathered one diagonal at a time in
     ``O(dim (kl + ku))`` time and ``O(dim)`` scratch."""
     n = A.shape[0]
     ab = np.zeros((kl + ku + 1, n), dtype=A.dtype, order="F")
     for d in range(-kl, ku + 1):  # B[i, i + d] for the rows i that have it
-        if order is None:
-            diagonal = np.diagonal(A, d)
-        else:
-            i = np.arange(max(0, -d), n - max(0, d))
-            diagonal = A[order[i], order[i + d]]
-        ab[ku - d, max(0, d) : n + min(0, d)] = diagonal
+        i = np.arange(max(0, -d), n - max(0, d))
+        ab[ku - d, max(0, d) : n + min(0, d)] = A[order[i], order[i + d]]
     return ab
 
 
@@ -276,11 +261,15 @@ def _band_times(gbmv, ab, kl, ku, x, alpha=1.0, trans=0) -> np.ndarray:
 class _BandFactors:
     """Gram and flux of a Gram system in band storage, in its band order.
 
-    ``U`` is the upper band Cholesky factor of the permuted Gram (the
-    order of :func:`_band_order`) and ``flux`` the general band of the
-    permuted flux with bandwidths ``kl`` and ``ku``.  They are built where
+    ``order`` is that of :func:`_band_order`; ``gram`` and ``flux`` are the
+    general bands of the permuted Gram and flux on one common pair of
+    bandwidths ``kl`` and ``ku`` (7 and 7 on the assembled models, the
+    flux's own), and ``U`` is the upper band Cholesky factor of the
+    permuted Gram on the Gram's own half-bandwidth.  They are built where
     they are used and not cached on the object, so that a wide band (a
-    block's reaches half its dimension) does not outlive its solve.  The
+    block's reaches half its dimension) does not outlive its solve; the
+    ``gram`` band, which only the midpoint loop reads, is gathered on first
+    read, so a block's norm does not hold a second wide band.  The
     operators act on vectors in the band order, with real or complex BLAS
     as the flux is real or complex.  ``T^H T`` squares the norm of ``T``,
     so they act on ``T / scale``, where ``scale`` is the power of two just
@@ -289,18 +278,18 @@ class _BandFactors:
     """
 
     def __init__(self, gen: GramSystem):
-        order = _band_order(gen)
+        self._gen = gen
+        self.order = order = _band_order(gen)
         k = max(_bandwidths(gen.gram, order))
-        self.U = sla.cholesky_banded(_band(gen.gram, order, 0, k), lower=False)
-        self.kl, self.ku = _bandwidths(gen.flux, order)
+        self.kl, self.ku = (max(k, w) for w in _bandwidths(gen.flux, order))
         self.flux = _band(gen.flux, order, self.kl, self.ku)
+        self.U = sla.cholesky_banded(_band(gen.gram, order, 0, k), lower=False)
         dtype = self.flux.dtype
         if dtype == complex:
             self.U = self.U.astype(complex)
         self._tbsv, self._tbmv, self._gbmv = blas.get_blas_funcs(
             ("tbsv", "tbmv", "gbmv"), dtype=dtype
         )
-        self._gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=dtype)
         nrm2 = blas.get_blas_funcs("nrm2", dtype=dtype)
         rng = np.random.default_rng(0)
         start = rng.standard_normal(gen.dim)
@@ -310,6 +299,10 @@ class _BandFactors:
         self.scale = 1.0  # read by _times_flux
         Tq = self._solve_U(self._times_flux(self._solve_U(self.start.copy())), trans=1)
         self.scale = math.ldexp(1.0, math.frexp(nrm2(Tq))[1])
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _band(self._gen.gram, self.order, self.kl, self.ku)
 
     def _solve_U(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
         """``U^{-1} x``, or ``U^{-T} x`` for ``trans=1``, in place."""
@@ -328,17 +321,25 @@ class _BandFactors:
         y = self._solve_U(self._times_flux(self._solve_U(x)), trans=1)
         return self._solve_U(self._times_flux(self._solve_U(y), trans=2), trans=1)
 
+    def lu(self, ab: np.ndarray) -> Callable[..., np.ndarray] | None:
+        """A solve ``(x, trans=0) -> B^{-1} x`` (``B^{-H} x`` for ``trans=2``),
+        overwriting ``x``, for the matrix ``B`` of the band ``ab`` on ``(kl,
+        ku)``; ``None`` when its LU meets a zero pivot.  One ``?gbtrf`` with
+        partial pivoting on ``ab`` bordered above by ``kl`` zero rows for the
+        fill-in, then one ``?gbtrs`` per solve."""
+        gbtrf, gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        padded = np.vstack([np.zeros((self.kl, ab.shape[1]), ab.dtype), ab])
+        lu, piv, info = gbtrf(padded, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            return None
+        return lambda x, trans=0: gbtrs(lu, self.kl, self.ku, x, piv, trans=trans, overwrite_b=1)[0]
+
     def inverse_normal(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """``x -> (T^H T)^{-1} x = U F^{-1} M F^{-H} U^T x`` for ``T / scale``
         by one banded LU of the flux, or ``None`` when the LU meets a zero pivot."""
-        n = self.flux.shape[1]
-        padded = np.vstack([np.zeros((self.kl, n), self.flux.dtype), self.flux / self.scale])
-        lu, piv, info = self._gbtrf(padded, self.kl, self.ku, overwrite_ab=1)
-        if info != 0:
+        solve = self.lu(self.flux / self.scale)
+        if solve is None:
             return None
-
-        def solve(x: np.ndarray, trans: int) -> np.ndarray:
-            return self._gbtrs(lu, self.kl, self.ku, x, piv, trans=trans, overwrite_b=1)[0]
 
         def apply(x: np.ndarray) -> np.ndarray:
             y = self._times_U(solve(self._times_U(x, trans=1), trans=2))

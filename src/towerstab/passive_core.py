@@ -27,7 +27,6 @@ from .generator import (
     DampingChannel,
     DiscreteGenerator,
     GramSystem,
-    energy_coordinates,
     energy_norm,
     symmetric_part,
 )
@@ -427,48 +426,38 @@ def check_feedback_bounds(
 
     ``sys_q`` must be a feedback-transformed passive block and ``c`` the
     accretivity constant of the loop gain; margins are (bound - value), so
-    nonnegative margins mean the estimate holds.  Each frequency takes one
-    solve ``(is - T) [RB | R] = [B | I]`` in energy coordinates.  Raises
-    :class:`ValidationError` for an empty or non-finite grid.
+    nonnegative margins mean the estimate holds.  With ``gram = U^T U`` the
+    energy-coordinate resolvent is ``R = (is - T)^{-1} = U (is gram -
+    flux)^{-1} U^T``, so the whole grid takes the stacked solves of
+    :func:`_resolvent_apply` with ``[gram_B | U^T]``: for their solutions
+    ``X_B`` and ``X_U``, ``R = U X_U``, ``R B = U X_B``, ``C R = C X_U`` and
+    ``H = C X_B + D`` (``B = U^{-T} gram_B`` and ``C U^{-1}`` in energy
+    coordinates).  A frequency is excluded when the solve flags it or when
+    ``|R|`` reaches the spectrum-hit level.  Raises :class:`ValidationError`
+    for an empty or non-finite grid.
     """
-    ec = energy_coordinates(sys_q)
+    grid = _as_grid(s_grid)
     U = sys_q._factor()
-    B = sla.solve_triangular(U.T, sys_q.gram_B, lower=True)  # U^{-T} gram_B
-    C = sla.solve_triangular(U.T, sys_q.C.T, lower=True).T  # C U^{-1}
-    eye = np.eye(sys_q.n)
-    rhs = np.hstack([B, eye])
+    X, hit = _resolvent_apply(sys_q.gram, sys_q.flux, grid, np.hstack([sys_q.gram_B, U.T]))
+    keep = np.flatnonzero(~hit)
+    res = np.linalg.norm(U @ X[keep, :, sys_q.p :], 2, axis=(1, 2))
+    usable = res * _hit_level(grid[keep], energy_norm(sys_q)) < 1.0
+    keep, res = keep[usable], res[usable]
+    X_B, X_U = X[keep, :, : sys_q.p], X[keep, :, sys_q.p :]
+    rb, cr, h = (
+        np.linalg.norm(Y, 2, axis=(1, 2))
+        for Y in (U @ X_B, sys_q.C @ X_U, sys_q.C @ X_B + sys_q.D)
+    )
     inv_c = 1.0 / c
-
-    def evaluate(s):
-        X, hit = _resolvent_apply(eye, ec.T, np.array([s]), rhs)
-        if hit[0]:
-            raise SpectrumHit(s)
-        RB, R = X[0, :, :sys_q.p], X[0, :, sys_q.p:]
-        r = float(sla.svdvals(R)[0])
-        if r * _hit_level(s, energy_norm(sys_q)) >= 1.0:
-            raise SpectrumHit(s)
-        rb = float(sla.svdvals(RB)[0])
-        cr = float(sla.svdvals(C @ R)[0])
-        h = float(sla.svdvals(C @ RB + sys_q.D)[0])
-        return r, inv_c * r - rb**2, inv_c * r - cr**2, inv_c - h
-
-    s_ok, values, excluded = [], [], []
-    for s in _as_grid(s_grid):
-        try:
-            values.append(evaluate(s))
-            s_ok.append(s)
-        except SpectrumHit:
-            excluded.append(float(s))
-    s_ok = np.asarray(s_ok, dtype=float)
-    res, m_in, m_out, m_tf = np.asarray(values).reshape(-1, 4).T
-    margins = np.concatenate([m_in, m_out, m_tf]) if s_ok.size else np.array([0.0])
+    m_in, m_out, m_tf = inv_c * res - rb**2, inv_c * res - cr**2, inv_c - h
+    margins = np.concatenate([m_in, m_out, m_tf]) if keep.size else np.array([0.0])
     return FeedbackBoundReport(
-        s_values=s_ok,
+        s_values=grid[keep],
         resolvent=res,
         input_bound_margin=m_in,
         output_bound_margin=m_out,
         transfer_bound_margin=m_tf,
-        excluded=tuple(excluded),
+        excluded=tuple(np.delete(grid, keep).tolist()),
         max_violation=float(max(0.0, -margins.min())),
     )
 

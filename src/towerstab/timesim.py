@@ -43,13 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
 from .errors import NumericalError, ValidationError
 from .generator import (
     DiscreteGenerator,
-    _band,
-    _band_order,
+    _BandFactors,
     _band_times,
     _bandwidths,
     _beam_size,
@@ -298,23 +297,18 @@ def _step_free(gen, basis, z0, half_dt, V, energies, channels, midpoints) -> np.
 
 def _band_operators(gen: DiscreteGenerator, half_dt: float):
     """The band order of ``gen`` and, in it, ``x -> gram x``, ``(x, alpha) ->
-    alpha flux x`` and a solve with ``gram - half_dt * flux``, all on one
-    common band (7 wide on the assembled models, full on a generator
-    without the beam layout).  The solve reuses one ``dgbtrf`` LU of the
-    band bordered above by ``kl`` zero rows for the fill-in."""
-    order = _band_order(gen)
-    if order is None:
-        order = np.arange(gen.dim)
-    kl, ku = map(max, _bandwidths(gen.gram, order), _bandwidths(gen.flux, order))
-    M, F = _band(gen.gram, order, kl, ku), _band(gen.flux, order, kl, ku)
-    padded = np.vstack([np.zeros((kl, gen.dim)), M - half_dt * F])
-    lu, piv, info = lapack.dgbtrf(padded, kl, ku, overwrite_ab=1)
-    if info != 0:
-        raise NumericalError(f"midpoint factorization failed: dgbtrf info {info}")
-    return order, (
-        lambda x: _band_times(blas.dgbmv, M, kl, ku, x),
-        lambda x, alpha: _band_times(blas.dgbmv, F, kl, ku, x, alpha),
-        lambda b: lapack.dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0],
+    alpha flux x`` and a solve with ``gram - half_dt * flux``, all on the
+    common band of :class:`~towerstab.generator._BandFactors` (7 wide on the
+    assembled models, full on a generator without the beam layout), the
+    solve by one banded LU of it."""
+    b = _BandFactors(gen)
+    solve = b.lu(b.gram - half_dt * b.flux)
+    if solve is None:
+        raise NumericalError("midpoint factorization failed: dgbtrf met a zero pivot")
+    return b.order, (
+        lambda x: _band_times(blas.dgbmv, b.gram, b.kl, b.ku, x),
+        lambda x, alpha: _band_times(blas.dgbmv, b.flux, b.kl, b.ku, x, alpha),
+        solve,
     )
 
 
@@ -357,7 +351,7 @@ def _bands(K: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]
     """The nonzero diagonals of ``K``, scaled by ``2**-exponent`` so that no
     entry exceeds 1 (exact), each as ``(offset, high, low)`` halves of
     :func:`_split`; and that exponent."""
-    width = max(_bandwidths(K, None))
+    width = max(_bandwidths(K, np.arange(K.shape[0])))
     exponent = int(np.frexp(np.abs(K).max())[1])
     diagonals = [np.ldexp(np.diagonal(K, k), -exponent)[:, None] for k in range(-width, width + 1)]
     return exponent, [(k, *_split(d)) for k, d in zip(range(-width, width + 1), diagonals)]

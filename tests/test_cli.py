@@ -613,6 +613,7 @@ class TestSplitWriter:
         # the directory is not the writer's to remove, and no file took its place
         assert [p.name for p in out.glob("*.part")] == ["trajectory.csv.part"]
         assert (out / "trajectory.csv.part").is_dir()
+        assert not (out / "trajectory.csv").exists()
         self.assert_no_child_left()
 
     def test_child_failing_mid_table(self, tmp_path, monkeypatch):
@@ -621,6 +622,7 @@ class TestSplitWriter:
         with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
             cli.emit_report(runner.report(), tmp_path / "o", runner)
         assert list((tmp_path / "o").glob("*.part")) == []
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
         self.assert_no_child_left()
 
     def test_parent_half_failing_reaps_the_child(self, tmp_path, monkeypatch):
@@ -629,6 +631,36 @@ class TestSplitWriter:
         with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
             cli.emit_report(runner.report(), tmp_path / "o", runner)
         assert list((tmp_path / "o").glob("*.part")) == []
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+        self.assert_no_child_left()
+
+    def test_one_process_failing_mid_table(self, tmp_path, monkeypatch):
+        runner = self.runner_with_long_trajectory(tmp_path)
+        monkeypatch.delattr(os, "fork")
+        self.fail_in(monkeypatch, "parent")
+        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
+            cli.emit_report(runner.report(), tmp_path / "o", runner)
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+        assert list((tmp_path / "o").glob("*.part")) == []
+
+    def test_csv_that_cannot_be_opened_is_left_alone(self, tmp_path, monkeypatch):
+        """``open`` of the CSV itself fails: the file already there keeps its
+        bytes, and the forked writer's finished part is removed."""
+        runner = self.runner_with_long_trajectory(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "trajectory.csv").write_text("kept\n")
+
+        def refuse_csv(file, mode="r", **kwargs):
+            if Path(file).name == "trajectory.csv" and mode == "w":
+                raise PermissionError(errno.EACCES, "Permission denied", str(file))
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse_csv, raising=False)
+        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*Permission denied"):
+            cli.emit_report(runner.report(), out, runner)
+        assert (out / "trajectory.csv").read_text() == "kept\n"
+        assert list(out.glob("*.part")) == []
         self.assert_no_child_left()
 
 

@@ -93,7 +93,7 @@ class TestTmd:
         tmd = ts.TmdParameters(m1=2.0, k1=3.0, d1=1.0)
         gen = ts.assemble_tmd(desk_beam, desk_params, tmd)
         z = gen.unit_state("tmd_offset")
-        assert gen.energy(z) == pytest.approx(tmd.k1 / 2.0)
+        assert ts.evaluate_energy(z, gen.gram) == pytest.approx(tmd.k1 / 2.0)
 
     def test_dissipation_identity_on_random_states(self, desk_models, desk_tmd):
         gen = desk_models["tmd"]

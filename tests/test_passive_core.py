@@ -232,8 +232,8 @@ class TestGridSolve:
     def test_pole_in_the_middle_of_a_stack(self, monkeypatch):
         """The +-i system on a grid with its pole in the middle: LAPACK
         rejects the whole stack, and exactly s = 1 is reported, by
-        ``eta_lower_bound`` as excluded, by the stacked SVD of
-        ``resolvent_norms`` as an infinite norm and by
+        ``eta_lower_bound`` and ``check_feedback_bounds`` as excluded, by
+        the stacked SVD of ``resolvent_norms`` as an infinite norm and by
         ``cross_validate_reH2`` as the frequency of its ``SpectrumHit``."""
         sys = plus_minus_i_system()
         grid = np.array([0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 2.0])
@@ -243,6 +243,7 @@ class TestGridSolve:
         assert bound.excluded == (1.0,)
         assert np.array_equal(bound.s_values, np.delete(grid, 3))
         assert np.array_equal(np.isinf(ts.resolvent_norms(sys, grid)), grid == 1.0)
+        assert ts.check_feedback_bounds(sys, 1.0, grid).excluded == (1.0,)
         monkeypatch.setattr(models, "_reH2_block", lambda kind, params: sys)
         with pytest.raises(ts.SpectrumHit) as raised:
             ts.cross_validate_reH2("torque", {"b": 1.0, "J": 1.0}, grid)
@@ -313,9 +314,9 @@ class TestFeedbackTransform:
         ids=["real", "complex"],
     )
     def test_feedback_bounds_match_dense_oracles(self, monkeypatch, Q, c):
-        """One solve per frequency and no Schur resolvent: ``|R|`` equals the
-        dense-SVD reference, and ``R B``, ``C U^{-1} R`` and ``H`` equal
-        their products with the explicit inverse of ``is - T``."""
+        """One stacked solve for the grid and no Schur resolvent: ``|R|``
+        equals the dense-SVD reference, and ``R B``, ``C U^{-1} R`` and ``H``
+        equal their products with the explicit inverse of ``is - T``."""
         out = ts.feedback_transform(ts.random_passive_system(5, 2, seed=4), Q, c)
         grid = np.geomspace(0.05, 50.0, 12)
         solves = []
@@ -328,7 +329,7 @@ class TestFeedbackTransform:
         monkeypatch.setattr(passive_core, "_resolvent_apply", counted)
         monkeypatch.setattr(passive_core, "resolvent_norms", None)
         report = ts.check_feedback_bounds(out, c, grid)
-        assert len(solves) == grid.size
+        assert len(solves) == 1
         assert report.excluded == () and np.array_equal(report.s_values, grid)
 
         ec = energy_coordinates(out)

@@ -9,6 +9,7 @@ import towerstab as ts
 import towerstab.cli as cli
 from towerstab import spectral
 from towerstab import generator
+from towerstab import timesim
 from towerstab.generator import energy_coordinates, energy_norm, symmetric_part, transform_flux
 
 EPS = np.finfo(float).eps
@@ -309,8 +310,24 @@ class TestBandedNorms:
         assert generator._bandwidths(gen.flux, order) == (7, 7)
 
     def test_objects_without_the_beam_layout_keep_identity_order(self, desk_hydraulic):
-        assert generator._band_order(ts.hydraulic_block(desk_hydraulic)) is None
-        assert generator._band_order(scalar_generator()) is None
+        block = ts.hydraulic_block(desk_hydraulic)
+        assert np.array_equal(generator._band_order(block), np.arange(block.dim))
+        assert np.array_equal(generator._band_order(scalar_generator()), np.arange(1))
+
+    def test_one_banded_lu_per_midpoint_loop_and_kernel_check(self, monkeypatch):
+        """The midpoint loop and the kernel check each factor one band, by
+        ``_BandFactors.lu``: the loop ``gram - dt/2 flux``, the check the flux."""
+        gen = desk_model("tmd", 16)
+        shapes = []
+        lu = generator._BandFactors.lu
+        monkeypatch.setattr(
+            generator._BandFactors, "lu", lambda self, ab: shapes.append(ab.shape) or lu(self, ab)
+        )
+        monkeypatch.setattr(timesim, "_energy_eigenbasis", lambda gen: None)
+        ts.simulate(gen, ts.classical_initial_data(gen, "tip_kick"), 0.05, 0.01)
+        assert shapes == [(15, gen.dim)]
+        assert ts.kernel_check(gen)[0] == 0
+        assert shapes == [(15, gen.dim)] * 2
 
     @pytest.mark.parametrize("n_elements", [16, 64])
     @pytest.mark.parametrize("model", MODELS)
