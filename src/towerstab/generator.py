@@ -85,25 +85,36 @@ class GramSystem:
     The core of generators and passive blocks, constructed from the two
     arrays an assembly produces.  The Gram is checked symmetric positive
     definite on construction; its Cholesky factor is not kept.  ``A`` is
-    derived on first read by one Cholesky solve.  Instances are immutable
-    by convention, so :func:`energy_norm`, :func:`energy_coordinates`, the
-    spectrum (:func:`towerstab.spectral.energy_spectrum`) and the
-    resolvent's Schur factor (:func:`towerstab.spectral.resolvent_norm`)
-    cache their data on the object.
+    derived on first read by one Cholesky solve.  ``labels`` names the
+    states, one unique label each, or is ``None`` for an unlabelled object;
+    a system labelled with the beam layout (:func:`_beam_size`) has the
+    band order and the modal form of the beam.  Instances are immutable by
+    convention, so :func:`energy_norm`, :func:`energy_coordinates`, the
+    spectrum (:func:`towerstab.spectral.energy_spectrum`), the undamped
+    beam modes (:func:`towerstab.timesim.beam_modes`) and the modal form
+    the spectrum and the resolvent norms read
+    (:func:`towerstab.modal._modal_form`) cache their data on the object.
     """
 
-    def __init__(self, gram: np.ndarray, flux: np.ndarray):
+    def __init__(self, gram: np.ndarray, flux: np.ndarray, labels: Sequence[str] | None = None):
         check_spd(gram, "gram")
         self.gram = np.asarray(gram, dtype=float)
         self.flux = self._matrix(flux)
         n = self.dim
         if self.flux.shape != (n, n):
             raise DimensionError(f"flux must be {n}x{n} like gram, got {self.flux.shape}")
+        self.labels = None if labels is None else tuple(labels)
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise DimensionError(f"expected {n} labels, got {len(self.labels)}")
+            if len(set(self.labels)) != n:
+                raise ValidationError("coordinate labels must be unique")
         self._A: np.ndarray | None = None
         self._norm: float | None = None
         self._coords: EnergyCoordinates | None = None
         self._eigenvalues = None  # a spectral.Spectrum once computed
-        self._schur: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._modes: tuple[np.ndarray, np.ndarray] | None = None
+        self._modal = None  # a modal._ModalForm, or False without one, once built
 
     @staticmethod
     def _matrix(M: np.ndarray) -> np.ndarray:
@@ -124,6 +135,13 @@ class GramSystem:
     def dim(self) -> int:
         return self.gram.shape[0]
 
+    def index(self, label: str) -> int:
+        """Coordinate index of a labelled state component."""
+        try:
+            return (self.labels or ()).index(label)
+        except ValueError:
+            raise KeyError(f"no coordinate labelled {label!r}") from None
+
 
 class DiscreteGenerator(GramSystem):
     """Generator in descriptor form: energy Gram, assembled flux, coordinate labels.
@@ -135,8 +153,7 @@ class DiscreteGenerator(GramSystem):
     each channel under its name.  ``blocks`` is the pair of passive blocks
     a generator was coupled from (set by
     :func:`~towerstab.passive_core.couple_systems`), ``None`` otherwise.
-    The dissipation defect and the undamped beam modes
-    (:func:`towerstab.timesim.beam_modes`) are computed once and cached.
+    The dissipation defect is computed once and cached.
     """
 
     def __init__(
@@ -147,26 +164,13 @@ class DiscreteGenerator(GramSystem):
         labels: Sequence[str],
         damping_channels: tuple[DampingChannel, ...] = (),
     ):
-        super().__init__(gram, flux)
-        self.labels = tuple(labels)
-        if len(self.labels) != self.dim:
-            raise DimensionError(f"expected {self.dim} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != self.dim:
-            raise ValidationError("coordinate labels must be unique")
+        super().__init__(gram, flux, labels)
         self.damping_channels = tuple(damping_channels)
         names = [ch.name for ch in self.damping_channels]
         if len(set(names)) != len(names):
             raise ValidationError(f"damping channel names must be unique, got {names}")
         self.blocks = None
         self._defect: float | None = None
-        self._modes: tuple[np.ndarray, np.ndarray] | None = None
-
-    def index(self, label: str) -> int:
-        """Coordinate index of a labelled state component."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no coordinate labelled {label!r}") from None
 
     def unit_state(self, label: str) -> np.ndarray:
         z = np.zeros(self.dim)
@@ -199,9 +203,10 @@ class DiscreteGenerator(GramSystem):
         return self._defect
 
 
-def _beam_size(gen: DiscreteGenerator) -> int:
+def _beam_size(gen: GramSystem) -> int:
     """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]``: every assembly
-    leads with the beam core, whose last state is ``tip_angular_velocity``."""
+    and the beam's tip block lead with the beam core, whose last state is
+    ``tip_angular_velocity``."""
     try:
         return (gen.index("tip_angular_velocity") + 1) // 2
     except KeyError:
@@ -211,12 +216,12 @@ def _beam_size(gen: DiscreteGenerator) -> int:
 def _band_order(gen: GramSystem) -> np.ndarray:
     """State order in which the Gram and the flux are banded.
 
-    A generator with the beam layout (:func:`_beam_size`) takes each beam
-    node's displacement, slope and their two velocities together, node by
-    node, and its block states last; its Gram and flux then have bandwidth
-    5 and 7.  Any other object keeps the identity order.
+    A generator or block with the beam layout (:func:`_beam_size`) takes
+    each beam node's displacement, slope and their two velocities together,
+    node by node, and its block states last; its Gram and flux then have
+    bandwidth 5 and 7.  Any other object keeps the identity order.
     """
-    if isinstance(gen, DiscreteGenerator) and "tip_angular_velocity" in gen.labels:
+    if "tip_angular_velocity" in (gen.labels or ()):
         n = _beam_size(gen)
         q = np.arange(n).reshape(-1, 2)  # (displacement, slope) of each node
         return np.concatenate([np.hstack([q, q + n]).ravel(), np.arange(2 * n, gen.dim)])
@@ -267,42 +272,50 @@ class _BandFactors:
     flux's own), and ``U`` is the upper band Cholesky factor of the
     permuted Gram on the Gram's own half-bandwidth.  They are built where
     they are used and not cached on the object, so that a wide band (a
-    block's reaches half its dimension) does not outlive its solve; the
-    ``gram`` band, which only the midpoint loop reads, is gathered on first
-    read, so a block's norm does not hold a second wide band.  The
-    operators act on vectors in the band order, with real or complex BLAS
-    as the flux is real or complex.  ``T^H T`` squares the norm of ``T``,
-    so they act on ``T / scale``, where ``scale`` is the power of two just
-    above ``|T q|`` for the fixed unit vector ``start``: no Lanczos step
-    then overflows where ``T`` does not.
+    block's reaches half its dimension) does not outlive its solve.  Only
+    ``order`` and the ``flux`` band are built on construction; the rest on
+    first read, so the midpoint loop, which reads the ``gram`` band and
+    :meth:`lu`, factors no Cholesky, and a block's norm does not hold a
+    second wide band.  The operators act on vectors in the band order, with
+    real or complex BLAS as the flux is real or complex.  ``T^H T``
+    squares the norm of ``T``, so the Lanczos operators act on ``T /
+    scale``, where ``scale`` is the power of two just above ``|T q|`` for
+    the fixed unit vector ``start``: no Lanczos step then overflows where
+    ``T`` does not.
     """
 
     def __init__(self, gen: GramSystem):
         self._gen = gen
         self.order = order = _band_order(gen)
-        k = max(_bandwidths(gen.gram, order))
-        self.kl, self.ku = (max(k, w) for w in _bandwidths(gen.flux, order))
+        self._k = max(_bandwidths(gen.gram, order))
+        self.kl, self.ku = (max(self._k, w) for w in _bandwidths(gen.flux, order))
         self.flux = _band(gen.flux, order, self.kl, self.ku)
-        self.U = sla.cholesky_banded(_band(gen.gram, order, 0, k), lower=False)
-        dtype = self.flux.dtype
-        if dtype == complex:
-            self.U = self.U.astype(complex)
-        self._tbsv, self._tbmv, self._gbmv = blas.get_blas_funcs(
-            ("tbsv", "tbmv", "gbmv"), dtype=dtype
+        self._tbsv, self._tbmv, self._gbmv, self._nrm2 = blas.get_blas_funcs(
+            ("tbsv", "tbmv", "gbmv", "nrm2"), dtype=self.flux.dtype
         )
-        nrm2 = blas.get_blas_funcs("nrm2", dtype=dtype)
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(gen.dim)
-        if dtype == complex:
-            start = start + 1j * rng.standard_normal(gen.dim)
-        self.start = start / nrm2(start)
-        self.scale = 1.0  # read by _times_flux
-        Tq = self._solve_U(self._times_flux(self._solve_U(self.start.copy())), trans=1)
-        self.scale = math.ldexp(1.0, math.frexp(nrm2(Tq))[1])
 
     @cached_property
     def gram(self) -> np.ndarray:
         return _band(self._gen.gram, self.order, self.kl, self.ku)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        U = sla.cholesky_banded(_band(self._gen.gram, self.order, 0, self._k), lower=False)
+        return U.astype(self.flux.dtype, copy=False)
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal(self._gen.dim)
+        if self.flux.dtype == complex:
+            start = start + 1j * rng.standard_normal(self._gen.dim)
+        return start / self._nrm2(start)
+
+    @cached_property
+    def scale(self) -> float:
+        x = self._solve_U(self.start.copy())
+        Tq = self._solve_U(_band_times(self._gbmv, self.flux, self.kl, self.ku, x), trans=1)
+        return math.ldexp(1.0, math.frexp(self._nrm2(Tq))[1])
 
     def _solve_U(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
         """``U^{-1} x``, or ``U^{-T} x`` for ``trans=1``, in place."""
@@ -408,8 +421,15 @@ def energy_norm(gen: GramSystem) -> float:
     theta``, which moves ``sigma_max = theta^{1/2}`` by at most ``eps``
     relative.
     """
+    return _energy_norm(gen, None)
+
+
+def _energy_norm(gen: GramSystem, bands: _BandFactors | None) -> float:
+    """:func:`energy_norm`, computed on ``bands`` (built when ``None``) if
+    not cached yet, so that a caller that needs the band factors anyway
+    factors the Gram once."""
     if gen._norm is None:
-        b = _BandFactors(gen)
+        b = bands or _BandFactors(gen)
         theta = _top_eigenvalue(b.normal, b.start.copy(), lambda t: 2.0 * _EPS * t)
         gen._norm = b.scale * float(np.sqrt(theta))
     return gen._norm

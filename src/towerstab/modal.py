@@ -35,7 +35,12 @@ Roots are solved in chunks, so no temporary holds more than ``CHUNK``
 complex entries.  Products go through scipy's BLAS, not numpy's ``@``:
 numpy and scipy each load their own OpenBLAS, and a threaded numpy product
 leaves its workers spinning while the scipy factorisations that follow run
-(on two cores the scan's Schur factorisation took twice as long after one).
+(on two cores a dense Schur factorisation took twice as long after one).
+
+The form is built once per object and cached on it: the resolvent norms
+of :func:`towerstab.spectral.resolvent_norms` read the same ``D``, ``P``
+and ``R``, also for a passive block with the beam layout, such as the
+beam's tip block under a real feedback gain.
 
 :func:`modal_roots` reports whether its guard accepts
 them: every root converged within ``NEWTON_STEPS``; every beam root lies
@@ -55,7 +60,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .errors import ValidationError
-from .generator import DiscreteGenerator, _beam_size
+from .generator import DiscreteGenerator, GramSystem, _beam_size, _frozen
 from .timesim import beam_modes
 
 #: Largest number of nonzero rows of ``E`` the modal form takes; each
@@ -92,7 +97,6 @@ class _ModalForm(NamedTuple):
     P: np.ndarray        # dim x m
     R: np.ndarray        # dim x m
     block_starts: np.ndarray
-    dissipation: float   # sum_i gain_i v_i^T gram^{-1} v_i
 
 
 def modal_roots(gen: DiscreteGenerator) -> ModalRoots | None:
@@ -112,6 +116,7 @@ def modal_roots(gen: DiscreteGenerator) -> ModalRoots | None:
     if form is None:
         return None
     n = (form.d.size - form.block_starts.size) // 2
+    dissipation = _channel_dissipation(gen, n)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             delta, beam_ok = _beam_deltas(form, n)
@@ -126,18 +131,29 @@ def modal_roots(gen: DiscreteGenerator) -> ModalRoots | None:
     gap[1:] = np.minimum(gap[1:], spacing)
     gap[:-1] = np.minimum(gap[:-1], spacing)
     separated = bool(np.all(np.abs(delta) < 0.5 * gap))
-    scale = form.dissipation + 2.0 * np.abs(delta).sum() + np.abs(block).sum()
-    residual = abs(lam.real.sum() + form.dissipation)
+    scale = dissipation + 2.0 * np.abs(delta).sum() + np.abs(block).sum()
+    residual = abs(lam.real.sum() + dissipation)
     relative = residual / scale if scale > 0 else residual
     accepted = beam_ok and block_ok and separated and residual <= gen.dim * _EPS * scale
     return ModalRoots(lam, float(relative), bool(accepted))
 
 
-def _modal_form(gen: DiscreteGenerator) -> _ModalForm | None:
-    """``D``, ``P``, ``R`` of the module docstring after checking the premises."""
+def _modal_form(gen: GramSystem) -> _ModalForm | None:
+    """``D``, ``P``, ``R`` of the module docstring, built once and cached on
+    ``gen``; ``None`` when it lacks the beam layout, its flux is complex or
+    a premise of the form fails on its arrays."""
+    if gen._modal is None:
+        gen._modal = _build_modal_form(gen) or False
+    return gen._modal or None
+
+
+def _build_modal_form(gen: GramSystem) -> _ModalForm | None:
+    """:func:`_modal_form` after checking the premises, uncached."""
     try:
         n = _beam_size(gen)
     except ValidationError:
+        return None
+    if np.iscomplexobj(gen.flux):
         return None
     gram = gen.gram
     K, M, G = gram[:n, :n], gram[n:2 * n, n:2 * n], gram[2 * n:, 2 * n:]
@@ -174,7 +190,14 @@ def _modal_form(gen: DiscreteGenerator) -> _ModalForm | None:
     R = np.vstack([R_upper, R_upper.conj(), R_block])
     d = np.concatenate([1j * omega, -1j * omega, np.zeros(g.size)])
     block_starts = np.linalg.eigvals(gen.flux[2 * n:, 2 * n:] / np.sqrt(np.outer(g, g)))
-    # v^T gram^{-1} v through the modes: K^{-1} = phi Omega^-2 phi^T, M^{-1} = phi phi^T
+    return _ModalForm(*map(_frozen, (d, P, R, block_starts)))
+
+
+def _channel_dissipation(gen: DiscreteGenerator, n: int) -> float:
+    """``sum_i gain_i v_i^T gram^{-1} v_i`` over the declared channels, through
+    the modes: ``K^{-1} = phi Omega^-2 phi^T``, ``M^{-1} = phi phi^T``."""
+    omega, phi = beam_modes(gen)
+    g = np.diag(gen.gram)[2 * n:]
     dissipation = 0.0
     for _, gain, v in gen.damping_channels:
         dissipation += gain * float(
@@ -182,10 +205,10 @@ def _modal_form(gen: DiscreteGenerator) -> _ModalForm | None:
             + np.sum(blas.dgemv(1.0, phi.T, v[n:2 * n]) ** 2)
             + np.sum(v[2 * n:] ** 2 / g)
         )
-    return _ModalForm(d, P, R, block_starts, dissipation)
+    return dissipation
 
 
-def _remainder_rows(gen: DiscreteGenerator, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _remainder_rows(gen: GramSystem, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Indices and values of the nonzero rows of ``E = flux - S``, or ``None``
     when there are more than ``MAX_RANK``; read in chunks of rows."""
     flux, K = gen.flux, gen.gram[:n, :n]

@@ -215,14 +215,17 @@ def scole_tip_block(
     row (force input, velocity output), "rotation" the tip angular-velocity
     row (torque input, angular velocity output).  The input map ``gram_B``
     is the unit vector ``e`` of that row and ``C = e^T``, ``D = 0``, so the
-    block is lossless: it has no dissipation channels.
+    block is lossless: it has no dissipation channels.  It carries the
+    beam's labels, so it has the beam's band order and modal form.
     """
     labels = {"displacement": "tip_velocity", "rotation": "tip_angular_velocity"}
     if port not in labels:
         raise ValidationError(f"port must be 'displacement' or 'rotation', got {port!r}")
     gram, flux, tip = _beam_core(beam, params)
     e = tip[labels[port]][:, None]
-    return PassiveSystem(gram=gram, flux=flux, gram_B=e, C=e.T, D=np.zeros((1, 1)))
+    return PassiveSystem(
+        gram=gram, flux=flux, gram_B=e, C=e.T, D=np.zeros((1, 1)), labels=_beam_labels(beam)
+    )
 
 
 def tmd_block(tmd: TmdParameters) -> PassiveSystem:

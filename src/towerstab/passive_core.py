@@ -50,6 +50,7 @@ class PassiveSystem(GramSystem):
     acting on ``(x, u)`` and ``sym([[flux, gram_B], [-C, -D]]) = -sum gain
     v v^T``.  Matrices may be complex (feedback transforms with complex gain
     produce complex blocks, which declare no channels); the Gram is real SPD.
+    ``labels`` optionally names the states, as for generators.
     """
 
     _matrix = staticmethod(_matrix)  # keeps complex matrices complex
@@ -64,8 +65,9 @@ class PassiveSystem(GramSystem):
         C: np.ndarray,
         D: np.ndarray,
         channels: tuple[DampingChannel, ...] = (),
+        labels: Sequence[str] | None = None,
     ):
-        super().__init__(gram, flux)
+        super().__init__(gram, flux, labels)
         self.gram_B, self.C, self.D = _matrix(gram_B), _matrix(C), _matrix(D)
         n, p = self.n, self.p
         for name, shape in {"gram_B": (n, p), "C": (p, n), "D": (p, p)}.items():
@@ -266,7 +268,8 @@ def feedback_transform(sys: PassiveSystem, Q: np.ndarray, c: float) -> PassiveSy
     and the transformed block ``(flux - gram_B Q(I+DQ)^{-1}C,
     gram_B(I+QD)^{-1}, (I+DQ)^{-1}C, (I+DQ)^{-1}D)`` is again impedance
     passive, which is re-certified on the output.  It declares no
-    channels: its identity carries the loop gain.
+    channels: its identity carries the loop gain.  It keeps the labels of
+    ``sys``.
     """
     Q = np.atleast_2d(np.asarray(Q))
     p = sys.p
@@ -288,6 +291,7 @@ def feedback_transform(sys: PassiveSystem, Q: np.ndarray, c: float) -> PassiveSy
         gram_B=sla.solve(IQD.T, sys.gram_B.T).T,
         C=sla.solve(IDQ, sys.C),
         D=sla.solve(IDQ, sys.D),
+        labels=sys.labels,
     )
     report = verify_passivity(out)
     if not report.passive:
@@ -315,7 +319,10 @@ def couple_systems(
     like a first-block one is renamed ``sys2.<name>``); the coupled
     generator is certified Gram-dissipative (the defect stays cached on it)
     and keeps ``(sys1, sys2)`` as ``gen.blocks``, which
-    :func:`check_coupled_resolvent_bound` reads.
+    :func:`check_coupled_resolvent_bound` reads.  Without ``labels`` it
+    takes those of labelled blocks (a clashing second-block label is
+    renamed ``sys2.<label>``), so coupling the beam's tip block keeps the
+    beam layout, and ``sys1[i]``, ``sys2[j]`` for unlabelled ones.
     """
     if sys1.p != sys2.p:
         raise DimensionError(f"input dimensions differ: {sys1.p} vs {sys2.p}")
@@ -346,7 +353,9 @@ def couple_systems(
             name = f"sys2.{name}" if name in clash else name
             channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
     if labels is None:
-        labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
+        first = list(sys1.labels or (f"sys1[{i}]" for i in range(n1)))
+        second = sys2.labels or (f"sys2[{j}]" for j in range(n2))
+        labels = first + [f"sys2.{name}" if name in first else name for name in second]
     gen = DiscreteGenerator(
         gram=gram, flux=flux, labels=labels, damping_channels=tuple(channels)
     )

@@ -12,16 +12,15 @@ from a dense SVD.  Eigenvalues are those of ``T``; a beam generator's come
 from its modal form (:mod:`towerstab.modal`) when that form's guard
 accepts them, anything else's from a dense ``eigvals`` of ``T``.
 
-Resolvent norms are read from one complex Schur factor ``T = Z R Z^H`` per
-generator or block, computed on the first call and cached on the object.
-The 2-norm is unitarily invariant, so ``|(is - T)^{-1}| = |(is - R)^{-1}|``
-and ``Z`` is never formed; each frequency then costs ``O(k dim^2)``: ``k``
-inverse Lanczos steps, each two triangular solves with the shifted ``R``.
-A grid on a block of a few states, whose shifted matrices fit in one stack
-of ``STACK_ENTRIES`` entries, takes one stacked SVD instead
-(:func:`resolvent_norms`).
+Resolvent norms of a generator or block with the beam layout are read
+from its modal form (:mod:`towerstab.modal`), ``is - T`` unitarily similar
+to a diagonal matrix plus one of rank ``m <= 8``: inverse Lanczos on a
+Woodbury solve, ``O(dim m)`` per step with no ``O(dim^3)`` setup (Hager,
+*SIAM Rev.* 31, 1989; Wright & Trefethen, *SIAM J. Sci. Comput.* 23,
+2001), over a chunk of frequencies at once.  Anything else takes a dense
+SVD of ``is - T`` per frequency, stacked (:func:`resolvent_norms`).
 
-The resolvent norm, ``sigma_min`` and ``sigma_max`` share one Lanczos
+The kernel check's ``sigma_min`` and the energy norm share one Lanczos
 loop, :func:`towerstab.generator._top_eigenvalue`, whose products run on
 scipy's BLAS like its operators.
 """
@@ -33,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import NumericalError, SpectrumHit, ValidationError
 from .generator import (
@@ -42,12 +40,13 @@ from .generator import (
     GramSystem,
     _BandFactors,
     _energy_eigenvalues,
+    _energy_norm,
     _frozen,
     _top_eigenvalue,
     energy_coordinates,
     energy_norm,
 )
-from .modal import modal_roots
+from .modal import _modal_form, modal_roots
 
 #: scans and asymptotic fits are restricted to s below this fraction of the
 #: largest discrete eigenfrequency; the mesh misrepresents the band above.
@@ -133,7 +132,9 @@ SPECTRUM_HIT_FACTOR = 10.0
 #: Entries of the largest stack of shifted matrices that one stacked solve
 #: or SVD takes (128 kB complex): the checks' grids of 120 to 400
 #: frequencies on the 1-3-state control blocks fit in one stack, while a
-#: beam-sized system (dim >= 91) takes one frequency at a time.
+#: beam-sized system (dim >= 91) takes one frequency at a time.  The modal
+#: resolvent route runs ``STACK_ENTRIES // dim`` frequencies at once, so each
+#: of its Lanczos vectors spans at most this many entries over the chunk.
 STACK_ENTRIES = 1 << 13
 
 
@@ -171,33 +172,6 @@ def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
     return 1.0 / smin
 
 
-def _no_sort(_eigenvalue) -> None:
-    return None
-
-
-def _schur_factor(gen: GramSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complex Schur factor ``R`` of ``T``, its diagonal and a Lanczos start vector.
-
-    Computed once per object by LAPACK ``zgees`` without Schur vectors.
-    ``R`` is upper triangular and Fortran-ordered for the triangular
-    solves; :func:`resolvent_norm` overwrites its diagonal with each shift,
-    so the eigenvalues are kept in ``diagonal``.  The start vector is a
-    fixed pseudo-random unit vector, so reruns are bit-identical.
-    """
-    if gen._schur is None:
-        a = np.array(energy_coordinates(gen).T, dtype=complex, order="F")
-        # a workspace query reads no entry of ``a``, so it need not be copied
-        query = lapack.zgees(_no_sort, a, compute_v=0, lwork=-1, overwrite_a=1)
-        lwork = int(query[-2][0].real)
-        R, *_, info = lapack.zgees(_no_sort, a, compute_v=0, lwork=lwork, overwrite_a=1)
-        if info != 0:
-            raise NumericalError(f"Schur factorisation failed (zgees info {info})")
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-        gen._schur = (R, R.diagonal().copy(), start / np.linalg.norm(start))
-    return gen._schur
-
-
 def _inverse_lanczos(apply, q: np.ndarray, scale: float) -> float:
     """``theta = 1 / sigma_min(X)^2`` from an ``apply`` that multiplies by
     ``(X^H X)^{-1}`` or by ``(X X^H)^{-1}``; ``inf`` when a step overflows.
@@ -216,57 +190,194 @@ def _inverse_lanczos(apply, q: np.ndarray, scale: float) -> float:
 def resolvent_norm(gen: GramSystem, s: float) -> float:
     """Energy operator norm of ``(is - A)^{-1}`` of a generator or block.
 
-    Computes ``1 / sigma_min(is - R)`` for the complex Schur factor ``R``
-    of ``T``, cached on ``gen`` by the first call, with
-    :func:`_inverse_lanczos`: ``O(k dim^2)`` per frequency for ``k``
-    Lanczos steps.  Raises :class:`SpectrumHit` when the shifted matrix is
-    numerically singular (``is`` lies in the spectrum at working
-    precision): when ``sigma_min``, or the smallest diagonal entry of
-    ``is - R`` which bounds it above, is at most ``SPECTRUM_HIT_FACTOR *
-    eps * (|s| + |T|)``.  Each call writes its shift into the cached
-    factor, so calls on one object must not run concurrently.
+    The one-point case of :func:`resolvent_norms`.  Raises
+    :class:`SpectrumHit` when the shifted matrix is numerically singular
+    (``is`` lies in the spectrum at working precision): when ``sigma_min``
+    is at most ``SPECTRUM_HIT_FACTOR * eps * (|s| + |T|)``.
     """
     s = float(s)
     if not np.isfinite(s):
         raise ValidationError(f"frequency must be finite, got {s}")
-    norm_T = energy_norm(gen)
-    hit = _hit_level(s, norm_T)
-    R, diagonal, start = _schur_factor(gen)
-    shifted = diagonal - 1j * s  # sigma(R - is) = sigma(is - R)
-    if np.abs(shifted).min() <= hit:
+    norm = resolvent_norms(gen, [s])[0]
+    if np.isinf(norm):
         raise SpectrumHit(s)
-    R.flat[:: R.shape[0] + 1] = shifted
-
-    def apply(x):  # R^{-H} R^{-1} x for the shifted R
-        return lapack.ztrtrs(R, lapack.ztrtrs(R, x)[0], trans=2, overwrite_b=1)[0]
-
-    norm = float(np.sqrt(_inverse_lanczos(apply, start, abs(s) + norm_T)))
-    if norm * hit >= 1.0:
-        raise SpectrumHit(s)
-    return norm
+    return float(norm)
 
 
 def resolvent_norms(gen: GramSystem, s_grid) -> np.ndarray:
-    """:func:`resolvent_norm` at every frequency of a grid, ``inf`` at spectrum hits.
+    """``1 / sigma_min(is - T)`` at every frequency of a grid, ``inf`` at spectrum hits.
 
-    When the shifted matrices ``is - T`` of the whole grid fit in one stack
-    of ``STACK_ENTRIES`` entries, ``sigma_min`` comes from one stacked SVD
-    with the hit rule of :func:`_resolvent_from_shift`; otherwise each
-    frequency takes :func:`resolvent_norm` on the cached Schur factor.
+    ``is`` is a spectrum hit when ``sigma_min <= SPECTRUM_HIT_FACTOR * eps *
+    (|s| + |T|)``.  A system with a real modal form
+    (:func:`towerstab.modal._modal_form`: a generator or block with the
+    beam layout) takes :func:`_modal_norms`, inverse Lanczos on a
+    Woodbury solve in ``O(dim m)`` per step; any other (a complex-gain
+    block, a system without the beam layout) takes a dense SVD of ``is -
+    T`` per frequency, stacked up to ``STACK_ENTRIES`` entries.  A
+    frequency's norm does not depend on the other frequencies of the grid.
     Raises :class:`ValidationError` for an empty or non-finite grid.
     """
     grid = _as_grid(s_grid)
+    norm_T = energy_norm(gen)
+    form = _modal_form(gen)
+    if form is not None:
+        return _modal_norms(form, grid, norm_T)
+    T = energy_coordinates(gen).T
+    eye = np.eye(gen.dim)
+    smin = np.empty(grid.size)
+    step = max(1, STACK_ENTRIES // T.size)
+    for start in range(0, grid.size, step):
+        part = slice(start, start + step)
+        smin[part] = np.linalg.svd(1j * grid[part, None, None] * eye - T, compute_uv=False)[:, -1]
     norms = np.full(grid.size, np.inf)
-    if grid.size * gen.dim**2 > STACK_ENTRIES:
-        for k, s in enumerate(grid):
-            try:
-                norms[k] = resolvent_norm(gen, s)
-            except SpectrumHit:
-                pass
-        return norms
-    shifted = 1j * grid[:, None, None] * np.eye(gen.dim) - energy_coordinates(gen).T
-    smin = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-    return np.divide(1.0, smin, out=norms, where=smin > _hit_level(grid, energy_norm(gen)))
+    return np.divide(1.0, smin, out=norms, where=smin > _hit_level(grid, norm_T))
+
+
+def _modal_norms(form, grid: np.ndarray, norm_T: float) -> np.ndarray:
+    """:func:`resolvent_norms` from the modal form ``is - T ~ M(s) = Delta -
+    P R^H``, ``Delta = is - D`` diagonal, ``P`` and ``R`` of rank ``m``.
+
+    ``M(s)`` and ``T`` are unitarily similar (the modal basis is orthonormal
+    in the energy norm), so ``sigma_min(is - T) = sigma_min(M(s))``; the
+    form is real, so the norm is even in ``s`` and is evaluated at ``|s|``.
+    Mode ``j`` is bordered at ``s`` when ``|Delta_j| (|s| + |T|) <=
+    |P_j| |R_j| |P| |R|`` (row norms, and Frobenius norms of the whole
+    ``P`` and ``R``): every other mode's term ``conj(R_j) P_j^T /
+    Delta_j`` of the Woodbury capacitance is then at most ``(|s| + |T|) /
+    (|P| |R|)``, so its rounding moves ``M`` by about ``eps (|s| + |T|)``
+    each, the backward-error scale of a dense SVD.  A bordered mode keeps
+    its own row and column in the capacitance (:func:`_woodbury`), so
+    ``s = omega_j`` exactly divides by nothing.  Frequencies with as many
+    bordered modes go through :func:`_chunk_thetas` in chunks of
+    ``STACK_ENTRIES // dim``.
+    """
+    d, P, R = form.d, form.P, form.R
+    s = np.abs(grid)
+    weight = np.linalg.norm(P, axis=1) * np.linalg.norm(R, axis=1) * (
+        np.linalg.norm(P) * np.linalg.norm(R)
+    )
+    step = max(1, STACK_ENTRIES // d.size)
+    bordered = np.concatenate([
+        _bordered(d, weight, s[k:k + step], norm_T).sum(axis=1)
+        for k in range(0, s.size, step)
+    ])
+    theta = np.empty(s.size)
+    for count in np.unique(bordered):
+        same = np.flatnonzero(bordered == count)
+        for k in range(0, same.size, step):
+            chunk = same[k:k + step]
+            theta[chunk] = _chunk_thetas(form, weight, s[chunk], norm_T)
+    norms = np.sqrt(theta)
+    norms[~(norms * _hit_level(s, norm_T) < 1.0)] = np.inf
+    return norms
+
+
+def _bordered(d: np.ndarray, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.ndarray:
+    """Mask of the modes bordered at each ``s`` (see :func:`_modal_norms`)."""
+    return np.abs(1j * s[:, None] - d) * (s[:, None] + norm_T) <= weight
+
+
+def _woodbury(B, V, W, inv, rows, b):
+    """``(Delta - V W^H)^{-1} b`` for each row of ``b``, with ``inv = 1 /
+    Delta`` off the bordered modes ``rows`` and 0 on them, and the
+    bordered capacitance ``B = [[I - W^H inv V, -W_N^H], [-V_N,
+    Delta_N]]``: with ``y = W^H x``, the unbordered ``x_j = inv_j (b_j +
+    V_j y)``, and ``(y, x_N)`` solve ``B (y, x_N) = (W^H (inv b), b_N)``."""
+    m = V.shape[1]
+    at = np.arange(b.shape[0])[:, None], rows
+    rhs = np.concatenate([((inv * b)[:, None, :] @ W.conj())[:, 0], b[at]], axis=1)
+    y = np.linalg.solve(B, rhs[:, :, None])[:, :, 0]
+    x = inv * (b + (y[:, None, :m] @ V.T)[:, 0])
+    x[at] = y[:, m:]
+    return x
+
+
+def _chunk_thetas(form, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.ndarray:
+    """``theta = 1 / sigma_min(M(s))^2`` at each ``s >= 0`` of a chunk
+    whose frequencies border equally many modes; ``inf`` for an exactly
+    singular capacitance or an overflowing step.
+
+    Inverse Lanczos on ``M^{-1} M^{-H}`` with full reorthogonalisation,
+    for every frequency at once, from the fixed unit start vector of the
+    dense route: each frequency takes the stopping rule of
+    :func:`_inverse_lanczos` (Ritz residual at most ``2 eps (s + |T|)
+    theta^{3/2}``), stops once it holds (its rows are dropped once a
+    quarter of the rows have stopped), and runs on its own rows of every
+    array, with products stacked one frequency per BLAS
+    call, so its ``theta`` does not depend on the chunk.  Both solves of a
+    step take :func:`_woodbury`, ``M^{-H}`` with the adjoint capacitance
+    ``B^H``.  LAPACK rejects a whole stack for one exactly singular
+    capacitance; the chunk's frequencies are then run one by one.
+    """
+    d, P, R = form.d, form.P, form.R
+    dim, m = P.shape
+    delta = 1j * s[:, None] - d
+    near = _bordered(d, weight, s, norm_T)
+    rows = np.nonzero(near)[1].reshape(s.size, -1)
+    g = rows.shape[1]
+    inv = 1.0 / np.where(near, 1.0, delta)
+    inv[near] = 0.0
+    B = np.zeros((s.size, m + g, m + g), dtype=complex)
+    B[:, :m, :m] = np.eye(m) - R.conj().T @ (inv[:, :, None] * P)
+    B[:, :m, m:] = -R[rows].conj().transpose(0, 2, 1)
+    B[:, m:, :m] = -P[rows]
+    B[:, m + np.arange(g), m + np.arange(g)] = np.take_along_axis(delta, rows, axis=1)
+    BH = B.conj().transpose(0, 2, 1).copy()
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    theta = np.full(s.size, np.inf)
+    live = np.arange(s.size)  # the chunk position of each row
+    running = np.ones(s.size, dtype=bool)  # rows whose frequency has not stopped
+    q = np.tile(start / np.linalg.norm(start), (s.size, 1))
+    Qh = np.empty((s.size, 0, dim), dtype=complex)  # conjugated Lanczos vectors
+    alpha, beta = np.empty((s.size, dim)), np.empty((s.size, dim))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives theta = inf
+            for k in range(dim):
+                if k == Qh.shape[1]:
+                    Qh = np.concatenate([Qh, np.empty((live.size, max(k, 8), dim), complex)], axis=1)
+                Qh[:, k] = q.conj()
+                w = _woodbury(B, P, R, inv, rows, _woodbury(BH, R, P, inv.conj(), rows, q))
+                Qk = Qh[:, : k + 1]
+                c = (Qk @ w[:, :, None])[:, :, 0]
+                alpha[:, k] = c[:, k].real
+                w -= (c.conj()[:, None, :] @ Qk)[:, 0].conj()
+                # a second Gram-Schmidt pass restores orthogonality lost to cancellation
+                c = (Qk @ w[:, :, None])[:, :, 0]
+                w -= (c.conj()[:, None, :] @ Qk)[:, 0].conj()
+                beta[:, k] = np.linalg.norm(w, axis=1)
+                finite = running & np.isfinite(beta[:, k])
+                ritz, y = _top_ritz_pairs(alpha[finite, : k + 1], beta[finite, :k])
+                stop = running & ~finite
+                stop[finite] = (beta[finite, k] * np.abs(y) <= 2.0 * _EPS * (
+                    s[live[finite]] + norm_T) * ritz * np.sqrt(ritz)) | (k == dim - 1)
+                theta[live[finite & stop]] = ritz[stop[finite]]
+                running &= ~stop
+                if not running.any():
+                    break
+                if 4 * running.sum() <= 3 * running.size:  # drop the stopped rows
+                    live, Qh, alpha, beta, B, BH, inv, rows, w, running = (
+                        a[running] for a in (live, Qh, alpha, beta, B, BH, inv, rows, w, running)
+                    )
+                q = w / beta[:, k, None]  # a stopped row may turn non-finite; none reads it
+    except np.linalg.LinAlgError:
+        if s.size == 1:
+            return theta
+        return np.concatenate([_chunk_thetas(form, weight, s[i:i + 1], norm_T) for i in range(s.size)])
+    return theta
+
+
+def _top_ritz_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue of each Lanczos tridiagonal matrix (diagonal ``alpha``,
+    off-diagonal ``beta``, one per row) and the last entry of its unit
+    eigenvector, by one stacked ``eigh``."""
+    c, k = alpha.shape
+    tri = np.zeros((c, k, k))
+    i = np.arange(k)
+    tri[:, i, i] = alpha
+    tri[:, i[1:], i[:-1]] = beta
+    vals, vecs = np.linalg.eigh(tri)  # reads the lower triangle
+    return vals[:, -1], vecs[:, -1, -1]
 
 
 def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np.ndarray:
@@ -374,8 +485,8 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     zero pivot or ``sigma_min <= KERNEL_TOL * sigma_max``, the kernel is
     counted from a dense SVD of ``T``, which also gives ``sigma_min``.
     """
-    sigma_max = energy_norm(gen)
     bands = _BandFactors(gen)
+    sigma_max = _energy_norm(gen, bands)
     inverse = bands.inverse_normal()
     if inverse is not None:  # it acts on T / bands.scale
         theta = _inverse_lanczos(inverse, bands.start.copy(), sigma_max / bands.scale)

@@ -48,6 +48,7 @@ from scipy.linalg import blas
 from .errors import NumericalError, ValidationError
 from .generator import (
     DiscreteGenerator,
+    GramSystem,
     _BandFactors,
     _band_times,
     _bandwidths,
@@ -312,8 +313,8 @@ def _band_operators(gen: DiscreteGenerator, half_dt: float):
     )
 
 
-def beam_modes(gen: DiscreteGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """Undamped beam modes of an assembled generator.
+def beam_modes(gen: GramSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped beam modes of an assembled generator or a block with the beam layout.
 
     Solves the pencil ``K phi = omega^2 M phi`` of the Gram's ``(q, v)``
     blocks once per generator and caches it, read-only; returns angular

@@ -314,7 +314,7 @@ class TestFeedbackTransform:
         ids=["real", "complex"],
     )
     def test_feedback_bounds_match_dense_oracles(self, monkeypatch, Q, c):
-        """One stacked solve for the grid and no Schur resolvent: ``|R|``
+        """One stacked solve for the grid and no ``resolvent_norms`` call: ``|R|``
         equals the dense-SVD reference, and ``R B``, ``C U^{-1} R`` and ``H``
         equal their products with the explicit inverse of ``is - T``."""
         out = ts.feedback_transform(ts.random_passive_system(5, 2, seed=4), Q, c)
@@ -488,21 +488,22 @@ class TestCoupledResolventBound:
             assert abs(norm / dense - 1.0) <= tol, s
 
     @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
-    def test_schur_resolvent_twice_per_usable_frequency(self, monkeypatch, model):
-        """Each usable frequency reads the coupled and the feedback-transformed
-        resolvent through ``resolvent_norm``; the control block's stacked
-        norms do not call it."""
+    def test_modal_resolvents_over_the_whole_grid(self, monkeypatch, model):
+        """The coupled and the feedback-transformed resolvents each take the
+        modal route once for the whole grid, the control block's the stacked
+        SVD; no frequency calls ``resolvent_norm``."""
         gen = cli.build_generator(RunConfig.from_dict({"model": model}))
-        objects = []
-        norm = spectral.resolvent_norm
+        routes = []
+        modal_norms = spectral._modal_norms
         monkeypatch.setattr(
-            spectral, "resolvent_norm", lambda system, s: objects.append(system) or norm(system, s)
+            spectral, "_modal_norms", lambda form, grid, norm: routes.append(grid.size)
+            or modal_norms(form, grid, norm)
         )
+        monkeypatch.setattr(spectral, "resolvent_norm", None)
         grid = spectral._frequency_grid(0.5, 0.5 * ts.mesh_frequency(gen), 120, "log")
         report = ts.check_coupled_resolvent_bound(gen, np.eye(1), grid)
         assert report.excluded == () and report.s_values.size == 120
-        assert len(objects) == 2 * 120
-        assert objects.count(gen) == 120 and gen.blocks[1] not in objects
+        assert routes == [120, 120]
 
     def test_lossless_block_frequencies_excluded(self):
         sys1 = ts.torque_block(1.0, 1.0)

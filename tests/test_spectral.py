@@ -9,17 +9,19 @@ import towerstab as ts
 import towerstab.cli as cli
 from towerstab import spectral
 from towerstab import generator
+from towerstab import modal
 from towerstab import timesim
 from towerstab.generator import energy_coordinates, energy_norm, symmetric_part, transform_flux
 
 EPS = np.finfo(float).eps
 
-#: sigma_min tolerance of the Schur/Lanczos resolvent, in units of
-#: dim * eps * (|s| + |T|).  The dense SVD and the Schur factorisation with
-#: its triangular solves are each backward stable with a backward error of
-#: order dim * eps * |is - T| <= dim * eps * (|s| + |T|), which by Weyl's
-#: inequality moves sigma_min by as much; the Lanczos stopping rule adds at
-#: most eps * (|s| + |T|).  2 covers one such error on each side.
+#: sigma_min tolerance of the modal Woodbury/Lanczos resolvent, in units of
+#: dim * eps * (|s| + |T|).  The dense SVD is backward stable with a
+#: backward error of order dim * eps * |is - T| <= dim * eps * (|s| + |T|),
+#: which by Weyl's inequality moves sigma_min by as much; the bordered
+#: Woodbury solve moves the shifted matrix by about as much, and the
+#: Lanczos stopping rule adds at most eps * (|s| + |T|).  2 covers one such
+#: error on each side.
 ORACLE_C = 2.0
 
 
@@ -38,21 +40,22 @@ def sigma_min_or_hit(evaluate):
 
 
 def assert_matches_dense_svd(system, s_values):
-    """``resolvent_norm`` against the dense ``_resolvent_from_shift`` oracle:
+    """``resolvent_norms`` against the dense ``_resolvent_from_shift`` oracle:
     the two sigma_min agree to ORACLE_C * dim * eps * (|s| + |T|), and where
     one side reports a spectrum hit the other lies within that tolerance
     of the hit threshold."""
     ec = energy_coordinates(system)
-    for s in s_values:
+    norms = ts.resolvent_norms(system, s_values)
+    for s, norm in zip(s_values, norms):
         scale = abs(s) + ec.norm_A
         tol = ORACLE_C * system.dim * EPS * scale
-        schur = sigma_min_or_hit(lambda: ts.resolvent_norm(system, s))
+        smin = None if np.isinf(norm) else 1.0 / norm
         dense = sigma_min_or_hit(lambda: spectral._resolvent_from_shift(ec.T, s, ec.norm_A))
-        if schur is None or dense is None:
-            other = dense if schur is None else schur
+        if smin is None or dense is None:
+            other = dense if smin is None else smin
             assert other is None or other <= spectral.SPECTRUM_HIT_FACTOR * EPS * scale + tol
         else:
-            assert abs(schur - dense) <= tol, (s, schur, dense, tol)
+            assert abs(smin - dense) <= tol, (s, smin, dense, tol)
 
 
 def damped_frequencies(system):
@@ -244,19 +247,18 @@ class TestSchurResolvent:
         freqs = np.concatenate([grid, damped_frequencies(complex_gain)])
         assert_matches_dense_svd(complex_gain, np.concatenate([freqs, -freqs]))
 
-    def test_schur_factor_computed_once_per_object(self, monkeypatch):
+    def test_modal_form_computed_once_per_object(self, monkeypatch):
         gen = desk_model("tmd", 4)
-        calls = []
-        zgees = spectral.lapack.zgees
-        monkeypatch.setattr(
-            spectral.lapack, "zgees", lambda *a, **k: calls.append(k) or zgees(*a, **k)
-        )
+        builds = []
+        rows = modal._remainder_rows
+        monkeypatch.setattr(modal, "_remainder_rows", lambda *a: builds.append(a) or rows(*a))
         ts.scan_resolvent(gen, 0.5, 50.0, 30)
         ts.resolvent_norm(gen, 3.0)
-        factor = gen._schur
+        form = modal._modal_form(gen)
         ts.resolvent_norm(gen, 7.0)
-        assert gen._schur is factor
-        assert len([k for k in calls if k["lwork"] != -1]) == 1  # not counting the size query
+        spectral.energy_spectrum(gen)
+        assert modal._modal_form(gen) is form
+        assert len(builds) == 1
 
     def test_reruns_are_bit_equal(self):
         first, second = desk_model("hydraulic", 16), desk_model("hydraulic", 16)
@@ -284,6 +286,76 @@ class TestSchurResolvent:
                 assert rel <= ORACLE_C * n * EPS * (s + ec.norm_A) / smin, (s, rel)
 
 
+    @pytest.mark.parametrize("model", ["hydraulic", "tmd"])
+    def test_matches_dense_svd_at_n64(self, model):
+        gen = cached_model(model, 64)
+        grid = np.geomspace(0.1, spectral.RELIABLE_BAND_FRACTION * ts.mesh_frequency(gen), 20)
+        damped = damped_frequencies(gen)
+        picks = damped[np.linspace(0, damped.size - 1, 10).astype(int)]
+        assert_matches_dense_svd(gen, np.concatenate([grid, picks]))
+
+    def test_exact_undamped_mode_frequency(self, desk_models, desk_beam, desk_params):
+        """``s = omega_j`` of ``beam_modes`` makes ``Delta_j`` exactly 0, so
+        the mode is bordered: on a damped model the norm is finite and
+        matches the dense oracle, on the undamped beam it is a hit."""
+        gen = desk_models["tmd"]
+        omega, _ = ts.beam_modes(gen)
+        picks = omega[[0, 1, 2, 5, 12]]
+        assert (spectral._bordered(modal._modal_form(gen).d, np.zeros(gen.dim), picks, 1.0)
+                .any(axis=1).all())
+        assert np.isfinite(ts.resolvent_norms(gen, picks)).all()
+        assert_matches_dense_svd(gen, picks)
+        undamped = ts.assemble_combined(desk_beam, desk_params, 0.0, 0.0)
+        omega, _ = ts.beam_modes(undamped)
+        assert np.isinf(ts.resolvent_norms(undamped, omega[:4])).all()
+        with pytest.raises(ts.SpectrumHit):
+            ts.resolvent_norm(undamped, omega[0])
+
+    def test_complex_gain_block_takes_the_dense_route(self, desk_beam, desk_params, monkeypatch):
+        tip = ts.scole_tip_block(desk_beam, desk_params, "rotation")
+        block = ts.feedback_transform(tip, np.array([[1.5 + 0.7j]]), 1.5)
+        assert modal._modal_form(block) is None
+        assert modal._modal_form(ts.feedback_transform(tip, np.eye(1), 1.0)) is not None
+        monkeypatch.setattr(spectral, "_modal_norms", None)
+        grid = np.geomspace(0.1, 100.0, 30)
+        assert_matches_dense_svd(block, np.concatenate([grid, -grid]))
+
+    @pytest.mark.parametrize("model", ["hydraulic", "tmd"])
+    def test_scan_and_coupling_take_no_cubic_setup(self, model, monkeypatch):
+        """The scan and the coupling check make no Schur factorisation
+        (``zgees``) and form no dense ``T`` of a beam-sized object, and
+        build the modal form of each object (the model and the
+        feedback-transformed tip block) once."""
+        runner = cli.Runner(cli.RunConfig.from_dict({"model": model, "n_elements": 16}))
+        zgees, coordinates, builds = [], [], []
+        schur = sla.lapack.zgees
+        monkeypatch.setattr(sla.lapack, "zgees", lambda *a, **k: zgees.append(a) or schur(*a, **k))
+        transform = spectral.energy_coordinates
+        monkeypatch.setattr(
+            spectral, "energy_coordinates", lambda gen: coordinates.append(gen.dim) or transform(gen)
+        )
+        rows = modal._remainder_rows
+        monkeypatch.setattr(modal, "_remainder_rows", lambda gen, n: builds.append(gen) or rows(gen, n))
+        runner.check_scan()
+        runner.check_coupling()
+        assert [(c.name, c.status) for c in runner.results] == [
+            ("scan", "pass"), ("coupling_bound", "pass")
+        ]
+        assert zgees == []
+        assert all(dim <= 3 for dim in coordinates)
+        assert len(builds) == len({id(gen) for gen in builds}) == 2
+        assert builds[0] is runner.gen
+
+    def test_chunks_do_not_change_a_norm(self):
+        gen = cached_model("hydraulic", 16)
+        grid = np.geomspace(0.5, 0.5 * ts.mesh_frequency(gen), 300)
+        assert grid.size > spectral.STACK_ENTRIES // gen.dim
+        norms = ts.resolvent_norms(gen, grid)
+        one_by_one = [ts.resolvent_norms(gen, [s])[0] for s in grid]
+        assert np.array_equal(norms, one_by_one)
+        assert np.array_equal(norms, ts.resolvent_norms(gen, grid[::-1])[::-1])
+
+
 MODELS = ("combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback")
 
 
@@ -302,9 +374,15 @@ class TestBandedNorms:
     banded Lanczos each carry an error of order ``dim eps sigma_max`` in
     every singular value, ``sigma_min`` included."""
 
-    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("model", MODELS + ("sys_k",))
     def test_band_order_gives_bandwidths_five_and_seven(self, model):
-        gen = desk_model(model, 16)
+        """``sys_k`` is the coupling check's feedback-transformed tip block,
+        which keeps the beam labels of ``scole_tip_block``."""
+        if model == "sys_k":
+            tip = desk_model("tmd", 16).blocks[0]
+            gen = ts.feedback_transform(tip, np.eye(1), 1.0)
+        else:
+            gen = desk_model(model, 16)
         order = generator._band_order(gen)
         assert generator._bandwidths(gen.gram, order) == (5, 5)
         assert generator._bandwidths(gen.flux, order) == (7, 7)
@@ -316,18 +394,26 @@ class TestBandedNorms:
 
     def test_one_banded_lu_per_midpoint_loop_and_kernel_check(self, monkeypatch):
         """The midpoint loop and the kernel check each factor one band, by
-        ``_BandFactors.lu``: the loop ``gram - dt/2 flux``, the check the flux."""
+        ``_BandFactors.lu``: the loop ``gram - dt/2 flux``, the check the flux.
+        The loop factors no Cholesky of the Gram; the kernel check one, which
+        its energy norm shares."""
         gen = desk_model("tmd", 16)
-        shapes = []
+        shapes, choleskys = [], []
         lu = generator._BandFactors.lu
         monkeypatch.setattr(
             generator._BandFactors, "lu", lambda self, ab: shapes.append(ab.shape) or lu(self, ab)
         )
+        cholesky_banded = sla.cholesky_banded
+        monkeypatch.setattr(
+            sla, "cholesky_banded", lambda *a, **k: choleskys.append(a) or cholesky_banded(*a, **k)
+        )
         monkeypatch.setattr(timesim, "_energy_eigenbasis", lambda gen: None)
         ts.simulate(gen, ts.classical_initial_data(gen, "tip_kick"), 0.05, 0.01)
         assert shapes == [(15, gen.dim)]
+        assert choleskys == []
         assert ts.kernel_check(gen)[0] == 0
         assert shapes == [(15, gen.dim)] * 2
+        assert len(choleskys) == 1
 
     @pytest.mark.parametrize("n_elements", [16, 64])
     @pytest.mark.parametrize("model", MODELS)
