@@ -319,10 +319,7 @@ def couple_systems(
     like a first-block one is renamed ``sys2.<name>``); the coupled
     generator is certified Gram-dissipative (the defect stays cached on it)
     and keeps ``(sys1, sys2)`` as ``gen.blocks``, which
-    :func:`check_coupled_resolvent_bound` reads.  Without ``labels`` it
-    takes those of labelled blocks (a clashing second-block label is
-    renamed ``sys2.<label>``), so coupling the beam's tip block keeps the
-    beam layout, and ``sys1[i]``, ``sys2[j]`` for unlabelled ones.
+    :func:`check_coupled_resolvent_bound` reads.
     """
     if sys1.p != sys2.p:
         raise DimensionError(f"input dimensions differ: {sys1.p} vs {sys2.p}")
@@ -353,9 +350,7 @@ def couple_systems(
             name = f"sys2.{name}" if name in clash else name
             channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
     if labels is None:
-        first = list(sys1.labels or (f"sys1[{i}]" for i in range(n1)))
-        second = sys2.labels or (f"sys2[{j}]" for j in range(n2))
-        labels = first + [f"sys2.{name}" if name in first else name for name in second]
+        labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
     gen = DiscreteGenerator(
         gram=gram, flux=flux, labels=labels, damping_channels=tuple(channels)
     )

@@ -172,19 +172,28 @@ def _resolvent_from_shift(T: np.ndarray, s: float, norm_T: float) -> float:
     return 1.0 / smin
 
 
+def _ritz_tolerance(theta, scale):
+    """Ritz residual at which inverse Lanczos stops (elementwise for arrays).
+
+    A Ritz residual ``beta_k |y_k|`` of ``theta = 1 / sigma_min^2`` moves
+    ``sigma_min = theta^{-1/2}`` by at most ``sigma_min beta_k |y_k| / (2
+    theta)``; iteration stops once that is at most ``eps * scale`` -- for
+    ``scale = |s| + |T|`` the backward-error scale of a dense SVD of the
+    shifted matrix, for ``scale = |T|`` that of ``T`` -- i.e. when ``beta_k
+    |y_k| <= 2 eps scale theta^{3/2}``.
+    """
+    return 2.0 * _EPS * scale * theta * np.sqrt(theta)
+
+
 def _inverse_lanczos(apply, q: np.ndarray, scale: float) -> float:
     """``theta = 1 / sigma_min(X)^2`` from an ``apply`` that multiplies by
     ``(X^H X)^{-1}`` or by ``(X X^H)^{-1}``; ``inf`` when a step overflows.
 
     :func:`~towerstab.generator._top_eigenvalue` from the unit start
-    vector ``q`` finds ``theta``, the top eigenvalue.  A Ritz residual
-    ``beta_k |y_k|`` moves ``sigma_min = theta^{-1/2}`` by at most
-    ``sigma_min beta_k |y_k| / (2 theta)``; iteration stops once that is at
-    most ``eps * scale`` -- for ``scale = |s| + |T|`` the backward-error
-    scale of a dense SVD of the shifted matrix, for ``scale = |T|`` that of
-    ``T`` -- i.e. when ``beta_k |y_k| <= 2 eps scale theta^{3/2}``.
+    vector ``q`` finds ``theta``, the top eigenvalue, and stops at
+    :func:`_ritz_tolerance`.
     """
-    return _top_eigenvalue(apply, q, lambda t: 2.0 * _EPS * scale * t * np.sqrt(t))
+    return _top_eigenvalue(apply, q, lambda t: _ritz_tolerance(t, scale))
 
 
 def resolvent_norm(gen: GramSystem, s: float) -> float:
@@ -298,16 +307,18 @@ def _chunk_thetas(form, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.
     singular capacitance or an overflowing step.
 
     Inverse Lanczos on ``M^{-1} M^{-H}`` with full reorthogonalisation,
-    for every frequency at once, from the fixed unit start vector of the
-    dense route: each frequency takes the stopping rule of
-    :func:`_inverse_lanczos` (Ritz residual at most ``2 eps (s + |T|)
-    theta^{3/2}``), stops once it holds (its rows are dropped once a
-    quarter of the rows have stopped), and runs on its own rows of every
-    array, with products stacked one frequency per BLAS
-    call, so its ``theta`` does not depend on the chunk.  Both solves of a
-    step take :func:`_woodbury`, ``M^{-H}`` with the adjoint capacitance
-    ``B^H``.  LAPACK rejects a whole stack for one exactly singular
-    capacitance; the chunk's frequencies are then run one by one.
+    for every frequency at once, from one fixed unit start vector: each
+    frequency stops at :func:`_ritz_tolerance` for ``scale = s + |T|``, as
+    :func:`_inverse_lanczos` does (its rows are dropped once a quarter of
+    the rows have stopped), and runs on its own rows of every array, with
+    products stacked one frequency per BLAS call, so its ``theta`` does
+    not depend on the chunk.  The chunk shares the Python cost of a step
+    among its frequencies: :func:`_inverse_lanczos` with one Woodbury
+    solve per frequency took about twice as long at ``n_elements`` 16.
+    Both solves of a step take :func:`_woodbury`, ``M^{-H}`` with the
+    adjoint capacitance ``B^H``.  LAPACK rejects a whole stack for one
+    exactly singular capacitance; the chunk's frequencies are then run one
+    by one.
     """
     d, P, R = form.d, form.P, form.R
     dim, m = P.shape
@@ -349,8 +360,8 @@ def _chunk_thetas(form, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.
                 finite = running & np.isfinite(beta[:, k])
                 ritz, y = _top_ritz_pairs(alpha[finite, : k + 1], beta[finite, :k])
                 stop = running & ~finite
-                stop[finite] = (beta[finite, k] * np.abs(y) <= 2.0 * _EPS * (
-                    s[live[finite]] + norm_T) * ritz * np.sqrt(ritz)) | (k == dim - 1)
+                stop[finite] = (beta[finite, k] * np.abs(y) <= _ritz_tolerance(
+                    ritz, s[live[finite]] + norm_T)) | (k == dim - 1)
                 theta[live[finite & stop]] = ritz[stop[finite]]
                 running &= ~stop
                 if not running.any():

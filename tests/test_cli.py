@@ -288,6 +288,7 @@ class TestCouplingCheck:
         fresh = passive_core.couple_systems(
             models.scole_tip_block(cli.build_beam_matrices(params, 8), params, port),
             models.control_block(model, cfg.block_parameters()),
+            labels=runner.gen.labels,  # the beam layout, as the assemblies give it
         )
         s_hi = 0.5 * ts.mesh_frequency(fresh)
         grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))

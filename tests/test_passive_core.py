@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towerstab as ts
-from towerstab import cli, models, passive_core, spectral
+from towerstab import cli, generator, modal, models, passive_core, spectral
 from towerstab.cli import RunConfig
 from towerstab.generator import energy_coordinates
 from towerstab.passive_core import _defect
@@ -386,6 +386,25 @@ class TestCoupleSystems:
         scale = np.abs(direct.A).max()
         assert np.abs(gen.A - direct.A).max() <= 1e-12 * scale
         assert np.abs(gen.gram - direct.gram).max() <= 1e-12
+
+    def test_tip_block_coupled_second_gets_block_labels(
+        self, desk_beam, desk_params, desk_tmd
+    ):
+        """Without ``labels`` the coupled states are ``sys1[i]``, ``sys2[j]``
+        whatever the blocks carry, so the beam-labelled tip block second
+        gives no beam layout: identity band order and no modal form.  The
+        coupling is the direct assembly's with the damper states first and
+        their sign flipped, an energy isometry, so the dense route's
+        resolvent norms match the modal route's on the assembly."""
+        tip = ts.scole_tip_block(desk_beam, desk_params, "displacement")
+        gen = ts.couple_systems(ts.tmd_block(desk_tmd), tip)
+        assert list(gen.labels) == ["sys1[0]", "sys1[1]"] + [f"sys2[{j}]" for j in range(tip.n)]
+        assert np.array_equal(generator._band_order(gen), np.arange(gen.dim))
+        assert modal._modal_form(gen) is None
+        direct = ts.assemble_tmd(desk_beam, desk_params, desk_tmd)
+        grid = np.geomspace(0.1, 100.0, 12)
+        norms = ts.resolvent_norms(gen, grid)
+        assert np.allclose(norms, ts.resolvent_norms(direct, grid), rtol=1e-9)
 
     def test_tmd_coupling_rows_match_closed_form(self, desk_beam, desk_params, desk_tmd):
         """Damper rows implement (-f3 + f6) and (d1 f3 - k1 f5 - d1 f6)/m1."""

@@ -21,7 +21,12 @@ EPS = np.finfo(float).eps
 #: which by Weyl's inequality moves sigma_min by as much; the bordered
 #: Woodbury solve moves the shifted matrix by about as much, and the
 #: Lanczos stopping rule adds at most eps * (|s| + |T|).  2 covers one such
-#: error on each side.
+#: error on each side.  The modal form also takes its low modes as exactly
+#: K-orthogonal, which they are only to about eps omega_max^2 / gap, an
+#: error that grows faster with the mesh than this tolerance: on hydraulic
+#: at s in [0.1, 3] it read at most 0.18, 0.15, 0.28 and 0.69 of it at
+#: n_elements 64, 128, 256 and 512, so the bound holds only up to about
+#: n_elements 512.
 ORACLE_C = 2.0
 
 
@@ -293,6 +298,18 @@ class TestSchurResolvent:
         damped = damped_frequencies(gen)
         picks = damped[np.linspace(0, damped.size - 1, 10).astype(int)]
         assert_matches_dense_svd(gen, np.concatenate([grid, picks]))
+
+    @pytest.mark.parametrize("model", ["hydraulic", "tmd"])
+    def test_matches_dense_svd_at_n256(self, model):
+        """The low modes' K-orthogonality error, which the modal form takes
+        as exact, grows with the mesh; at n_elements 256 the norms still
+        match the oracle, worst at the low end of the grid."""
+        gen = desk_model(model, 256)
+        s_hi = spectral.RELIABLE_BAND_FRACTION * ts.mesh_frequency(gen)
+        lam = spectral.energy_spectrum(gen).eigenvalues
+        damped = np.sort(lam.imag[(lam.imag > 0) & (lam.imag < s_hi)])
+        picks = damped[np.linspace(0, damped.size - 1, 6).astype(int)]
+        assert_matches_dense_svd(gen, np.concatenate([np.geomspace(0.1, s_hi, 6), picks]))
 
     def test_exact_undamped_mode_frequency(self, desk_models, desk_beam, desk_params):
         """``s = omega_j`` of ``beam_modes`` makes ``Delta_j`` exactly 0, so
