@@ -2,8 +2,9 @@
 
 A run is described by a single JSON config file whose defaults reproduce the
 desk fixtures (all physical constants 1, ``n_elements`` 16).  Artifacts are
-written to the output directory as ``report.json`` plus CSV files; identical
-config and seed produce byte-identical JSON (floats are rendered with 17
+written to the output directory as ``report.json`` plus CSV files and, after
+a simulation, ``trajectory.npy``; identical config and seed produce
+byte-identical artifacts (JSON and CSV floats are rendered with 17
 significant digits).
 
 Exit codes: 0 all checks pass; 2 the config was rejected before any check
@@ -18,9 +19,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -318,78 +318,57 @@ def config_hash(cfg: RunConfig) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
-def _write_rows(fh, columns: list[np.ndarray], start: int, stop: int) -> None:
-    """Rows ``[start, stop)`` of ``columns``, formatted ``CSV_CHUNK_ROWS`` at a time."""
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        chunk = [c[lo:min(lo + CSV_CHUNK_ROWS, stop)].tolist() for c in columns]
-        fh.write("".join([row_format % row for row in zip(*chunk)]))
-
-
-def _fork_writer(part: Path, columns: list[np.ndarray], start: int, stop: int) -> int:
-    """Fork a process that writes rows ``[start, stop)`` into ``part``; its pid.
-
-    The child only formats and writes, and leaves through ``os._exit`` so that
-    it runs no atexit handler and flushes no inherited buffer.  Its exit status
-    is 0, the errno of an ``OSError``, or 255 for any other exception.
-    """
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 255
+@contextmanager
+def _whole_file(path: Path, mode: str, **kwargs):
+    """``path`` opened for writing, and removed if the write does not
+    finish; a ``path`` that cannot be opened is not touched."""
+    fh = open(path, mode, **kwargs)
     try:
-        with open(part, "w", newline="") as fh:
-            _write_rows(fh, columns, start, stop)
-        status = 0
-    except OSError as exc:
-        status = exc.errno or status
-    finally:
-        os._exit(status)
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _float_columns(path: Path, columns: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """``columns`` as float arrays, and their common length."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    lengths = [c.shape[0] for c in columns]
+    if len(set(lengths)) > 1:
+        raise DimensionError(f"{path.name}: columns differ in length: {lengths}")
+    return columns, lengths[0] if lengths else 0
 
 
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Columns side by side as CSV, floats with 17 significant digits.
 
-    Where ``os.fork`` exists, a table of more than ``2 * CSV_CHUNK_ROWS`` rows
-    is formatted on two cores: a forked writer puts rows ``[n//2, n)`` into
-    ``<name>.part`` beside ``path`` while this process writes the header and
-    the first half; the part is then appended and removed.  The bytes are
-    those of one process.  When either half fails, neither the part nor a
-    partial ``path`` is left; a ``path`` that could not be opened is not
-    touched.
+    Rows are formatted ``CSV_CHUNK_ROWS`` at a time.  A write that fails
+    after ``path`` was opened leaves no partial ``path``; a ``path`` that
+    could not be opened is not touched.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    lengths = [c.shape[0] for c in columns]
-    if len(set(lengths)) > 1:
-        raise DimensionError(f"{path.name}: columns differ in length: {lengths}")
-    n_rows = lengths[0] if lengths else 0
-    split = n_rows // 2 if n_rows > 2 * CSV_CHUNK_ROWS and hasattr(os, "fork") else n_rows
-    part = path.with_name(path.name + ".part")
-    pid = None
-    partial = False  # path holds an unfinished table
-    try:
-        if split < n_rows:
-            pid = _fork_writer(part, columns, split, n_rows)
-        with open(path, "w", newline="") as fh:
-            partial = True
-            fh.write(",".join(header) + "\n")
-            _write_rows(fh, columns, 0, split)
-        if pid is not None:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = None
-            if status:
-                detail = f": {os.strerror(status)}" if 0 < status < 255 else ""
-                raise OSError(f"writer of {part} exited with status {status}{detail}")
-            with open(part, "rb") as src, open(path, "ab") as dst:
-                shutil.copyfileobj(src, dst)
-        partial = False
-    finally:
-        if pid is not None:
-            os.waitpid(pid, 0)
-        if split < n_rows and not part.is_dir():
-            part.unlink(missing_ok=True)
-        if partial:
-            path.unlink(missing_ok=True)
+    columns, n_rows = _float_columns(path, columns)
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _whole_file(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([row_format % row for row in zip(*chunk)]))
+
+
+def write_columns_npy(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
+    """Columns, bit for bit, as the little-endian float64 fields of one 1-D
+    structured array, in the bytes of ``np.save(path, table,
+    allow_pickle=False)``; the failure rules of :func:`write_columns_csv`."""
+    columns, n_rows = _float_columns(path, columns)
+    table = np.empty(n_rows, dtype=[(n, "<f8") for n in names])
+    for name, column in zip(names, columns, strict=True):
+        table[name] = column
+    with _whole_file(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(table))
+        # through the file object: ndarray.tofile, which np.save calls on a
+        # file, does not report an error of its last flush
+        fh.write(table)
 
 
 class Runner:
@@ -646,7 +625,9 @@ def emit_report(
     runner: Runner | None = None,
     matrices: bool = False,
 ) -> list[Path]:
-    """Write report.json plus whichever CSV artifacts the run produced.
+    """Write report.json plus whichever of ``scan.csv``, ``spectrum.csv``
+    and ``trajectory.npy`` (fields ``t``, ``E`` and the sorted channel
+    names; see :func:`write_columns_npy`) the run produced.
 
     With ``matrices`` (the ``assemble`` subcommand) it also writes the
     runner's ``A.csv``, ``gram.csv`` and ``labels.txt``.  ``report.json``
@@ -681,8 +662,8 @@ def emit_report(
         if runner is not None and runner.trajectory is not None:
             traj = runner.trajectory
             names = sorted(traj.channels)
-            p = out / "trajectory.csv"
-            write_columns_csv(
+            p = out / "trajectory.npy"
+            write_columns_npy(
                 p,
                 ["t", "E"] + names,
                 [traj.times, traj.energies] + [traj.channels[n] for n in names],

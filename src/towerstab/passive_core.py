@@ -27,10 +27,12 @@ from .generator import (
     DampingChannel,
     DiscreteGenerator,
     GramSystem,
+    _beam_size,
     energy_norm,
     symmetric_part,
 )
 from .spectral import STACK_ENTRIES, _as_grid, _hit_level, resolvent_norms
+from .timesim import beam_modes
 
 PASSIVITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -486,6 +488,21 @@ class CouplingBoundReport:
 ETA_EXCLUSION_TOL = 1e-12
 
 
+def _share_beam_modes(source: GramSystem, target: GramSystem) -> None:
+    """Give ``target`` the beam modes of ``source`` when both have the beam
+    layout with bitwise equal ``K`` and ``M``, all that ``beam_modes`` reads."""
+    try:
+        n = _beam_size(source)
+        same = _beam_size(target) == n and all(
+            np.array_equal(source.gram[b, b].view(np.int64), target.gram[b, b].view(np.int64))
+            for b in (slice(0, n), slice(n, 2 * n))
+        )
+    except ValidationError:  # no beam layout
+        return
+    if same:
+        target._modes = beam_modes(source)
+
+
 def check_coupled_resolvent_bound(
     coupled: DiscreteGenerator, K: np.ndarray, s_grid: Sequence[float]
 ) -> CouplingBoundReport:
@@ -506,6 +523,7 @@ def check_coupled_resolvent_bound(
     if not c > 0:
         raise ValidationError(f"Re K must be positive definite, lambda_min = {c:.3e}")
     sys_k = feedback_transform(sys1, K, c)
+    _share_beam_modes(coupled, sys_k)
     tf = transfer_grid(sys2, s_grid)
     keep = np.flatnonzero(tf.eta > ETA_EXCLUSION_TOL)  # a hit's NaN eta fails the test
     columns = [tf.eta[keep]]

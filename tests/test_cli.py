@@ -229,8 +229,9 @@ class TestVerifyAll:
 
     def test_seed_is_recorded_only(self, tmp_path):
         """Desk tmd with seed 0 and 7: the reports differ only in the
-        provenance's seed and config hash, and every CSV is byte-identical."""
-        reports, csvs = [], []
+        provenance's seed and config hash, and every other artifact is
+        byte-identical."""
+        reports, artifacts = [], []
         for seed in (0, 7):
             out = tmp_path / f"seed{seed}"
             path = tmp_path / f"seed{seed}.json"
@@ -240,17 +241,37 @@ class TestVerifyAll:
             provenance = report["provenance"]
             assert provenance.pop("seed") == seed
             reports.append((report, provenance.pop("config_hash")))
-            csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            artifacts.append(
+                {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "report.json"}
+            )
         (first, hash0), (second, hash7) = reports
         assert first == second and hash0 != hash7
-        assert csvs[0] == csvs[1]
-        assert sorted(csvs[0]) == ["scan.csv", "spectrum.csv", "trajectory.csv"]
+        assert artifacts[0] == artifacts[1]
+        assert sorted(artifacts[0]) == ["scan.csv", "spectrum.csv", "trajectory.npy"]
 
     def test_artifact_set(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["verify-all", "--config", str(path)])
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert names == ["report.json", "scan.csv", "spectrum.csv", "trajectory.csv"]
+        assert names == ["report.json", "scan.csv", "spectrum.csv", "trajectory.npy"]
+
+    def test_trajectory_npy_holds_the_exact_trajectory(self, tmp_path):
+        """One float64 field per column, ``t``, ``E`` and the sorted
+        channels, bit-equal to the runner's arrays; the bytes are
+        ``np.save``'s and load without pickle."""
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path, model="tmd")), {}))
+        runner.check_simulation()
+        path = tmp_path / "o" / "trajectory.npy"
+        assert path in cli.emit_report(runner.report(), tmp_path / "o", runner)
+        traj = runner.trajectory
+        table = np.load(path, allow_pickle=False)
+        assert table.dtype.names == ("t", "E", *sorted(traj.channels))
+        assert all(table.dtype[name] == np.dtype("<f8") for name in table.dtype.names)
+        for name, column in [("t", traj.times), ("E", traj.energies), *traj.channels.items()]:
+            np.testing.assert_array_equal(table[name].view(np.uint64), column.view(np.uint64))
+        saved = tmp_path / "saved.npy"
+        np.save(saved, table, allow_pickle=False)
+        assert path.read_bytes() == saved.read_bytes()
 
     def test_report_enumerates_every_check(self, tmp_path):
         """No check is silently skipped: every known check appears with a
@@ -294,6 +315,22 @@ class TestCouplingCheck:
         grid = np.geomspace(cfg.s_lo, s_hi, min(cfg.n_points, 120))
         rep = ts.check_coupled_resolvent_bound(fresh, np.eye(1), grid)
         assert result.evidence["max_ratio"] == rep.max_ratio
+
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_verify_all_solves_the_beam_pencil_once(self, tmp_path, monkeypatch, model):
+        """The feedback-transformed tip block reads the model's cached beam
+        modes: one generalized ``eigh`` in the whole run."""
+        pencils, eigh = [], scipy.linalg.eigh
+
+        def counting_eigh(a, b=None, *args, **kwargs):
+            if b is not None:
+                pencils.append(a.shape)
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        path = write_config(tmp_path, model=model, n_elements=16, T=0.5)
+        assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
+        assert pencils == [(32, 32)]
 
     @pytest.mark.parametrize("model", ["combined", "torque", "force", "hydraulic_feedback"])
     def test_uncoupled_model_records_why_not_run(self, tmp_path, model):
@@ -525,9 +562,8 @@ class TestPartialRuns:
     def test_simulate_writes_trajectory_columns(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
-        header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
-        cols = header.split(",")
-        assert cols[:2] == ["t", "E"]
+        cols = np.load(tmp_path / "out" / "trajectory.npy", allow_pickle=False).dtype.names
+        assert cols[:2] == ("t", "E")
         assert "tip_velocity" in cols
 
     def test_check_toggles_respected(self, tmp_path):
@@ -545,7 +581,7 @@ class TestRendering:
         )
 
     def test_columns_csv_matches_per_value_formatting(self, tmp_path):
-        # one process up to 2 * CSV_CHUNK_ROWS rows, a forked writer above
+        # below, at and across the boundaries of the formatting chunks
         for n in (
             cli.CSV_CHUNK_ROWS + 3,
             2 * cli.CSV_CHUNK_ROWS,
@@ -563,106 +599,83 @@ class TestRendering:
             assert (tmp_path / "c.csv").read_text() == expected, n
             assert [p.name for p in tmp_path.iterdir()] == ["c.csv"], n
 
-    def test_columns_csv_without_fork_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        n = 2 * cli.CSV_CHUNK_ROWS + 1
-        columns = [np.linspace(0.0, 1.0, n), np.geomspace(1e-300, 1e300, n)]
-        cli.write_columns_csv(tmp_path / "forked.csv", ["a", "b"], columns)
-        monkeypatch.delattr(os, "fork")
-        cli.write_columns_csv(tmp_path / "single.csv", ["a", "b"], columns)
-        assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
-
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
         with pytest.raises(ts.ValidationError, match=r"columns differ in length: \[3, 2\]"):
             cli.write_columns_csv(tmp_path / "c.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 class TestSplitWriter:
-    """emit_report when the forked writer of a long table, or the parent's half, fails."""
+    """emit_report when writing a long table fails part way, or cannot start."""
+
+    ARTIFACTS = ("scan.csv", "trajectory.npy")
 
     @staticmethod
-    def runner_with_long_trajectory(tmp_path):
+    def runner_with_long_tables(tmp_path):
         runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
         t = np.linspace(0.0, 1.0, 2 * cli.CSV_CHUNK_ROWS + 1)
+        runner.scan = SimpleNamespace(s_values=t, norms=np.exp(t))
         runner.trajectory = SimpleNamespace(times=t, energies=np.exp(-t), channels={"v": np.sin(t)})
         return runner
 
     @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def disk_fills_up(monkeypatch, name, room=1000):
+        """Writes to the artifact ``name`` fail with ENOSPC once ``room``
+        bytes of it reached the file."""
 
-    @staticmethod
-    def fail_in(monkeypatch, where):
-        """Make ``cli._write_rows`` raise ENOSPC in the parent or in the child."""
-        parent, write_rows = os.getpid(), cli._write_rows
+        class FillingFile:
+            def __init__(self, fh):
+                self.fh, self.room = fh, room
 
-        def write_rows_or_fail(fh, columns, start, stop):
-            if (os.getpid() == parent) == (where == "parent"):
-                fh.write("partial\n")
-                fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-            write_rows(fh, columns, start, stop)
+            def write(self, data):
+                data = data if isinstance(data, str) else bytes(data)
+                self.fh.write(data[:self.room])
+                self.fh.flush()
+                self.room -= len(data)
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_write_rows", write_rows_or_fail)
+            def __enter__(self):
+                return self
 
-    def test_part_path_taken_by_a_directory(self, tmp_path):
-        runner = self.runner_with_long_trajectory(tmp_path)
-        out = tmp_path / "o"
-        (out / "trajectory.csv.part").mkdir(parents=True)
-        with pytest.raises(ts.ToolkitError, match=f"cannot write artifacts.*status {errno.EISDIR}"):
-            cli.emit_report(runner.report(), out, runner)
-        # the directory is not the writer's to remove, and no file took its place
-        assert [p.name for p in out.glob("*.part")] == ["trajectory.csv.part"]
-        assert (out / "trajectory.csv.part").is_dir()
-        assert not (out / "trajectory.csv").exists()
-        self.assert_no_child_left()
+            def __exit__(self, *exc):
+                self.fh.close()
 
-    def test_child_failing_mid_table(self, tmp_path, monkeypatch):
-        runner = self.runner_with_long_trajectory(tmp_path)
-        self.fail_in(monkeypatch, "child")
-        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
-            cli.emit_report(runner.report(), tmp_path / "o", runner)
-        assert list((tmp_path / "o").glob("*.part")) == []
-        assert not (tmp_path / "o" / "trajectory.csv").exists()
-        self.assert_no_child_left()
+        def open_filling(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return FillingFile(fh) if Path(file).name == name else fh
 
-    def test_parent_half_failing_reaps_the_child(self, tmp_path, monkeypatch):
-        runner = self.runner_with_long_trajectory(tmp_path)
-        self.fail_in(monkeypatch, "parent")
-        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
-            cli.emit_report(runner.report(), tmp_path / "o", runner)
-        assert list((tmp_path / "o").glob("*.part")) == []
-        assert not (tmp_path / "o" / "trajectory.csv").exists()
-        self.assert_no_child_left()
+        monkeypatch.setattr(cli, "open", open_filling, raising=False)
 
     def test_one_process_failing_mid_table(self, tmp_path, monkeypatch):
-        runner = self.runner_with_long_trajectory(tmp_path)
-        monkeypatch.delattr(os, "fork")
-        self.fail_in(monkeypatch, "parent")
-        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
-            cli.emit_report(runner.report(), tmp_path / "o", runner)
-        assert not (tmp_path / "o" / "trajectory.csv").exists()
-        assert list((tmp_path / "o").glob("*.part")) == []
+        """A table whose write fails after its first bytes reached the file
+        leaves no partial file, as CSV and as ``.npy``."""
+        runner = self.runner_with_long_tables(tmp_path)
+        for name in self.ARTIFACTS:
+            with monkeypatch.context() as patch:
+                self.disk_fills_up(patch, name)
+                with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
+                    cli.emit_report(runner.report(), tmp_path / name, runner)
+            assert not (tmp_path / name / name).exists()
 
     def test_csv_that_cannot_be_opened_is_left_alone(self, tmp_path, monkeypatch):
-        """``open`` of the CSV itself fails: the file already there keeps its
-        bytes, and the forked writer's finished part is removed."""
-        runner = self.runner_with_long_trajectory(tmp_path)
-        out = tmp_path / "o"
-        out.mkdir()
-        (out / "trajectory.csv").write_text("kept\n")
+        """``open`` of the table itself fails: the file already there keeps
+        its bytes, as CSV and as ``.npy``."""
+        runner = self.runner_with_long_tables(tmp_path)
+        for name in self.ARTIFACTS:
+            out = tmp_path / name
+            out.mkdir()
+            (out / name).write_text("kept\n")
 
-        def refuse_csv(file, mode="r", **kwargs):
-            if Path(file).name == "trajectory.csv" and mode == "w":
-                raise PermissionError(errno.EACCES, "Permission denied", str(file))
-            return open(file, mode, **kwargs)
+            def refuse(file, mode="r", **kwargs):
+                if Path(file).name == name and mode.startswith("w"):
+                    raise PermissionError(errno.EACCES, "Permission denied", str(file))
+                return open(file, mode, **kwargs)
 
-        monkeypatch.setattr(cli, "open", refuse_csv, raising=False)
-        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*Permission denied"):
-            cli.emit_report(runner.report(), out, runner)
-        assert (out / "trajectory.csv").read_text() == "kept\n"
-        assert list(out.glob("*.part")) == []
-        self.assert_no_child_left()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "open", refuse, raising=False)
+                with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*Permission denied"):
+                    cli.emit_report(runner.report(), out, runner)
+            assert (out / name).read_text() == "kept\n"
 
 
 class TestAssemble:
