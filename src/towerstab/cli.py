@@ -314,8 +314,11 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(render_json(dataclasses.asdict(cfg)).encode()).hexdigest()
 
 
-#: rows formatted per write; bounds the temporary row objects to about a MB.
-CSV_CHUNK_ROWS = 4096
+#: values (rows times columns) formatted per write: the temporary row
+#: objects stay about a MB however wide the table.
+CSV_CHUNK_VALUES = 3 * 4096
+#: rows formatted per write of a three-column table.
+CSV_CHUNK_ROWS = CSV_CHUNK_VALUES // 3
 
 
 @contextmanager
@@ -343,16 +346,18 @@ def _float_columns(path: Path, columns: list[np.ndarray]) -> tuple[list[np.ndarr
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Columns side by side as CSV, floats with 17 significant digits.
 
-    Rows are formatted ``CSV_CHUNK_ROWS`` at a time.  A write that fails
+    Rows are formatted ``CSV_CHUNK_VALUES // len(columns)`` at a time, at
+    least one: ``A.csv`` has one column per state.  A write that fails
     after ``path`` was opened leaves no partial ``path``; a ``path`` that
     could not be opened is not touched.
     """
     columns, n_rows = _float_columns(path, columns)
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    step = max(1, CSV_CHUNK_VALUES // max(1, len(columns)))
     with _whole_file(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in columns]
+        for lo in range(0, n_rows, step):
+            chunk = [c[lo:lo + step].tolist() for c in columns]
             fh.write("".join([row_format % row for row in zip(*chunk)]))
 
 

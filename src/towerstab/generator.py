@@ -13,8 +13,8 @@ multiplying an explicit ``A`` would amplify mass-solve roundoff by the
 stiffness norm and swamp the 1e-10 dissipativity tolerances on fine meshes;
 all energy balance computations therefore go through ``flux``.  The Gram
 and flux logic is one core, :class:`GramSystem`, which passive blocks share;
-the energy coordinates, their eigenvalues and their Schur factor are
-computed once per generator or block and cached on it.
+the energy coordinates, the energy norm, the spectrum and the modal form
+are computed once per generator or block and cached on it.
 
 The energy norm of ``A`` and the dissipation defect are read off the
 assembled arrays in LAPACK band storage, without forming the dense energy
@@ -280,8 +280,8 @@ class _BandFactors:
     real or complex BLAS as the flux is real or complex.  ``T^H T``
     squares the norm of ``T``, so the Lanczos operators act on ``T /
     scale``, where ``scale`` is the power of two just above ``|T q|`` for
-    the fixed unit vector ``start``: no Lanczos step then overflows where
-    ``T`` does not.
+    the Lanczos start vector ``q`` (:func:`_start`): no Lanczos step then
+    overflows where ``T`` does not.
     """
 
     def __init__(self, gen: GramSystem):
@@ -304,16 +304,8 @@ class _BandFactors:
         return U.astype(self.flux.dtype, copy=False)
 
     @cached_property
-    def start(self) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(self._gen.dim)
-        if self.flux.dtype == complex:
-            start = start + 1j * rng.standard_normal(self._gen.dim)
-        return start / self._nrm2(start)
-
-    @cached_property
     def scale(self) -> float:
-        x = self._solve_U(self.start.copy())
+        x = self._solve_U(_start(self._gen.dim, self.flux.dtype))
         Tq = self._solve_U(_band_times(self._gbmv, self.flux, self.kl, self.ku, x), trans=1)
         return math.ldexp(1.0, math.frexp(self._nrm2(Tq))[1])
 
@@ -361,61 +353,100 @@ class _BandFactors:
         return apply
 
 
-def _top_eigenvalue(
-    apply: Callable[[np.ndarray], np.ndarray], q: np.ndarray, tol: Callable[[float], float]
-) -> float:
-    """Largest eigenvalue ``theta`` of a Hermitian positive semidefinite operator.
+def _start(n: int, dtype) -> np.ndarray:
+    """The unit start vector of every Lanczos run on ``n`` entries: a
+    ``default_rng(0)`` real draw, plus ``1j`` times a second draw for a
+    complex operator."""
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n)
+    if np.dtype(dtype).kind == "c":
+        q = q + 1j * rng.standard_normal(n)
+    return q / blas.get_blas_funcs("nrm2", (q,))(q)
 
-    Lanczos with full reorthogonalisation from the unit start vector ``q``;
-    ``apply(x)`` returns the operator times ``x`` and may overwrite ``x``.
-    Only the top Ritz pair ``(theta, y)`` of the tridiagonal matrix is
-    solved per step, by LAPACK bisection and inverse iteration (``dstebz``
-    and ``dstein``, called directly: the wrapper ``eigh_tridiagonal`` costs
-    more than the solve on the few steps of a resolvent).  The Ritz
-    residual ``beta_k |y_k|`` bounds the distance of ``theta`` to an
-    eigenvalue; iteration stops once that is at most ``tol(theta)``, or at
-    ``k = dim``, where the Krylov space is the whole space and ``theta`` is
-    exact.  Returns ``inf`` when a step
-    overflows, before any arithmetic on the non-finite vector.  The
-    products run on scipy's BLAS, like the operators: numpy and scipy each
-    load their own OpenBLAS, and a threaded numpy product leaves its
-    workers spinning while the scipy calls that follow it run.
+
+def _top_eigenvalues(
+    apply: Callable[[np.ndarray], np.ndarray],
+    Q: np.ndarray,
+    tol: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    keep: Callable[[np.ndarray], None] | None = None,
+    scipy_blas: bool = False,
+) -> np.ndarray:
+    """Largest eigenvalue of each of a stack of Hermitian positive
+    semidefinite operators, one per row of the unit start vectors ``Q``.
+
+    Lanczos with two-pass full reorthogonalisation; ``apply(X)`` multiplies
+    each row of ``X`` by its operator and may overwrite ``X``.  Each step
+    solves each row's top Ritz pair ``(theta, y)`` by ``dstebz`` and
+    ``dstein``, ``O(k)`` at step ``k``.  A row stops once its Ritz residual
+    ``beta_k |y_k|``, which bounds the distance of ``theta`` to an
+    eigenvalue, is at most ``tol(theta, rows)`` (``rows`` its indices into
+    ``Q``), or at ``k = dim``, where ``theta`` is exact; a row whose step
+    overflows, ``beta_k^2`` included, gets ``inf``.  Stopped rows are
+    dropped once a quarter have stopped, and ``keep(mask)`` filters the
+    caller's per-row state the same way.  The products run one row per
+    BLAS call, so a row's ``theta`` does not depend on the stack: numpy's
+    stacked, or with ``scipy_blas`` scipy's, for an operator that runs on
+    scipy's BLAS, beside which numpy's threaded products would leave
+    numpy's own OpenBLAS workers spinning.
     """
-    n = q.shape[0]
-    gemv, nrm2 = blas.get_blas_funcs(("gemv", "nrm2"), (q,))
-    Q = np.empty((n, n), dtype=q.dtype, order="F")  # columns filled as used
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    for k in range(n):
-        Q[:, k] = q
-        Qk = Q[:, : k + 1]
-        w = apply(q)
-        c = gemv(1.0, Qk, w, trans=2)  # Qk^H w
-        alpha[k] = c[k].real
-        w = gemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)  # w - Qk c
-        # a second Gram-Schmidt pass restores orthogonality lost to cancellation
-        c = gemv(1.0, Qk, w, trans=2)
-        w = gemv(-1.0, Qk, c, beta=1.0, y=w, overwrite_y=1)
-        beta[k] = nrm2(w)
-        if not np.isfinite(beta[k]):
-            return np.inf
-        d, e = alpha[: k + 1], beta[: max(k, 1)]  # the wrappers want len(e) >= 1
-        _, ritz, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, 0.0, "B")
-        y, info_y = lapack.dstein(d, e, ritz[:1], block, split)
-        if info or info_y:
-            raise NumericalError(f"Lanczos Ritz pair failed (dstebz {info}, dstein {info_y})")
-        theta = float(ritz[0])
-        if beta[k] * abs(y[-1, 0]) <= tol(theta):
-            break
-        q = w / beta[k]
+    n_rows, dim = Q.shape
+    theta = np.full(n_rows, np.inf)
+    live = np.arange(n_rows)  # the index into Q of each row
+    running = np.ones(n_rows, dtype=bool)  # rows that have not stopped
+    q = Q
+    Qh = np.empty((n_rows, 0, dim), dtype=Q.dtype)  # Lanczos vectors
+    gemv, nrm2 = blas.get_blas_funcs(("gemv", "nrm2"), (Q,))
+    alpha, beta = np.empty((n_rows, dim)), np.empty((n_rows, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives theta = inf
+        for k in range(dim):
+            if k == Qh.shape[1]:
+                Qh = np.concatenate([Qh, np.empty((live.size, max(k, 8), dim), Q.dtype)], axis=1)
+            Qh[:, k] = q
+            w = apply(q)
+            Qk = Qh[:, : k + 1]
+            for first in (True, False):  # a second pass restores orthogonality lost to cancellation
+                if scipy_blas:
+                    c = np.empty(Qk.shape[:2], Q.dtype)
+                    for i, Qi in enumerate(Qk):
+                        c[i] = gemv(1.0, Qi.T, w[i], trans=2)
+                        w[i] = gemv(-1.0, Qi.T, c[i], beta=1.0, y=w[i], overwrite_y=1)
+                else:
+                    c = (Qk @ w.conj()[:, :, None])[:, :, 0].conj()
+                    w -= (c[:, None, :] @ Qk)[:, 0]
+                if first:
+                    alpha[:, k] = c[:, k].real
+            beta[:, k] = [nrm2(x) for x in w] if scipy_blas else np.linalg.norm(w, axis=1)
+            rows = np.flatnonzero(running & np.isfinite(beta[:, k] ** 2))  # dstebz squares beta
+            ritz, y = np.empty(rows.size), np.empty(rows.size)
+            for j, i in enumerate(rows.tolist()):
+                d, e = alpha[i, : k + 1], beta[i, : max(k, 1)]  # the wrappers want len(e) >= 1
+                _, r, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, 0.0, "B")
+                v, info_v = lapack.dstein(d, e, r[:1], block, split)
+                if info or info_v:
+                    raise NumericalError(f"Lanczos Ritz pair failed (dstebz {info}, dstein {info_v})")
+                ritz[j], y[j] = r[0], v[-1, 0]
+            stop = running.copy()  # an overflowing row stops at theta = inf
+            done = (beta[rows, k] * np.abs(y) <= tol(ritz, live[rows])) | (k == dim - 1)
+            stop[rows] = done
+            theta[live[rows[done]]] = ritz[done]
+            running &= ~stop
+            if not running.any():
+                break
+            if 4 * running.sum() <= 3 * running.size:  # drop the stopped rows
+                if keep is not None:
+                    keep(running)
+                live, Qh, alpha, beta, w, running = (
+                    a[running] for a in (live, Qh, alpha, beta, w, running)
+                )
+            q = w / beta[:, k, None]  # a stopped row may turn non-finite; none reads it
     return theta
 
 
 def energy_norm(gen: GramSystem) -> float:
     """Energy operator norm of ``A``, ``sigma_max(T)``, computed once and cached on ``gen``.
 
-    The one definition of the energy norm.  Lanczos (:func:`_top_eigenvalue`)
-    on ``T^H T = U^{-T} F^H M^{-1} F U^{-1}``, each step two banded
+    The one definition of the energy norm.  Lanczos (:func:`_top_eigenvalues`,
+    one row) on ``T^H T = U^{-T} F^H M^{-1} F U^{-1}``, each step two banded
     products with the flux and four banded triangular solves
     (:class:`_BandFactors`), until the Ritz residual is at most ``2 eps
     theta``, which moves ``sigma_max = theta^{1/2}`` by at most ``eps``
@@ -430,7 +461,10 @@ def _energy_norm(gen: GramSystem, bands: _BandFactors | None) -> float:
     factors the Gram once."""
     if gen._norm is None:
         b = bands or _BandFactors(gen)
-        theta = _top_eigenvalue(b.normal, b.start.copy(), lambda t: 2.0 * _EPS * t)
+        (theta,) = _top_eigenvalues(
+            lambda X: b.normal(X[0])[None], _start(gen.dim, b.flux.dtype)[None],
+            lambda t, _: 2.0 * _EPS * t, scipy_blas=True,
+        )
         gen._norm = b.scale * float(np.sqrt(theta))
     return gen._norm
 

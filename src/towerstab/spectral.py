@@ -20,9 +20,10 @@ Woodbury solve, ``O(dim m)`` per step with no ``O(dim^3)`` setup (Hager,
 2001), over a chunk of frequencies at once.  Anything else takes a dense
 SVD of ``is - T`` per frequency, stacked (:func:`resolvent_norms`).
 
-The kernel check's ``sigma_min`` and the energy norm share one Lanczos
-loop, :func:`towerstab.generator._top_eigenvalue`, whose products run on
-scipy's BLAS like its operators.
+The kernel check's ``sigma_min``, the energy norm and the modal resolvent
+norms come from one Lanczos loop,
+:func:`towerstab.generator._top_eigenvalues`: the first two on one row of
+banded operators, the last on a chunk of frequencies at once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .generator import (
     _energy_eigenvalues,
     _energy_norm,
     _frozen,
-    _top_eigenvalue,
+    _start,
+    _top_eigenvalues,
     energy_coordinates,
     energy_norm,
 )
@@ -185,17 +187,6 @@ def _ritz_tolerance(theta, scale):
     return 2.0 * _EPS * scale * theta * np.sqrt(theta)
 
 
-def _inverse_lanczos(apply, q: np.ndarray, scale: float) -> float:
-    """``theta = 1 / sigma_min(X)^2`` from an ``apply`` that multiplies by
-    ``(X^H X)^{-1}`` or by ``(X X^H)^{-1}``; ``inf`` when a step overflows.
-
-    :func:`~towerstab.generator._top_eigenvalue` from the unit start
-    vector ``q`` finds ``theta``, the top eigenvalue, and stops at
-    :func:`_ritz_tolerance`.
-    """
-    return _top_eigenvalue(apply, q, lambda t: _ritz_tolerance(t, scale))
-
-
 def resolvent_norm(gen: GramSystem, s: float) -> float:
     """Energy operator norm of ``(is - A)^{-1}`` of a generator or block.
 
@@ -306,19 +297,16 @@ def _chunk_thetas(form, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.
     whose frequencies border equally many modes; ``inf`` for an exactly
     singular capacitance or an overflowing step.
 
-    Inverse Lanczos on ``M^{-1} M^{-H}`` with full reorthogonalisation,
-    for every frequency at once, from one fixed unit start vector: each
-    frequency stops at :func:`_ritz_tolerance` for ``scale = s + |T|``, as
-    :func:`_inverse_lanczos` does (its rows are dropped once a quarter of
-    the rows have stopped), and runs on its own rows of every array, with
-    products stacked one frequency per BLAS call, so its ``theta`` does
-    not depend on the chunk.  The chunk shares the Python cost of a step
-    among its frequencies: :func:`_inverse_lanczos` with one Woodbury
-    solve per frequency took about twice as long at ``n_elements`` 16.
-    Both solves of a step take :func:`_woodbury`, ``M^{-H}`` with the
-    adjoint capacitance ``B^H``.  LAPACK rejects a whole stack for one
-    exactly singular capacitance; the chunk's frequencies are then run one
-    by one.
+    Inverse Lanczos on ``M^{-1} M^{-H}``, one row of
+    :func:`~towerstab.generator._top_eigenvalues` per frequency, each
+    stopped at :func:`_ritz_tolerance` for ``scale = s + |T|``; a row's
+    ``theta`` does not depend on the chunk.  The chunk shares the Python
+    cost of a step among its frequencies: one Woodbury solve per frequency
+    took about twice as long at ``n_elements`` 16.  Both solves of a step
+    take :func:`_woodbury`, ``M^{-H}`` with the adjoint capacitance
+    ``B^H``; the capacitances of the dropped rows are dropped with them.
+    LAPACK rejects a whole stack for one exactly singular capacitance; the
+    chunk's frequencies are then run one by one.
     """
     d, P, R = form.d, form.P, form.R
     dim, m = P.shape
@@ -334,61 +322,22 @@ def _chunk_thetas(form, weight: np.ndarray, s: np.ndarray, norm_T: float) -> np.
     B[:, m:, :m] = -P[rows]
     B[:, m + np.arange(g), m + np.arange(g)] = np.take_along_axis(delta, rows, axis=1)
     BH = B.conj().transpose(0, 2, 1).copy()
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    theta = np.full(s.size, np.inf)
-    live = np.arange(s.size)  # the chunk position of each row
-    running = np.ones(s.size, dtype=bool)  # rows whose frequency has not stopped
-    q = np.tile(start / np.linalg.norm(start), (s.size, 1))
-    Qh = np.empty((s.size, 0, dim), dtype=complex)  # conjugated Lanczos vectors
-    alpha, beta = np.empty((s.size, dim)), np.empty((s.size, dim))
+    state = [B, BH, inv, rows]
+
+    def apply(q: np.ndarray) -> np.ndarray:
+        B, BH, inv, rows = state
+        return _woodbury(B, P, R, inv, rows, _woodbury(BH, R, P, inv.conj(), rows, q))
+
+    def keep(mask: np.ndarray) -> None:
+        state[:] = [a[mask] for a in state]
+
+    Q = np.tile(_start(dim, complex), (s.size, 1))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives theta = inf
-            for k in range(dim):
-                if k == Qh.shape[1]:
-                    Qh = np.concatenate([Qh, np.empty((live.size, max(k, 8), dim), complex)], axis=1)
-                Qh[:, k] = q.conj()
-                w = _woodbury(B, P, R, inv, rows, _woodbury(BH, R, P, inv.conj(), rows, q))
-                Qk = Qh[:, : k + 1]
-                c = (Qk @ w[:, :, None])[:, :, 0]
-                alpha[:, k] = c[:, k].real
-                w -= (c.conj()[:, None, :] @ Qk)[:, 0].conj()
-                # a second Gram-Schmidt pass restores orthogonality lost to cancellation
-                c = (Qk @ w[:, :, None])[:, :, 0]
-                w -= (c.conj()[:, None, :] @ Qk)[:, 0].conj()
-                beta[:, k] = np.linalg.norm(w, axis=1)
-                finite = running & np.isfinite(beta[:, k])
-                ritz, y = _top_ritz_pairs(alpha[finite, : k + 1], beta[finite, :k])
-                stop = running & ~finite
-                stop[finite] = (beta[finite, k] * np.abs(y) <= _ritz_tolerance(
-                    ritz, s[live[finite]] + norm_T)) | (k == dim - 1)
-                theta[live[finite & stop]] = ritz[stop[finite]]
-                running &= ~stop
-                if not running.any():
-                    break
-                if 4 * running.sum() <= 3 * running.size:  # drop the stopped rows
-                    live, Qh, alpha, beta, B, BH, inv, rows, w, running = (
-                        a[running] for a in (live, Qh, alpha, beta, B, BH, inv, rows, w, running)
-                    )
-                q = w / beta[:, k, None]  # a stopped row may turn non-finite; none reads it
+        return _top_eigenvalues(apply, Q, lambda t, i: _ritz_tolerance(t, s[i] + norm_T), keep)
     except np.linalg.LinAlgError:
         if s.size == 1:
-            return theta
+            return np.full(1, np.inf)
         return np.concatenate([_chunk_thetas(form, weight, s[i:i + 1], norm_T) for i in range(s.size)])
-    return theta
-
-
-def _top_ritz_pairs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue of each Lanczos tridiagonal matrix (diagonal ``alpha``,
-    off-diagonal ``beta``, one per row) and the last entry of its unit
-    eigenvector, by one stacked ``eigh``."""
-    c, k = alpha.shape
-    tri = np.zeros((c, k, k))
-    i = np.arange(k)
-    tri[:, i, i] = alpha
-    tri[:, i[1:], i[:-1]] = beta
-    vals, vecs = np.linalg.eigh(tri)  # reads the lower triangle
-    return vals[:, -1], vecs[:, -1, -1]
 
 
 def _frequency_grid(s_lo: float, s_hi: float, n_points: int, spacing: str) -> np.ndarray:
@@ -489,10 +438,11 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     ``KERNEL_TOL * sigma_max`` count towards the kernel; ``sigma_min`` is the
     reciprocal of the energy-norm resolvent at zero frequency when the
     generator is invertible, and ``sigma_max`` is :func:`energy_norm`.
-    ``sigma_min`` comes from :func:`_inverse_lanczos` on ``(T^H T)^{-1} =
-    U F^{-1} M F^{-H} U^T``, applied by one banded LU of the flux, with an
-    error of at most ``eps * sigma_max``, the backward-error scale of a
-    dense SVD of ``T``; the kernel is then trivial.  When the LU meets a
+    ``sigma_min`` comes from Lanczos on ``(T^H T)^{-1} = U F^{-1} M F^{-H}
+    U^T``, applied by one banded LU of the flux, stopped at
+    :func:`_ritz_tolerance` for an error of at most ``eps * sigma_max``,
+    the backward-error scale of a dense SVD of ``T``; the kernel is then
+    trivial.  When the LU meets a
     zero pivot or ``sigma_min <= KERNEL_TOL * sigma_max``, the kernel is
     counted from a dense SVD of ``T``, which also gives ``sigma_min``.
     """
@@ -500,7 +450,10 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     sigma_max = _energy_norm(gen, bands)
     inverse = bands.inverse_normal()
     if inverse is not None:  # it acts on T / bands.scale
-        theta = _inverse_lanczos(inverse, bands.start.copy(), sigma_max / bands.scale)
+        (theta,) = _top_eigenvalues(
+            lambda X: inverse(X[0])[None], _start(gen.dim, bands.flux.dtype)[None],
+            lambda t, _: _ritz_tolerance(t, sigma_max / bands.scale), scipy_blas=True,
+        )
         sigma_min = bands.scale / float(np.sqrt(theta))
         if sigma_min > KERNEL_TOL * sigma_max:
             return 0, sigma_min

@@ -373,6 +373,58 @@ class TestSchurResolvent:
         assert np.array_equal(norms, ts.resolvent_norms(gen, grid[::-1])[::-1])
 
 
+class TestLanczos:
+    """``generator._top_eigenvalues``, the one Lanczos loop of the package."""
+
+    @pytest.mark.parametrize("scipy_blas", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_rows_match_single_row_runs(self, dtype, scipy_blas):
+        """Eight Hermitian PSD operators of dim 12 with different spectra
+        and tolerances: the loose rows stop within a few steps, so the
+        stopped rows are dropped.  Row 5 is scaled by 1e200, so the square
+        of its first step's norm is past the float range and the row is inf
+        while the others finish.  Every row's theta equals its single-row
+        run bit for bit, and each finite one matches the top eigenvalue
+        within its tolerance, plus the roundoff ``n eps`` of either side,
+        on numpy's BLAS and on scipy's."""
+        n, rng = 12, np.random.default_rng(3)
+        rtol = np.array([2 * EPS, 1e-1, 1e-8, 1e-1, 2 * EPS, 1e-3, 1e-12, 1e-1])
+        scales = np.array([1.0, 3.0, 1e-5, 7.0, 1e4, 1e200, 0.5, 2.0])
+        ops = []
+        for k, scale in enumerate(scales):
+            X = rng.standard_normal((n, n))
+            if dtype is complex:
+                X = X + 1j * rng.standard_normal((n, n))
+            V = np.linalg.qr(X)[0]
+            lam = scale * rng.uniform(0.0, 1.0, n) ** (k + 1)
+            ops.append((V * lam) @ V.conj().T)
+        ops = np.array(ops)
+        start = generator._start(n, dtype)
+
+        def run(rows):
+            live, kept = [ops[rows]], []
+
+            def apply(X):
+                return (live[0] @ X[:, :, None])[:, :, 0]
+
+            def keep(mask):
+                kept.append(mask)
+                live[0] = live[0][mask]
+
+            tol = lambda theta, i: rtol[rows][i] * theta
+            Q = np.tile(start, (len(rows), 1))
+            return generator._top_eigenvalues(apply, Q, tol, keep, scipy_blas), kept
+
+        theta, kept = run(np.arange(len(ops)))
+        assert kept, "no stopped row was dropped"
+        assert np.isinf(theta).tolist() == [i == 5 for i in range(len(ops))]
+        for i in range(len(ops)):
+            assert np.array_equal(theta[i:i + 1], run(np.array([i]))[0]), i
+            if i != 5:
+                top = np.linalg.eigvalsh(ops[i])[-1]
+                assert abs(theta[i] - top) <= rtol[i] * theta[i] + n * EPS * top, i
+
+
 MODELS = ("combined", "torque", "force", "tmd", "hydraulic", "hydraulic_feedback")
 
 
