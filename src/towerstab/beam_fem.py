@@ -293,10 +293,10 @@ def coefficient_from_spec(spec: float | Mapping | Sequence, n_elements: int | No
     ``{"kind": "exp", "scale": a, "rate": b}`` for ``a exp(b x)``;
     ``{"kind": "csv", "path": p}`` with (x, value) rows, linearly
     interpolated, requiring at least ``4 * n_elements`` samples.  A missing
-    key, a non-numeric value, an unreadable table or a table value that is
-    not finite and positive raises :class:`ValidationError`.
+    key, a non-numeric or boolean value, an unreadable table or a table
+    value that is not finite and positive raises :class:`ValidationError`.
     """
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return _constant(float(spec))
     if not isinstance(spec, Mapping):
         raise ValidationError(f"coefficient spec must be a number or mapping, got {spec!r}")
@@ -319,12 +319,13 @@ def coefficient_from_spec(spec: float | Mapping | Sequence, n_elements: int | No
 def _spec_number(spec: Mapping, key: str) -> float:
     if key not in spec:
         raise ValidationError(f"coefficient kind {spec['kind']!r} needs key {key!r}")
-    try:
-        return float(spec[key])
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"coefficient {spec['kind']!r}: {key} must be a number, got {spec[key]!r}"
-        ) from None
+    value = spec[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"coefficient {spec['kind']!r}: {key} must be a number, got {value!r}")
 
 
 def _tabulated_coefficient(path: str, n_elements: int | None) -> Coefficient:

@@ -20,9 +20,10 @@ The energy norm of ``A`` and the dissipation defect are read off the
 assembled arrays in LAPACK band storage, without forming the dense energy
 coordinates: in the band order of :func:`_band_order` the Gram and flux of
 every assembled model have bandwidth 5 and 7, so the banded Cholesky
-factor of the Gram, products with the flux and a banded LU of it cost
-``O(dim)`` per apply.  The band arrays are gathered one diagonal at a time
-from the dense ones; only ``scipy.linalg`` routines touch them.
+factor of the Gram (kept from its validation), products with the flux and
+a banded LU of it cost ``O(dim)`` per apply, and the dissipation defect and
+the passivity certificate are one banded eigensolve.  The band arrays are
+gathered one diagonal at a time; only ``scipy.linalg`` routines touch them.
 """
 
 from __future__ import annotations
@@ -55,21 +56,26 @@ class DampingChannel(NamedTuple):
     vector: np.ndarray
 
 
-def check_spd(M: np.ndarray, name: str = "gram") -> np.ndarray:
-    """Validate that ``M`` is symmetric positive definite.
+def check_spd(M: np.ndarray, name: str = "gram", order: np.ndarray | None = None) -> np.ndarray:
+    """Validate that a square ``M`` is symmetric positive definite, on its band.
 
-    Returns the upper Cholesky factor ``U`` with ``M = U^T U``.  Raises
-    :class:`ValidationError` if ``M`` is not symmetric to within
-    ``SYMMETRY_RTOL`` relative or if any Cholesky pivot fails.
+    Returns the upper band Cholesky factor of ``M[order][:, order]`` (the
+    identity ``order`` by default), on a band sized from every nonzero.
+    Raises :class:`ValidationError` if an entry is not finite, if ``M`` is
+    not symmetric to within ``SYMMETRY_RTOL`` relative or if any Cholesky
+    pivot fails.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    scale = np.abs(M).max() or 1.0
-    if np.abs(M - M.T).max() > SYMMETRY_RTOL * scale:
+    order = np.arange(M.shape[0]) if order is None else order
+    k = max(_bandwidths(M, order))
+    upper, lower = _band(M, order, 0, k), _band(M.T, order, 0, k)
+    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        raise ValidationError(f"{name} has non-finite entries")
+    scale = max(np.abs(upper).max(initial=0.0), np.abs(lower).max(initial=0.0)) or 1.0
+    if np.abs(upper - lower).max(initial=0.0) > SYMMETRY_RTOL * scale:
         raise ValidationError(f"{name} is not symmetric to {SYMMETRY_RTOL} relative")
     try:
-        return sla.cholesky(M, lower=False)
+        return sla.cholesky_banded(upper, lower=False)
     except sla.LinAlgError as exc:
         raise ValidationError(f"{name} is not positive definite: {exc}") from exc
 
@@ -84,21 +90,23 @@ class GramSystem:
 
     The core of generators and passive blocks, constructed from the two
     arrays an assembly produces.  The Gram is checked symmetric positive
-    definite on construction; its Cholesky factor is not kept.  ``A`` is
-    derived on first read by one Cholesky solve.  ``labels`` names the
-    states, one unique label each, or is ``None`` for an unlabelled object;
-    a system labelled with the beam layout (:func:`_beam_size`) has the
-    band order and the modal form of the beam.  Instances are immutable by
-    convention, so :func:`energy_norm`, :func:`energy_coordinates`, the
-    spectrum (:func:`towerstab.spectral.energy_spectrum`), the undamped
-    beam modes (:func:`towerstab.timesim.beam_modes`) and the modal form
-    the spectrum and the resolvent norms read
-    (:func:`towerstab.modal._modal_form`) cache their data on the object.
+    definite on construction, and :func:`check_spd`'s band Cholesky factor
+    is kept.  ``A`` is derived on first read by one Cholesky solve.
+    ``labels`` names the states, one unique label each, or is ``None`` for
+    an unlabelled object; a system labelled with the beam layout
+    (:func:`_beam_size`) has the band order and the modal form of the beam.
+    Instances are immutable by convention, so :func:`energy_norm`,
+    :func:`energy_coordinates`, the spectrum
+    (:func:`towerstab.spectral.energy_spectrum`), the undamped beam modes
+    (:func:`towerstab.timesim.beam_modes`) and the modal form the spectrum
+    and the resolvent norms read (:func:`towerstab.modal._modal_form`)
+    cache their data on the object.
     """
 
     def __init__(self, gram: np.ndarray, flux: np.ndarray, labels: Sequence[str] | None = None):
-        check_spd(gram, "gram")
         self.gram = np.asarray(gram, dtype=float)
+        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
+            raise DimensionError(f"gram must be square, got shape {self.gram.shape}")
         self.flux = self._matrix(flux)
         n = self.dim
         if self.flux.shape != (n, n):
@@ -109,6 +117,7 @@ class GramSystem:
                 raise DimensionError(f"expected {n} labels, got {len(self.labels)}")
             if len(set(self.labels)) != n:
                 raise ValidationError("coordinate labels must be unique")
+        self._band_U = check_spd(self.gram, "gram", _band_order(self))
         self._A: np.ndarray | None = None
         self._norm: float | None = None
         self._coords: EnergyCoordinates | None = None
@@ -180,37 +189,38 @@ class DiscreteGenerator(GramSystem):
     def dissipation_defect(self) -> float:
         """Largest eigenvalue of ``sym(gram A)``; <= 0 means Gram-dissipative.
 
-        One ``eigvals_banded`` for the top eigenvalue only, on the band of
-        ``sym(flux)`` in the band order (the largest entry when that band is
-        diagonal); computed once and cached.
-        """
+        Computed once, on the band of the flux, and cached."""
         if self._defect is None:
-            order = _band_order(self)
-            k = max(_bandwidths(self.flux, order))
-            # upper band storage of sym(flux)
-            band = 0.5 * (_band(self.flux, order, 0, k) + _band(self.flux.T, order, 0, k))
-            # the outer diagonals that vanish (on the models all but those of
-            # the few damped states) are dropped: the eigensolve costs O(dim k^2)
-            used = np.flatnonzero(band.any(axis=1))
-            band = band[used[0] if used.size else k :]
-            if band.shape[0] == 1:  # a diagonal sym(flux): its eigenvalues are its entries
-                self._defect = float(band.max())
-            else:
-                top = self.dim - 1
-                self._defect = float(
-                    sla.eigvals_banded(band, select="i", select_range=(top, top))[0]
-                )
+            self._defect = _top_hermitian_eigenvalue(self.flux, _band_order(self))
         return self._defect
+
+
+def _top_hermitian_eigenvalue(F: np.ndarray, order: np.ndarray) -> float:
+    """Largest eigenvalue of ``sym(F)``, real or complex: one ``eigvals_banded``
+    on its band in ``order``, ``O(dim k^2)`` for a band ``k`` wide (the
+    largest entry when that band is diagonal)."""
+    k = max(_bandwidths(F, order))
+    band = 0.5 * (_band(F, order, 0, k) + _band(F.conj().T, order, 0, k))  # upper storage
+    # outer diagonals that vanish are dropped (on the models, all but the damped states')
+    used = np.flatnonzero(band.any(axis=1))
+    band = band[used[0] if used.size else k :]
+    if band.shape[0] == 1:  # a diagonal sym(F): its eigenvalues are its entries
+        return float(band.real.max())
+    top = F.shape[0] - 1
+    return float(sla.eigvals_banded(band, select="i", select_range=(top, top))[0])
 
 
 def _beam_size(gen: GramSystem) -> int:
     """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]``: every assembly
     and the beam's tip block lead with the beam core, whose last state is
-    ``tip_angular_velocity``."""
+    ``tip_angular_velocity``; each node adds four states to it."""
     try:
-        return (gen.index("tip_angular_velocity") + 1) // 2
+        end = gen.index("tip_angular_velocity") + 1
     except KeyError:
         raise ValidationError("generator does not carry beam blocks") from None
+    if end % 4:
+        raise ValidationError(f"tip_angular_velocity at index {end - 1} ends no whole beam node")
+    return end // 2
 
 
 def _band_order(gen: GramSystem) -> np.ndarray:
@@ -269,14 +279,11 @@ class _BandFactors:
     ``order`` is that of :func:`_band_order`; ``gram`` and ``flux`` are the
     general bands of the permuted Gram and flux on one common pair of
     bandwidths ``kl`` and ``ku`` (7 and 7 on the assembled models, the
-    flux's own), and ``U`` is the upper band Cholesky factor of the
-    permuted Gram on the Gram's own half-bandwidth.  They are built where
-    they are used and not cached on the object, so that a wide band (a
-    block's reaches half its dimension) does not outlive its solve.  Only
-    ``order`` and the ``flux`` band are built on construction; the rest on
-    first read, so the midpoint loop, which reads the ``gram`` band and
-    :meth:`lu`, factors no Cholesky, and a block's norm does not hold a
-    second wide band.  The operators act on vectors in the band order, with
+    flux's own), and ``U`` is the system's kept band Cholesky factor of the
+    permuted Gram.  The bands are built where they are used and not cached
+    on the object, so that a wide band (a block's reaches half its
+    dimension) does not outlive its solve; the ``gram`` band, which only
+    the midpoint loop reads, on first read.  The operators act on vectors in the band order, with
     real or complex BLAS as the flux is real or complex.  ``T^H T``
     squares the norm of ``T``, so the Lanczos operators act on ``T /
     scale``, where ``scale`` is the power of two just above ``|T q|`` for
@@ -287,9 +294,10 @@ class _BandFactors:
     def __init__(self, gen: GramSystem):
         self._gen = gen
         self.order = order = _band_order(gen)
-        self._k = max(_bandwidths(gen.gram, order))
-        self.kl, self.ku = (max(self._k, w) for w in _bandwidths(gen.flux, order))
+        k = gen._band_U.shape[0] - 1
+        self.kl, self.ku = (max(k, w) for w in _bandwidths(gen.flux, order))
         self.flux = _band(gen.flux, order, self.kl, self.ku)
+        self.U = gen._band_U.astype(self.flux.dtype, copy=False)
         self._tbsv, self._tbmv, self._gbmv, self._nrm2 = blas.get_blas_funcs(
             ("tbsv", "tbmv", "gbmv", "nrm2"), dtype=self.flux.dtype
         )
@@ -297,11 +305,6 @@ class _BandFactors:
     @cached_property
     def gram(self) -> np.ndarray:
         return _band(self._gen.gram, self.order, self.kl, self.ku)
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        U = sla.cholesky_banded(_band(self._gen.gram, self.order, 0, self._k), lower=False)
-        return U.astype(self.flux.dtype, copy=False)
 
     @cached_property
     def scale(self) -> float:
@@ -447,20 +450,13 @@ def energy_norm(gen: GramSystem) -> float:
 
     The one definition of the energy norm.  Lanczos (:func:`_top_eigenvalues`,
     one row) on ``T^H T = U^{-T} F^H M^{-1} F U^{-1}``, each step two banded
-    products with the flux and four banded triangular solves
+    products with the flux and four solves with the Gram's kept band factor
     (:class:`_BandFactors`), until the Ritz residual is at most ``2 eps
     theta``, which moves ``sigma_max = theta^{1/2}`` by at most ``eps``
     relative.
     """
-    return _energy_norm(gen, None)
-
-
-def _energy_norm(gen: GramSystem, bands: _BandFactors | None) -> float:
-    """:func:`energy_norm`, computed on ``bands`` (built when ``None``) if
-    not cached yet, so that a caller that needs the band factors anyway
-    factors the Gram once."""
     if gen._norm is None:
-        b = bands or _BandFactors(gen)
+        b = _BandFactors(gen)
         (theta,) = _top_eigenvalues(
             lambda X: b.normal(X[0])[None], _start(gen.dim, b.flux.dtype)[None],
             lambda t, _: 2.0 * _EPS * t, scipy_blas=True,

@@ -27,7 +27,9 @@ from .generator import (
     DampingChannel,
     DiscreteGenerator,
     GramSystem,
+    _band_order,
     _beam_size,
+    _top_hermitian_eigenvalue,
     energy_norm,
     symmetric_part,
 )
@@ -140,8 +142,10 @@ def verify_passivity(sys: PassiveSystem) -> PassivityReport:
     The defect of a unit pair ``w = (x, u)`` is ``-w^H N w`` for the
     Hermitian form ``N`` of :func:`_passivity_form`, so its minimum over
     unit pairs is ``-lambda_max(N)``.  Passive means ``lambda_max <= 1e-10``.
+    One banded eigensolve, as for the dissipation defect, ports last.
     """
-    lam = float(sla.eigvalsh(_passivity_form(sys))[-1])
+    order = np.concatenate([_band_order(sys), np.arange(sys.n, sys.n + sys.p)])
+    lam = _top_hermitian_eigenvalue(_passivity_form(sys), order)
     return PassivityReport(lambda_max=lam, passive=lam <= PASSIVITY_TOL)
 
 
@@ -269,9 +273,9 @@ def feedback_transform(sys: PassiveSystem, Q: np.ndarray, c: float) -> PassiveSy
     Requires ``Re Q >= c I`` with ``c > 0``; then ``I + DQ`` is invertible
     and the transformed block ``(flux - gram_B Q(I+DQ)^{-1}C,
     gram_B(I+QD)^{-1}, (I+DQ)^{-1}C, (I+DQ)^{-1}D)`` is again impedance
-    passive, which is re-certified on the output.  It declares no
-    channels: its identity carries the loop gain.  It keeps the labels of
-    ``sys``.
+    passive, which :func:`verify_passivity` re-certifies on the output's
+    band.  It declares no channels: its identity carries the loop gain.
+    It keeps the labels of ``sys``.
     """
     Q = np.atleast_2d(np.asarray(Q))
     p = sys.p

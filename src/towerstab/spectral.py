@@ -41,7 +41,6 @@ from .generator import (
     GramSystem,
     _BandFactors,
     _energy_eigenvalues,
-    _energy_norm,
     _frozen,
     _start,
     _top_eigenvalues,
@@ -446,8 +445,8 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     zero pivot or ``sigma_min <= KERNEL_TOL * sigma_max``, the kernel is
     counted from a dense SVD of ``T``, which also gives ``sigma_min``.
     """
+    sigma_max = energy_norm(gen)
     bands = _BandFactors(gen)
-    sigma_max = _energy_norm(gen, bands)
     inverse = bands.inverse_normal()
     if inverse is not None:  # it acts on T / bands.scale
         (theta,) = _top_eigenvalues(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import towerstab as ts
 
@@ -49,3 +50,32 @@ def feedback_fixture(desk_hydraulic):
 
 def rng(seed_offset: int = 0) -> np.random.Generator:
     return np.random.default_rng(DESK_SEED + seed_offset)
+
+
+#: the factorisations and eigensolvers :func:`linalg_calls` counts, by module
+COUNTED_LINALG = {
+    scipy.linalg: (
+        "cholesky", "cholesky_banded", "eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals",
+    ),
+    np.linalg: ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "svd"),
+}
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Every call of a function of :data:`COUNTED_LINALG` made through its
+    module while the test runs, in order, as ``(name, shapes)``: ``name``
+    is prefixed ``np.`` for numpy's, and ``shapes`` lists the shapes of the
+    array arguments (two for a generalized ``eigh``)."""
+    calls = []
+    for module, names in COUNTED_LINALG.items():
+        prefix = "np." if module is np.linalg else ""
+        for name in names:
+
+            def counted(*args, _real=getattr(module, name), _name=prefix + name, **kwargs):
+                arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+                calls.append((_name, [a.shape for a in arrays]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls

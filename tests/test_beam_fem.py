@@ -139,6 +139,10 @@ class TestEvaluateEnergy:
         with pytest.raises(ts.ValidationError, match="positive definite"):
             ts.evaluate_energy(np.ones(2), np.diag([1.0, -1.0]))
 
+    def test_non_finite_gram_rejected(self):
+        with pytest.raises(ts.ValidationError, match="gram has non-finite entries"):
+            ts.evaluate_energy(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
 
 class TestConditionEq1:
     GRID = np.linspace(0.0, 1.0, 101)

@@ -114,6 +114,22 @@ class TestConfigValidation:
         assert err.startswith("config error:")
         assert named in err
 
+    @pytest.mark.parametrize(
+        "field, spec", [("rho", True), ("EI", {"kind": "constant", "value": True})]
+    )
+    def test_boolean_coefficient_is_a_config_error(self, tmp_path, capsys, field, spec):
+        path = write_config(tmp_path, **{field: spec})
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "True" in err
+
+    def test_overflowing_stiffness_is_a_config_error(self, tmp_path, capsys):
+        """EI = 1e303 is finite, but the stiffness of 64 elements overflows."""
+        path = write_config(tmp_path, n_elements=64, EI=1e303)
+        assert cli.main(["check", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: K has non-finite entries\n"
+
     def test_coefficient_overflow_on_the_conditions_grid_is_a_config_error(
         self, tmp_path, capsys
     ):
@@ -318,20 +334,32 @@ class TestCouplingCheck:
         assert result.evidence["max_ratio"] == rep.max_ratio
 
     @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
-    def test_verify_all_solves_the_beam_pencil_once(self, tmp_path, monkeypatch, model):
+    def test_verify_all_solves_the_beam_pencil_once(self, tmp_path, linalg_calls, model):
         """The feedback-transformed tip block reads the model's cached beam
         modes: one generalized ``eigh`` in the whole run."""
-        pencils, eigh = [], scipy.linalg.eigh
-
-        def counting_eigh(a, b=None, *args, **kwargs):
-            if b is not None:
-                pencils.append(a.shape)
-            return eigh(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         path = write_config(tmp_path, model=model, n_elements=16, T=0.5)
         assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_OK
-        assert pencils == [(32, 32)]
+        pencils = [shapes for name, shapes in linalg_calls if name == "eigh" and len(shapes) == 2]
+        assert pencils == [[(32, 32)] * 2]
+
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_verify_all_factors_each_gram_once_on_its_band(self, linalg_calls, model):
+        """At 64 elements without the simulation, no beam-sized matrix
+        (a side of 128 or more) is factored or eigensolved densely but the
+        one beam pencil, and each beam-sized Gram is factored once, on its
+        band, when it is validated: K and Mrho, the tip block, the model and
+        the coupling check's ``sys_k``."""
+        checks = {"dissipation_identity": False, "decay": False}
+        cfg = cli.RunConfig.from_dict({"model": model, "n_elements": 64, "checks": checks})
+        cli.Runner(cfg).run_all()
+        big = [(name, s) for name, s in linalg_calls if max(map(max, s), default=0) >= 128]
+        dim = 256 + {"tmd": 2, "hydraulic": 3}[model]
+        assert [(name, s) for name, s in big if name != "cholesky_banded"] == [
+            ("eigh", [(128, 128)] * 2)
+        ]
+        assert [s for name, s in big if name == "cholesky_banded"] == [
+            [(4, 128)], [(4, 128)], [(6, 256)], [(6, dim)], [(6, 256)]
+        ]
 
     @pytest.mark.parametrize("model", ["combined", "torque", "force", "hydraulic_feedback"])
     def test_uncoupled_model_records_why_not_run(self, tmp_path, model):

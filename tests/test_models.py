@@ -176,7 +176,9 @@ class TestAssembledOnce:
         calls = []
         real = generator.check_spd
         monkeypatch.setattr(
-            generator, "check_spd", lambda M, name="gram": calls.append(name) or real(M, name)
+            generator,
+            "check_spd",
+            lambda M, name="gram", order=None: calls.append(name) or real(M, name, order),
         )
         return calls
 

@@ -461,11 +461,17 @@ class TestBandedNorms:
         assert np.array_equal(generator._band_order(block), np.arange(block.dim))
         assert np.array_equal(generator._band_order(scalar_generator()), np.arange(1))
 
+    def test_beam_label_off_a_node_boundary_rejected_on_construction(self):
+        with pytest.raises(ts.ValidationError, match="tip_angular_velocity"):
+            ts.DiscreteGenerator(
+                gram=np.eye(3), flux=-np.eye(3), labels=["a", "b", "tip_angular_velocity"]
+            )
+
     def test_one_banded_lu_per_midpoint_loop_and_kernel_check(self, monkeypatch):
         """The midpoint loop and the kernel check each factor one band, by
         ``_BandFactors.lu``: the loop ``gram - dt/2 flux``, the check the flux.
-        The loop factors no Cholesky of the Gram; the kernel check one, which
-        its energy norm shares."""
+        Neither factors a Cholesky of the Gram: they read the band factor
+        the generator kept from its construction."""
         gen = desk_model("tmd", 16)
         shapes, choleskys = [], []
         lu = generator._BandFactors.lu
@@ -482,7 +488,7 @@ class TestBandedNorms:
         assert choleskys == []
         assert ts.kernel_check(gen)[0] == 0
         assert shapes == [(15, gen.dim)] * 2
-        assert len(choleskys) == 1
+        assert choleskys == []
 
     @pytest.mark.parametrize("n_elements", [16, 64])
     @pytest.mark.parametrize("model", MODELS)
