@@ -247,6 +247,9 @@ def build_generator(cfg: RunConfig, params: BeamParameters | None = None) -> Dis
         return assemble_tmd(beam, params, TmdParameters(cfg.m1, cfg.k1, cfg.d1))
     gen = assemble_hydraulic(beam, params, _as_hydraulic(cfg.block_parameters()))
     if cfg.model == "hydraulic_feedback":
+        # The closed loop keeps no blocks, so the tip block's dim**2 arrays
+        # go before the loop's flux is made.
+        gen.blocks = None
         gen = assemble_hydraulic_feedback(gen, cfg.k_fb)
     return gen
 
@@ -334,13 +337,14 @@ def _whole_file(path: Path, mode: str, **kwargs):
         raise
 
 
-def _float_columns(path: Path, columns: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """``columns`` as float arrays, and their common length."""
+def _float_columns(path: Path, columns: list[np.ndarray]) -> tuple[list[np.ndarray], int, int]:
+    """``columns`` as float arrays, their common length, and the rows per
+    write, ``CSV_CHUNK_VALUES // len(columns)`` and at least one."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = [c.shape[0] for c in columns]
     if len(set(lengths)) > 1:
         raise DimensionError(f"{path.name}: columns differ in length: {lengths}")
-    return columns, lengths[0] if lengths else 0
+    return columns, lengths[0] if lengths else 0, max(1, CSV_CHUNK_VALUES // max(1, len(columns)))
 
 
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -351,9 +355,8 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
     after ``path`` was opened leaves no partial ``path``; a ``path`` that
     could not be opened is not touched.
     """
-    columns, n_rows = _float_columns(path, columns)
+    columns, n_rows, step = _float_columns(path, columns)
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    step = max(1, CSV_CHUNK_VALUES // max(1, len(columns)))
     with _whole_file(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, step):
@@ -364,16 +367,26 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
 def write_columns_npy(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
     """Columns, bit for bit, as the little-endian float64 fields of one 1-D
     structured array, in the bytes of ``np.save(path, table,
-    allow_pickle=False)``; the failure rules of :func:`write_columns_csv`."""
-    columns, n_rows = _float_columns(path, columns)
-    table = np.empty(n_rows, dtype=[(n, "<f8") for n in names])
-    for name, column in zip(names, columns, strict=True):
-        table[name] = column
+    allow_pickle=False)``; the failure rules of :func:`write_columns_csv`.
+
+    The header is written for the whole table and the rows after it in
+    chunks of ``CSV_CHUNK_VALUES // len(columns)``, the CSV writer's rule,
+    so the table is never built whole.
+    """
+    columns, n_rows, step = _float_columns(path, columns)
+    fields = list(zip(names, columns, strict=True))
+    dtype = np.dtype([(n, "<f8") for n in names])
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n_rows,)}
+    chunk = np.empty(min(step, n_rows), dtype=dtype)
     with _whole_file(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(table))
-        # through the file object: ndarray.tofile, which np.save calls on a
-        # file, does not report an error of its last flush
-        fh.write(table)
+        np.lib.format.write_array_header_1_0(fh, header)
+        for lo in range(0, n_rows, step):
+            rows = chunk[:n_rows - lo]
+            for name, column in fields:
+                rows[name] = column[lo:lo + step]
+            # through the file object: ndarray.tofile, which np.save calls on
+            # a file, does not report an error of its last flush
+            fh.write(rows)
 
 
 class Runner:

@@ -298,8 +298,8 @@ class _BandFactors:
         self.kl, self.ku = (max(k, w) for w in _bandwidths(gen.flux, order))
         self.flux = _band(gen.flux, order, self.kl, self.ku)
         self.U = gen._band_U.astype(self.flux.dtype, copy=False)
-        self._tbsv, self._tbmv, self._gbmv, self._nrm2 = blas.get_blas_funcs(
-            ("tbsv", "tbmv", "gbmv", "nrm2"), dtype=self.flux.dtype
+        self._tbsv, self._gbmv, self._nrm2 = blas.get_blas_funcs(
+            ("tbsv", "gbmv", "nrm2"), dtype=self.flux.dtype
         )
 
     @cached_property
@@ -317,8 +317,11 @@ class _BandFactors:
         return self._tbsv(self.U.shape[0] - 1, self.U, x, trans=trans, overwrite_x=1)
 
     def _times_U(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """``U x``, or ``U^T x`` for ``trans=1``, in place."""
-        return self._tbmv(self.U.shape[0] - 1, self.U, x, trans=trans, overwrite_x=1)
+        """``U x``, or ``U^T x`` for ``trans=1``, by ``?gbmv`` on ``U``'s upper
+        band: OpenBLAS splits ``?tbmv`` over its threads at every size, and
+        a cold worker costs more than the product at the desk size."""
+        n = x.shape[0]
+        return self._gbmv(n, n, 0, self.U.shape[0] - 1, 1.0, self.U, x, trans=trans)
 
     def _times_flux(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
         """``F x / scale``, or ``F^H x / scale`` for ``trans=2``."""

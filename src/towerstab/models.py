@@ -117,10 +117,13 @@ def _close_loops(
     """Close collocated static loops ``u = -k g.z``, one per ``(name, k, g)``.
 
     Each loop takes ``k g g^T`` off the flux and becomes the damping channel
-    ``-k (g.z)^2`` of the identity, after the given ``channels``.
+    ``-k (g.z)^2`` of the identity, after the given ``channels``.  The
+    update is made in place on ``flux``, which the caller hands over, and
+    only on the support of ``g``, so it needs no dim**2 temporary.
     """
     for _, k, g in loops:
-        flux = flux - k * np.outer(g, g)
+        s = np.flatnonzero(g)
+        flux[np.ix_(s, s)] -= k * np.outer(g[s], g[s])
     return DiscreteGenerator(
         gram=gram, flux=flux, labels=labels, damping_channels=channels + loops
     )
@@ -202,7 +205,7 @@ def assemble_hydraulic_feedback(gen: DiscreteGenerator, k: float) -> DiscreteGen
         raise ValidationError(f"feedback gain must be nonnegative, got {k}")
     g = -(gen.unit_state("tip_angular_velocity") + gen.unit_state("motor_speed_shift"))
     return _close_loops(
-        gen.gram, gen.flux, gen.labels, gen.damping_channels, DampingChannel("feedback", k, g)
+        gen.gram, gen.flux.copy(), gen.labels, gen.damping_channels, DampingChannel("feedback", k, g)
     )
 
 

@@ -349,12 +349,18 @@ def couple_systems(
     ):
         gram[rows, rows] = block.gram
         flux[rows, rows] = block.flux
-        flux[rows] += block.gram_B @ L
+        # gram_B L on the rows gram_B reaches and the columns L reads
+        r = rows.start + np.flatnonzero(block.gram_B.any(axis=1))
+        c = np.flatnonzero(L.any(axis=0))
+        flux[np.ix_(r, c)] += block.gram_B[r - rows.start] @ L[:, c]
         for name, gain, v in block.channels:
             lifted = np.zeros(n1 + n2)
             lifted[rows] = v[: block.n]
             name = f"sys2.{name}" if name in clash else name
             channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
+    # x + 0 is x but for the -0 entries of the beam core's -K, which it makes
+    # +0, so no signed zero depends on which entries gram_B L reached
+    flux += 0.0
     if labels is None:
         labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
     gen = DiscreteGenerator(

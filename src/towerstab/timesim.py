@@ -34,6 +34,12 @@ The map is evaluated by one of two routes, chosen from the generator:
   the generator (bandwidth 5 and 7 on the assembled models), ``M - dt/2 F``
   is factorized once by a banded LU with partial pivoting, and each step
   is one banded solve and two banded mat-vecs, O(dim) work at any mesh.
+
+A run's peak memory is its step arrays (``STEP_BUDGET``) plus a block:
+:func:`verify_dissipation_identity`, :meth:`EnergyTrajectory.is_monotone`
+and :func:`fit_decay_rate` read the trajectory ``TRAJECTORY_BLOCK`` steps at
+a time.  On 10**6 steps with one channel (32 MB of step arrays) each traces
+under 2 MB; read whole, they traced 32, 9 and 89 MB.
 """
 
 from __future__ import annotations
@@ -72,7 +78,15 @@ IDENTITY_RTOL = 1e-9
 #: and each channel at the steps and the midpoints) hold ``8 (2 + 2 r)``
 #: bytes a step, so with the four channels of hydraulic_feedback the budget
 #: is 800 MB, and the banded loop at 15-80 us a step runs 2.5-13 minutes.
+#: They are a run's peak memory beyond the assembly: the checks and the
+#: writer that read them add a few blocks of ``TRAJECTORY_BLOCK`` steps (a
+#: few hundred kB), not bytes a step; desk tmd's 220,435 steps keep 7.1 MB.
 STEP_BUDGET = 10_000_000
+
+#: Steps per block of every pass over a trajectory (the identity residual,
+#: the monotonicity test and the decay fit): each pass's temporaries are a
+#: few columns of this many floats, 128 kB each, however long the run.
+TRAJECTORY_BLOCK = 1 << 14
 
 #: Mode shapes per block of the Rayleigh quotients in :func:`beam_modes`:
 #: its temporaries are a few ``n x MODE_BLOCK`` arrays, about 2 MB at 256
@@ -108,10 +122,14 @@ class EnergyTrajectory:
     final_state: np.ndarray
 
     def is_monotone(self) -> bool:
-        """No energy increment exceeds ``1e-10`` relative to ``E(0)``."""
+        """No energy increment exceeds ``1e-10`` relative to ``E(0)``; read
+        ``TRAJECTORY_BLOCK`` increments at a time."""
         e = self.energies
-        scale = e[0] if e[0] > 0 else 1.0
-        return bool(np.all(np.diff(e) <= 1e-10 * scale))
+        bound = 1e-10 * (e[0] if e[0] > 0 else 1.0)
+        return all(
+            np.all(np.diff(e[lo:lo + TRAJECTORY_BLOCK + 1]) <= bound)
+            for lo in range(0, e.size - 1, TRAJECTORY_BLOCK)
+        )
 
 
 def simulate(
@@ -149,6 +167,7 @@ def simulate(
         channels = np.empty((n_steps + 1, len(names)))
         midpoints = np.empty((n_steps, len(names)))
         energies = np.empty(n_steps + 1)
+        times = np.arange(n_steps + 1, dtype=float)
     except MemoryError as exc:
         raise NumericalError(f"cannot allocate {horizon}: {exc}") from exc
     V = np.array([ch.vector for ch in gen.damping_channels], dtype=float).reshape(-1, gen.dim)
@@ -159,8 +178,9 @@ def simulate(
         order, operators = _band_operators(gen, 0.5 * dt)
         z = np.empty(gen.dim)
         z[order] = _step_loop(operators, z0[order], dt, V[:, order], energies, channels, midpoints)
+    times *= dt  # the integers are exact, so this is dt * k bit for bit
     return EnergyTrajectory(
-        times=dt * np.arange(n_steps + 1),
+        times=times,
         energies=energies,
         channels={name: channels[:, j] for j, name in enumerate(names)},
         midpoint_channels={name: midpoints[:, j] for j, name in enumerate(names)},
@@ -451,17 +471,22 @@ def verify_dissipation_identity(gen: DiscreteGenerator, traj: EnergyTrajectory) 
     """Maximum residual of the model's closed-form energy balance.
 
     Compares ``(E_{n+1} - E_n)/dt`` with ``-sum_i gain_i (v_i . z_mid)^2``
-    per step and returns the largest absolute residual.
+    per step and returns the largest absolute residual (0 without steps),
+    ``TRAJECTORY_BLOCK`` steps at a time.
     """
     names = {ch.name for ch in gen.damping_channels}
     if names - set(traj.midpoint_channels):
         missing = sorted(names - set(traj.midpoint_channels))
         raise ValidationError(f"trajectory lacks recorded channels: {missing}")
-    de = np.diff(traj.energies) / traj.dt
-    dissipation = np.zeros_like(de)
-    for ch in gen.damping_channels:
-        dissipation -= ch.gain * traj.midpoint_channels[ch.name] ** 2
-    return float(np.abs(de - dissipation).max())
+    worst = 0.0
+    for lo in range(0, traj.energies.size - 1, TRAJECTORY_BLOCK):
+        steps = slice(lo, lo + TRAJECTORY_BLOCK)
+        de = np.diff(traj.energies[lo:lo + TRAJECTORY_BLOCK + 1]) / traj.dt
+        dissipation = np.zeros_like(de)
+        for ch in gen.damping_channels:
+            dissipation -= ch.gain * traj.midpoint_channels[ch.name][steps] ** 2
+        worst = np.maximum(worst, np.abs(de - dissipation).max())  # keeps a NaN
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -482,20 +507,35 @@ CURVATURE_LIMIT = 0.1
 
 
 def fit_decay_rate(traj: EnergyTrajectory, t_lo: float, t_hi: float) -> DecayFit:
-    """Least-squares slope of ``log E`` against ``log t`` on a window."""
+    """Least-squares slope of ``log E`` against ``log t`` on a window.
+
+    The window is the samples with ``t_lo <= t <= t_hi``, found by bisection
+    on the premise that the times increase (as :func:`simulate` makes them);
+    it is read as views, ``TRAJECTORY_BLOCK`` samples at a time, so the fit
+    adds no memory that grows with the window.  Raises
+    :class:`ValidationError` for an empty or inverted window, one that ends
+    past the horizon or holds fewer than three samples, and naming the first
+    time in it whose energy is not strictly positive or not finite.
+    """
     if t_lo <= 0 or t_hi <= t_lo:
         raise ValidationError(f"invalid fit window [{t_lo}, {t_hi}]")
     if t_hi > traj.times[-1] * (1 + 1e-12):
         raise ValidationError(
             f"window end {t_hi} outside trajectory horizon {traj.times[-1]}"
         )
-    mask = (traj.times >= t_lo) & (traj.times <= t_hi)
-    t = traj.times[mask]
-    e = traj.energies[mask]
+    window = slice(
+        np.searchsorted(traj.times, t_lo, "left"), np.searchsorted(traj.times, t_hi, "right")
+    )
+    t, e = traj.times[window], traj.energies[window]
     if t.size < 3:
         raise ValidationError("fit window contains fewer than three samples")
-    if np.any(e <= 0):
-        raise ValidationError("energies must be strictly positive on the fit window")
+    for lo in range(0, e.size, TRAJECTORY_BLOCK):
+        block = e[lo:lo + TRAJECTORY_BLOCK]
+        bad = np.flatnonzero(~((block > 0) & (block < np.inf)))  # NaN fails both
+        if bad.size:
+            i = lo + bad[0]
+            what = "strictly positive" if math.isfinite(e[i]) else "finite"
+            raise ValidationError(f"energy is not {what} at t = {t[i]:.17g} in the fit window")
     slope, curvature = _loglog_fit(t, e)
     return DecayFit(
         slope=slope,
@@ -512,12 +552,33 @@ def _loglog_fit(t: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     Both come from one QR of ``[1, x, x**2, log e]``, ``x`` the centred
     ``log t`` scaled into ``[-1, 1]`` (a well-conditioned Vandermonde):
     the fit on the first ``j`` columns solves ``R[:j, :j] c = R[:j, 3]``.
+    One pass over ``TRAJECTORY_BLOCK`` samples at a time finds the mean and
+    range of ``log t``; a second accumulates ``R`` by TSQR, ``R <- qr([R;
+    design block])``, the same QR in memory of one block (Demmel, Grigori,
+    Hoemmen & Langou, *SIAM J. Sci. Comput.* 34, 2012).
     """
-    x = np.log(t)
-    x -= x.mean()
-    scale = np.abs(x).max()
-    x /= scale
-    R = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x, np.log(e)]), mode="r")
+    blocks = range(0, t.size, TRAJECTORY_BLOCK)
+    total, low, high = 0.0, math.inf, -math.inf
+    for lo in blocks:
+        x = np.log(t[lo:lo + TRAJECTORY_BLOCK])
+        total, low, high = total + x.sum(), min(low, x.min()), max(high, x.max())
+    mean = total / t.size
+    scale = max(high - mean, mean - low)
+    # R (at most 4 rows) on top of a block's design, whose columns are
+    # contiguous views in Fortran order
+    stack = np.empty((min(t.size, TRAJECTORY_BLOCK) + 4, 4), order="F")
+    R = stack[:0]
+    for lo in blocks:
+        m, top = min(TRAJECTORY_BLOCK, t.size - lo), R.shape[0]
+        stack[:top] = R
+        one, x, x2, log_e = stack[top:top + m].T
+        one.fill(1.0)
+        np.log(t[lo:lo + m], out=x)
+        x -= mean
+        x /= scale
+        np.multiply(x, x, out=x2)
+        np.log(e[lo:lo + m], out=log_e)
+        R = np.linalg.qr(stack[:top + m], mode="r")
     slope = sla.solve_triangular(R[:2, :2], R[:2, 3])[1] / scale
     curvature = sla.solve_triangular(R[:3, :3], R[:3, 3])[2] / scale**2
     return float(slope), float(curvature)

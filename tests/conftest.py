@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,3 +81,19 @@ def linalg_calls(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn)``: call ``fn()`` under tracemalloc and return the peak of the
+    memory it traced, in bytes (numpy reports its array buffers to it)."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -628,20 +627,41 @@ class TestRendering:
             assert (tmp_path / "c.csv").read_text() == expected, n
             assert [p.name for p in tmp_path.iterdir()] == ["c.csv"], n
 
-    def test_wide_table_is_formatted_in_small_chunks(self, tmp_path):
+    def test_wide_table_is_formatted_in_small_chunks(self, tmp_path, traced_peak):
         """A table with one column per state, like ``A.csv``, is formatted
         a few rows at a time: the traced peak stays near a MB, against
         18 MB for the 500 x 500 table in one chunk."""
         columns = list(np.random.default_rng(0).standard_normal((500, 500)))
-        tracemalloc.start()
-        try:
-            cli.write_columns_csv(tmp_path / "c.csv", [str(j) for j in range(500)], columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: cli.write_columns_csv(tmp_path / "c.csv", [str(j) for j in range(500)], columns)
+        )
         assert peak < 3e6, peak
         written = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)
         assert np.array_equal(written, np.array(columns).T)
+
+    def test_columns_npy_is_the_bytes_of_np_save(self, tmp_path):
+        """Below, at and across the first boundary of the writer's chunks,
+        and empty."""
+        names = ["t", "E", "v"]
+        chunk = cli.CSV_CHUNK_VALUES // len(names)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            x = np.linspace(-1.0, 1.0, n)
+            x[:3] = [-0.0, np.nan, 5e-324][:n]
+            columns = [x, np.arange(n), 1.0 / 3.0 * x]
+            table = np.empty(n, dtype=[(name, "<f8") for name in names])
+            for name, column in zip(names, columns):
+                table[name] = column
+            np.save(tmp_path / "expected.npy", table, allow_pickle=False)
+            cli.write_columns_npy(tmp_path / "t.npy", names, columns)
+            assert (tmp_path / "t.npy").read_bytes() == (tmp_path / "expected.npy").read_bytes(), n
+
+    def test_columns_npy_is_written_in_chunks(self, tmp_path, traced_peak):
+        """10**6 rows of three columns: the traced peak is one chunk of rows,
+        against 24 MB for the whole structured table."""
+        t = np.linspace(0.0, 1.0, 10**6)
+        columns = [t, np.exp(-t), np.sin(t)]
+        peak = traced_peak(lambda: cli.write_columns_npy(tmp_path / "t.npy", ["t", "E", "v"], columns))
+        assert peak < 2e6, peak
 
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
         with pytest.raises(ts.ValidationError, match=r"columns differ in length: \[3, 2\]"):
@@ -773,6 +793,18 @@ class TestAssemble:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["checks"]["dissipativity"]["status"] == "pass"
         assert report["provenance"]["toolkit_version"]
+
+
+class TestAssemblyMemory:
+    @pytest.mark.parametrize("model, bound_mib", [("combined", 30), ("hydraulic_feedback", 40)])
+    def test_runner_peak_at_256_elements(self, traced_peak, model, bound_mib):
+        """The loops close on the support of their input maps and the blocks
+        couple on the support of ``gram_B L``, with no dim**2 temporaries:
+        the peak is the kept Gram and flux (dim 1024, 16.1 MiB) and, on the
+        hydraulic models, the coupled tip block (16.1 MiB more) while it
+        lives; with the temporaries it was 44.1 and 52.5 MiB."""
+        cfg = cli.load_config(None, {"model": model, "n_elements": 256})
+        assert traced_peak(lambda: cli.Runner(cfg)) < bound_mib * 2**20
 
 
 class TestDefaults:

@@ -566,6 +566,22 @@ class TestBandedNorms:
 
 
 class TestKernelCheck:
+    @pytest.mark.parametrize("gain", [1.0, 1.0 + 1.0j])
+    def test_band_factor_products(self, gain):
+        """``U x`` and ``U^T x`` by ``?gbmv`` on the upper band of the kept
+        factor match the dense factor, which squares to the permuted Gram;
+        with real and, for a tip block under a complex gain, complex BLAS."""
+        tip = cached_model("tmd", 16).blocks[0]
+        b = generator._BandFactors(ts.feedback_transform(tip, gain * np.eye(1), 1.0))
+        k, n = b.U.shape[0] - 1, b.U.shape[1]
+        U = sum(np.diag(b.U[k - d, d:], d) for d in range(k + 1))
+        gram = tip.gram[np.ix_(b.order, b.order)]
+        assert np.allclose(U.T @ U, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
+        r = np.random.default_rng(0).standard_normal((2, n))
+        x = r[0] + 1j * r[1] if np.iscomplexobj(b.U) else r[0]
+        for trans, dense in ((0, U), (1, U.T)):
+            assert np.allclose(b._times_U(x.copy(), trans=trans), dense @ x, rtol=1e-14, atol=0)
+
     def test_hydraulic_desk_fixture_trivial_kernel(self, desk_models):
         dim, smin = ts.kernel_check(desk_models["hydraulic"])
         assert dim == 0

@@ -504,3 +504,115 @@ class TestDecayFit:
         t = np.linspace(0.1, 5.0, 50)
         with pytest.raises(ts.ValidationError, match="horizon"):
             ts.fit_decay_rate(synthetic_trajectory(t, 1.0 / t), 1.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_energy_rejected_naming_its_time(self, bad):
+        t = 0.5 * np.arange(1, 101)
+        e = 1.0 / t
+        e[[17, 40]] = bad, 0.0
+        with pytest.raises(ts.ValidationError, match=r"not finite at t = 9 "):
+            ts.fit_decay_rate(synthetic_trajectory(t, e), 1.0, 50.0)
+
+    def test_window_ends_on_sample_times_are_inclusive(self):
+        """Bisection selects the samples with ``t_lo <= t <= t_hi``: a window
+        ending on sample times fits exactly the samples a trajectory cut to
+        them holds, and moving each end one ulp inwards drops that sample."""
+        t = 0.5 * np.arange(1, 101)
+        e = (1.0 + 0.01 * np.cos(t)) / t
+        traj = synthetic_trajectory(t, e)
+        lo, hi = t[10], t[60]
+        cut = ts.fit_decay_rate(synthetic_trajectory(t[10:61], e[10:61]), lo, hi)
+        assert ts.fit_decay_rate(traj, lo, hi) == cut
+        inner = ts.fit_decay_rate(traj, np.nextafter(lo, np.inf), np.nextafter(hi, 0.0))
+        shorter = ts.fit_decay_rate(synthetic_trajectory(t[11:60], e[11:60]), t[11], t[59])
+        assert (inner.slope, inner.curvature) == (shorter.slope, shorter.curvature)
+        assert inner.slope != cut.slope
+
+
+B = timesim.TRAJECTORY_BLOCK
+#: step counts at and across the block boundaries of the trajectory passes
+BLOCK_STEPS = (1, B - 1, B, B + 1, 3 * B + 7)
+
+
+def channel_trajectory(gen, energies):
+    """Energies at steps ``0.01 k`` and random midpoint signals of ``gen``'s channels."""
+    r = np.random.default_rng(0)
+    n = energies.size - 1
+    mids = {ch.name: r.standard_normal(n) for ch in gen.damping_channels}
+    return ts.EnergyTrajectory(
+        times=0.01 * np.arange(n + 1), energies=energies, channels={},
+        midpoint_channels=mids, dt=0.01, final_state=np.zeros(gen.dim),
+    )
+
+
+class TestTrajectoryBlocks:
+    """The passes over a trajectory read it ``TRAJECTORY_BLOCK`` steps at a
+    time and give what one pass over the whole trajectory gives."""
+
+    @pytest.mark.parametrize("n_steps", BLOCK_STEPS)
+    def test_identity_and_monotone_verdict_match_one_block(self, desk_models, monkeypatch, n_steps):
+        """One energy increase, planted at the first and last step and on
+        either side of the first block boundary, where a block's increments
+        need the previous block's last sample."""
+        gen = desk_models["tmd"]
+        falling = np.linspace(2.0, 1.0, n_steps + 1)
+        cases = {None: falling}
+        for up in {0, B - 1, B, n_steps - 1} & set(range(n_steps)):
+            cases[up] = falling.copy()
+            cases[up][up + 1] += 2.0
+        for up, energies in cases.items():
+            traj = channel_trajectory(gen, energies)
+            blocks = ts.verify_dissipation_identity(gen, traj), traj.is_monotone()
+            with monkeypatch.context() as patch:
+                patch.setattr(timesim, "TRAJECTORY_BLOCK", n_steps + 1)
+                whole = ts.verify_dissipation_identity(gen, traj), traj.is_monotone()
+            assert blocks == whole, up
+            assert blocks[1] == (up is None), up
+
+    @pytest.mark.parametrize("n_steps", BLOCK_STEPS[1:])
+    def test_decay_fit_matches_lstsq_on_the_whole_design(self, n_steps):
+        """TSQR over the blocks gives the slope and curvature of a least-squares
+        solve on the whole scaled Vandermonde ``[1, x, x**2]``."""
+        t = np.linspace(1.0, 50.0, n_steps + 1)
+        e = t**-1.3 * (1.0 + 0.1 * np.sin(t))
+        fit = ts.fit_decay_rate(synthetic_trajectory(t, e), t[0], t[-1])
+        x = np.log(t) - np.log(t).mean()
+        scale = np.abs(x).max()
+        x /= scale
+        design = np.column_stack([np.ones_like(x), x, x * x])
+        slope = np.linalg.lstsq(design[:, :2], np.log(e), rcond=None)[0][1] / scale
+        curvature = np.linalg.lstsq(design, np.log(e), rcond=None)[0][2] / scale**2
+        assert abs(fit.slope - slope) <= 1e-12
+        assert abs(fit.curvature - curvature) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def long_trajectory():
+    """10**6 steps with one channel, the dissipation identity of desk tmd's
+    channel held exactly up to rounding: 32 MB of step arrays."""
+    n = 10**6
+    dt = 1e-3
+    times = dt * np.arange(n + 1)
+    energies = 1.0 / (1.0 + times)
+    mids = np.sqrt(-np.diff(energies) / dt)
+    return ts.EnergyTrajectory(
+        times=times, energies=energies, channels={"tmd_relative_velocity": energies},
+        midpoint_channels={"tmd_relative_velocity": mids}, dt=dt, final_state=np.zeros(1),
+    )
+
+
+class TestTrajectoryMemory:
+    """Each pass over a long trajectory adds a few blocks, not bytes a step:
+    on 10**6 steps, under 2 MB each (one pass over the whole trajectory
+    traced 32, 9 and 89 MB)."""
+
+    def test_identity_residual(self, traced_peak, long_trajectory, desk_models):
+        gen = desk_models["tmd"]
+        assert traced_peak(lambda: ts.verify_dissipation_identity(gen, long_trajectory)) < 2e6
+
+    def test_monotone_verdict(self, traced_peak, long_trajectory):
+        assert traced_peak(long_trajectory.is_monotone) < 2e6
+
+    def test_decay_fit(self, traced_peak, long_trajectory):
+        fit = lambda: ts.fit_decay_rate(long_trajectory, 1.0, long_trajectory.times[-1])  # noqa: E731
+        assert traced_peak(fit) < 2e6
