@@ -247,9 +247,6 @@ def build_generator(cfg: RunConfig, params: BeamParameters | None = None) -> Dis
         return assemble_tmd(beam, params, TmdParameters(cfg.m1, cfg.k1, cfg.d1))
     gen = assemble_hydraulic(beam, params, _as_hydraulic(cfg.block_parameters()))
     if cfg.model == "hydraulic_feedback":
-        # The closed loop keeps no blocks, so the tip block's dim**2 arrays
-        # go before the loop's flux is made.
-        gen.blocks = None
         gen = assemble_hydraulic_feedback(gen, cfg.k_fb)
     return gen
 

@@ -16,14 +16,17 @@ and flux logic is one core, :class:`GramSystem`, which passive blocks share;
 the energy coordinates, the energy norm, the spectrum and the modal form
 are computed once per generator or block and cached on it.
 
-The energy norm of ``A`` and the dissipation defect are read off the
-assembled arrays in LAPACK band storage, without forming the dense energy
-coordinates: in the band order of :func:`_band_order` the Gram and flux of
-every assembled model have bandwidth 5 and 7, so the banded Cholesky
-factor of the Gram (kept from its validation), products with the flux and
-a banded LU of it cost ``O(dim)`` per apply, and the dissipation defect and
-the passivity certificate are one banded eigensolve.  The band arrays are
-gathered one diagonal at a time; only ``scipy.linalg`` routines touch them.
+The Gram and the flux are stored in one form only, LAPACK general band
+storage in the band order of :func:`_band_order` (:class:`_Band`), where
+every assembled model has bandwidth 5 and 7: ``O(dim)`` floats, not
+``dim**2``.  The assembly writes these bands directly, and the energy norm,
+the banded Cholesky factor of the Gram (kept from its validation), products
+with the flux, a banded LU of it, the dissipation defect and the passivity
+certificate all read them.  A dense argument is converted once, when the
+object is built, and ``gram`` and ``flux`` read back as dense read-only
+arrays, formed from the bands on each read, for the consumers that are
+dense by nature (``A``, the energy coordinates, the resolvents of blocks of
+a few states).
 """
 
 from __future__ import annotations
@@ -56,19 +59,118 @@ class DampingChannel(NamedTuple):
     vector: np.ndarray
 
 
-def check_spd(M: np.ndarray, name: str = "gram", order: np.ndarray | None = None) -> np.ndarray:
+class _Band(NamedTuple):
+    """A square matrix ``B`` in LAPACK general band storage, ``ab[ku + i - j,
+    j] = B[i, j]`` for ``-kl <= j - i <= ku``, with ``ab`` in Fortran order;
+    every entry of ``B`` outside the band is zero, and so are the corners of
+    ``ab`` outside the matrix.  A Gram system stores its Gram and flux in
+    this form, in its band order (:func:`_band_order`), on the band of
+    their nonzero entries."""
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+
+    @property
+    def n(self) -> int:
+        return self.ab.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @classmethod
+    def of(cls, A: np.ndarray, order: np.ndarray) -> _Band:
+        """The band of a dense ``A[order][:, order]``, sized from every nonzero."""
+        return _gather(lambda r, c: A[r, c], order, *_bandwidths(A, order), A.dtype)
+
+    @classmethod
+    def from_entries(cls, n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> _Band:
+        """The ``n x n`` matrix with ``B[i, j] = v`` at distinct positions, zero
+        elsewhere, on the band of its nonzero entries (a zero outside it is dropped)."""
+        offset = j - i
+        reach = offset[v != 0]  # NaN counts as nonzero
+        kl, ku = max(0, -int(reach.min(initial=0))), max(0, int(reach.max(initial=0)))
+        inside = (offset >= -kl) & (offset <= ku)
+        ab = np.zeros((kl + ku + 1, n), v.dtype, order="F")
+        ab[ku - offset[inside], j[inside]] = v[inside]
+        return cls(ab, kl, ku)
+
+    def diagonal(self, d: int) -> np.ndarray:
+        """``B[i, i + d]`` for the rows ``i`` that have it, as a view; ``-kl <= d <= ku``."""
+        return self.ab[self.ku - d, max(0, d) : self.n + min(0, d)]
+
+    def entries(self, rows: np.ndarray | None = None, cols: np.ndarray | None = None):
+        """Row ``i``, column ``j`` and value of every band position inside the
+        matrix; with ``rows`` and ``cols``, ``(rows[i], cols[j])`` in place of
+        ``(i, j)``, at the positions where neither is negative."""
+        n, offsets = self.n, range(-self.kl, self.ku + 1)
+        i = np.concatenate([np.arange(max(0, -d), n - max(0, d)) for d in offsets])
+        j = i + np.concatenate([np.full(n - abs(d), d) for d in offsets])
+        v = np.concatenate([self.diagonal(d) for d in offsets])
+        if rows is None:
+            return i, j, v
+        a, b = rows[i], cols[j]
+        keep = (a >= 0) & (b >= 0)
+        return a[keep], b[keep], v[keep]
+
+    def copy(self, dtype=None) -> _Band:
+        return _Band(self.ab.astype(dtype or self.ab.dtype, order="F"), self.kl, self.ku)
+
+    def widened(self, kl: int, ku: int) -> _Band:
+        """The same matrix on the band ``(max(kl, self.kl), max(ku, self.ku))``
+        (``self`` when that is its own)."""
+        kl, ku = max(kl, self.kl), max(ku, self.ku)
+        if (kl, ku) == (self.kl, self.ku):
+            return self
+        ab = np.zeros((kl + ku + 1, self.n), self.ab.dtype, order="F")
+        ab[ku - self.ku : ku + self.kl + 1] = self.ab
+        return _Band(ab, kl, ku)
+
+    def adjoint(self) -> _Band:
+        """``B^H``, on the band of its nonzero entries."""
+        i, j, v = self.entries()
+        return _Band.from_entries(self.n, j, i, v.conj())
+
+    def add(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> _Band:
+        """``B[i, j] += v`` in place at distinct positions (broadcast
+        together), on the band widened to reach them; returns that band."""
+        band = self.widened(int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0)))
+        band.ab[band.ku + i - j, j] += v
+        return band
+
+    def sub(self, states: np.ndarray) -> _Band:
+        """The band of ``B[np.ix_(states, states)]``."""
+        local = np.full(self.n, -1)
+        local[states] = np.arange(states.size)
+        return _Band.from_entries(states.size, *self.entries(local, local))
+
+    def dense(self, order: np.ndarray | None = None, layout: str = "C") -> np.ndarray:
+        """Dense ``A`` with ``A[order][:, order] = B`` (``B`` itself by default)."""
+        order = np.arange(self.n) if order is None else order
+        i, j, v = self.entries(order, order)
+        A = np.zeros(self.shape, v.dtype, order=layout)
+        A[i, j] = v
+        return A
+
+
+def check_spd(
+    M: np.ndarray | _Band, name: str = "gram", order: np.ndarray | None = None
+) -> np.ndarray:
     """Validate that a square ``M`` is symmetric positive definite, on its band.
 
-    Returns the upper band Cholesky factor of ``M[order][:, order]`` (the
-    identity ``order`` by default), on a band sized from every nonzero.
-    Raises :class:`ValidationError` if an entry is not finite, if ``M`` is
-    not symmetric to within ``SYMMETRY_RTOL`` relative or if any Cholesky
-    pivot fails.
+    ``M`` is a :class:`_Band`, or a dense array taken in ``order`` (the
+    identity by default) on the band of its nonzero entries.  Returns the
+    upper band Cholesky factor of that band.  Raises
+    :class:`ValidationError` if an entry is not finite, if ``M`` is not
+    symmetric to within ``SYMMETRY_RTOL`` relative or if any Cholesky pivot
+    fails.
     """
-    M = np.asarray(M, dtype=float)
-    order = np.arange(M.shape[0]) if order is None else order
-    k = max(_bandwidths(M, order))
-    upper, lower = _band(M, order, 0, k), _band(M.T, order, 0, k)
+    if not isinstance(M, _Band):
+        M = np.asarray(M, dtype=float)
+        M = _Band.of(M, np.arange(M.shape[0]) if order is None else order)
+    k = max(M.kl, M.ku)
+    upper, lower = (B.widened(k, k).ab[: k + 1] for B in (M, M.adjoint()))
     if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
         raise ValidationError(f"{name} has non-finite entries")
     scale = max(np.abs(upper).max(initial=0.0), np.abs(lower).max(initial=0.0)) or 1.0
@@ -81,43 +183,55 @@ def check_spd(M: np.ndarray, name: str = "gram", order: np.ndarray | None = None
 
 
 def symmetric_part(F: np.ndarray) -> np.ndarray:
-    """Hermitian part of a square matrix, or of each matrix of a stack."""
-    return 0.5 * (F + F.conj().swapaxes(-1, -2))
+    """Hermitian part of a square matrix, or of each matrix of a stack,
+    halved before the sum, so that it overflows only where ``F`` does."""
+    return 0.5 * F + 0.5 * F.conj().swapaxes(-1, -2)
 
 
 class GramSystem:
     """State space with an energy Gram and the assembled ``flux = gram @ A``.
 
     The core of generators and passive blocks, constructed from the two
-    arrays an assembly produces.  The Gram is checked symmetric positive
-    definite on construction, and :func:`check_spd`'s band Cholesky factor
-    is kept.  ``A`` is derived on first read by one Cholesky solve.
-    ``labels`` names the states, one unique label each, or is ``None`` for
-    an unlabelled object; a system labelled with the beam layout
-    (:func:`_beam_size`) has the band order and the modal form of the beam.
-    Instances are immutable by convention, so :func:`energy_norm`,
-    :func:`energy_coordinates`, the spectrum
+    arrays an assembly produces, each a :class:`_Band` in the band order of
+    ``labels`` or a dense array, which is converted once.  The bands are the
+    only stored form; ``gram`` and ``flux`` read them back as dense
+    read-only arrays, formed on each read.  The Gram is checked symmetric
+    positive definite on construction, and :func:`check_spd`'s band
+    Cholesky factor is kept.  ``A`` is derived on first read by one
+    Cholesky solve.  ``labels`` names the states, one unique label each, or
+    is ``None`` for an unlabelled object; a system labelled with the beam
+    layout (:func:`_beam_size`) has the band order and the modal form of
+    the beam.  Instances are immutable by convention, so
+    :func:`energy_norm`, :func:`energy_coordinates`, the spectrum
     (:func:`towerstab.spectral.energy_spectrum`), the undamped beam modes
     (:func:`towerstab.timesim.beam_modes`) and the modal form the spectrum
     and the resolvent norms read (:func:`towerstab.modal._modal_form`)
     cache their data on the object.
     """
 
-    def __init__(self, gram: np.ndarray, flux: np.ndarray, labels: Sequence[str] | None = None):
-        self.gram = np.asarray(gram, dtype=float)
-        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
-            raise DimensionError(f"gram must be square, got shape {self.gram.shape}")
-        self.flux = self._matrix(flux)
-        n = self.dim
-        if self.flux.shape != (n, n):
-            raise DimensionError(f"flux must be {n}x{n} like gram, got {self.flux.shape}")
+    def __init__(
+        self,
+        gram: np.ndarray | _Band,
+        flux: np.ndarray | _Band,
+        labels: Sequence[str] | None = None,
+    ):
+        if not isinstance(gram, _Band):
+            gram = np.asarray(gram, dtype=float)
+            if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+                raise DimensionError(f"gram must be square, got shape {gram.shape}")
+        flux = flux if isinstance(flux, _Band) else self._matrix(flux)
+        n = gram.shape[0]
+        if flux.shape != (n, n):
+            raise DimensionError(f"flux must be {n}x{n} like gram, got {flux.shape}")
         self.labels = None if labels is None else tuple(labels)
         if self.labels is not None:
             if len(self.labels) != n:
                 raise DimensionError(f"expected {n} labels, got {len(self.labels)}")
             if len(set(self.labels)) != n:
                 raise ValidationError("coordinate labels must be unique")
-        self._band_U = check_spd(self.gram, "gram", _band_order(self))
+        order = _layout_order(self.labels, n)
+        self._gram, self._flux = (_stored(a, order) for a in (gram, flux))
+        self._band_U = check_spd(self._gram, "gram")
         self._A: np.ndarray | None = None
         self._norm: float | None = None
         self._coords: EnergyCoordinates | None = None
@@ -128,6 +242,16 @@ class GramSystem:
     @staticmethod
     def _matrix(M: np.ndarray) -> np.ndarray:
         return np.asarray(M, dtype=float)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The Gram, dense and read-only, formed from its band on each read."""
+        return _frozen(self._gram.dense(_band_order(self)))
+
+    @property
+    def flux(self) -> np.ndarray:
+        """The flux, dense and read-only, formed from its band on each read."""
+        return _frozen(self._flux.dense(_band_order(self)))
 
     def _factor(self) -> np.ndarray:
         """Upper Cholesky factor ``U`` of the (validated) Gram, ``gram = U^T U``."""
@@ -142,7 +266,7 @@ class GramSystem:
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self._gram.n
 
     def index(self, label: str) -> int:
         """Coordinate index of a labelled state component."""
@@ -150,6 +274,13 @@ class GramSystem:
             return (self.labels or ()).index(label)
         except ValueError:
             raise KeyError(f"no coordinate labelled {label!r}") from None
+
+
+def _stored(a: np.ndarray | _Band, order: np.ndarray) -> _Band:
+    """The one stored form of a Gram or flux: the read-only band of its
+    nonzero entries in ``order``, converted once from a dense ``a``."""
+    band = _Band.from_entries(a.n, *a.entries()) if isinstance(a, _Band) else _Band.of(a, order)
+    return band._replace(ab=_frozen(band.ab))
 
 
 class DiscreteGenerator(GramSystem):
@@ -168,8 +299,8 @@ class DiscreteGenerator(GramSystem):
     def __init__(
         self,
         *,
-        gram: np.ndarray,
-        flux: np.ndarray,
+        gram: np.ndarray | _Band,
+        flux: np.ndarray | _Band,
         labels: Sequence[str],
         damping_channels: tuple[DampingChannel, ...] = (),
     ):
@@ -191,32 +322,34 @@ class DiscreteGenerator(GramSystem):
 
         Computed once, on the band of the flux, and cached."""
         if self._defect is None:
-            self._defect = _top_hermitian_eigenvalue(self.flux, _band_order(self))
+            self._defect = _top_hermitian_eigenvalue(self._flux)
         return self._defect
 
 
-def _top_hermitian_eigenvalue(F: np.ndarray, order: np.ndarray) -> float:
+def _top_hermitian_eigenvalue(F: _Band) -> float:
     """Largest eigenvalue of ``sym(F)``, real or complex: one ``eigvals_banded``
-    on its band in ``order``, ``O(dim k^2)`` for a band ``k`` wide (the
-    largest entry when that band is diagonal)."""
-    k = max(_bandwidths(F, order))
-    band = 0.5 * (_band(F, order, 0, k) + _band(F.conj().T, order, 0, k))  # upper storage
+    on its band, ``O(dim k^2)`` for a band ``k`` wide (the largest entry
+    when that band is diagonal).  Each half is halved before the sum, so
+    the band overflows only where ``F`` does."""
+    k = max(F.kl, F.ku)
+    band = 0.5 * F.widened(k, k).ab[: k + 1] + 0.5 * F.adjoint().widened(k, k).ab[: k + 1]
     # outer diagonals that vanish are dropped (on the models, all but the damped states')
     used = np.flatnonzero(band.any(axis=1))
     band = band[used[0] if used.size else k :]
     if band.shape[0] == 1:  # a diagonal sym(F): its eigenvalues are its entries
         return float(band.real.max())
-    top = F.shape[0] - 1
+    top = F.n - 1
     return float(sla.eigvals_banded(band, select="i", select_range=(top, top))[0])
 
 
-def _beam_size(gen: GramSystem) -> int:
-    """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]``: every assembly
-    and the beam's tip block lead with the beam core, whose last state is
-    ``tip_angular_velocity``; each node adds four states to it."""
+def _beam_size(labels: Sequence[str] | None) -> int:
+    """``n`` with beam state ``q = z[:n]``, ``v = z[n:2n]`` for a system with
+    these ``labels``: every assembly and the beam's tip block lead with the
+    beam core, whose last state is ``tip_angular_velocity``; each node adds
+    four states to it."""
     try:
-        end = gen.index("tip_angular_velocity") + 1
-    except KeyError:
+        end = list(labels or ()).index("tip_angular_velocity") + 1
+    except ValueError:
         raise ValidationError("generator does not carry beam blocks") from None
     if end % 4:
         raise ValidationError(f"tip_angular_velocity at index {end - 1} ends no whole beam node")
@@ -228,14 +361,35 @@ def _band_order(gen: GramSystem) -> np.ndarray:
 
     A generator or block with the beam layout (:func:`_beam_size`) takes
     each beam node's displacement, slope and their two velocities together,
-    node by node, and its block states last; its Gram and flux then have
-    bandwidth 5 and 7.  Any other object keeps the identity order.
+    node by node, and its block states last, in their own order; its Gram
+    and flux then have bandwidth 5 and 7.  Any other object keeps the
+    identity order.
     """
-    if "tip_angular_velocity" in (gen.labels or ()):
-        n = _beam_size(gen)
+    return _layout_order(gen.labels, gen.dim)
+
+
+def _layout_order(labels: Sequence[str] | None, dim: int) -> np.ndarray:
+    """:func:`_band_order` of a system of ``dim`` states with these ``labels``."""
+    if "tip_angular_velocity" in (labels or ()):
+        n = _beam_size(labels)
         q = np.arange(n).reshape(-1, 2)  # (displacement, slope) of each node
-        return np.concatenate([np.hstack([q, q + n]).ravel(), np.arange(2 * n, gen.dim)])
-    return np.arange(gen.dim)
+        return np.concatenate([np.hstack([q, q + n]).ravel(), np.arange(2 * n, dim)])
+    return np.arange(dim)
+
+
+def _rank(order: np.ndarray) -> np.ndarray:
+    """Position of each state in ``order``, the inverse permutation."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+def _beam_blocks(gen: GramSystem) -> tuple[_Band, _Band]:
+    """The bands of the beam's ``K = gram[:n, :n]`` and ``M = gram[n:2n,
+    n:2n]``, each in its own state order, read off the Gram's band."""
+    n = _beam_size(gen.labels)
+    rank = _rank(_band_order(gen))
+    return gen._gram.sub(rank[:n]), gen._gram.sub(rank[n : 2 * n])
 
 
 def _bandwidths(A: np.ndarray, order: np.ndarray) -> tuple[int, int]:
@@ -243,27 +397,37 @@ def _bandwidths(A: np.ndarray, order: np.ndarray) -> tuple[int, int]:
     read off the nonzeros of ``A`` by one scan, without a permuted copy."""
     # ten times faster than np.nonzero(A) on a dense float array
     rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    rank = _rank(order)
     offset = rank[cols] - rank[rows]
     return max(0, -int(offset.min(initial=0))), max(0, int(offset.max(initial=0)))
 
 
-def _band(A: np.ndarray, order: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """LAPACK general band storage ``ab[ku + i - j, j] = B[i, j]`` of
-    ``B = A[order][:, order]``, gathered one diagonal at a time in
-    ``O(dim (kl + ku))`` time and ``O(dim)`` scratch."""
-    n = A.shape[0]
-    ab = np.zeros((kl + ku + 1, n), dtype=A.dtype, order="F")
+def _gather(get: Callable, order: np.ndarray, kl: int, ku: int, dtype=float) -> _Band:
+    """The band on ``(kl, ku)`` of ``A[order][:, order]`` for the matrix ``A``
+    that ``get(rows, cols)`` reads entrywise, one diagonal at a time, in
+    ``O(dim (kl + ku))`` time and ``O(dim)`` temporaries."""
+    n = order.size
+    kl, ku = min(kl, n - 1), min(ku, n - 1)  # no wider than the matrix
+    band = _Band(np.zeros((kl + ku + 1, n), dtype, order="F"), kl, ku)
     for d in range(-kl, ku + 1):  # B[i, i + d] for the rows i that have it
         i = np.arange(max(0, -d), n - max(0, d))
-        ab[ku - d, max(0, d) : n + min(0, d)] = A[order[i], order[i + d]]
-    return ab
+        band.diagonal(d)[...] = get(order[i], order[i + d])
+    return band
+
+
+def _block_diagonal(blocks: Sequence[tuple[_Band, np.ndarray]], order: np.ndarray) -> _Band:
+    """The band in ``order`` of ``blkdiag(A_1, A_2, ...)``, from the band and
+    the band order ``(B_i, order_i)`` of each ``A_i``."""
+    rank, start, parts = _rank(order), 0, []
+    for band, own in blocks:
+        parts.append(band.entries(rank[start + own], rank[start + own]))
+        start += band.n
+    return _Band.from_entries(start, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def _band_times(gbmv, ab, kl, ku, x, alpha=1.0, trans=0) -> np.ndarray:
     """``alpha B x``, or ``alpha B^H x`` for ``trans=2``, by ``gbmv`` on the band
-    ``ab`` of :func:`_band`.  scipy's ``?gbmv`` wrapper asks for at least
+    ``ab`` of a :class:`_Band`.  scipy's ``?gbmv`` wrapper asks for at least
     ``kl + ku + 1`` rows, more than a few states with a full band have; the
     product then runs on ``B`` bordered below by zero rows."""
     n = x.shape[0]
@@ -277,26 +441,26 @@ class _BandFactors:
     """Gram and flux of a Gram system in band storage, in its band order.
 
     ``order`` is that of :func:`_band_order`; ``gram`` and ``flux`` are the
-    general bands of the permuted Gram and flux on one common pair of
-    bandwidths ``kl`` and ``ku`` (7 and 7 on the assembled models, the
-    flux's own), and ``U`` is the system's kept band Cholesky factor of the
-    permuted Gram.  The bands are built where they are used and not cached
-    on the object, so that a wide band (a block's reaches half its
-    dimension) does not outlive its solve; the ``gram`` band, which only
-    the midpoint loop reads, on first read.  The operators act on vectors in the band order, with
-    real or complex BLAS as the flux is real or complex.  ``T^H T``
-    squares the norm of ``T``, so the Lanczos operators act on ``T /
-    scale``, where ``scale`` is the power of two just above ``|T q|`` for
-    the Lanczos start vector ``q`` (:func:`_start`): no Lanczos step then
-    overflows where ``T`` does not.
+    system's stored bands on one common pair of bandwidths ``kl`` and
+    ``ku`` (7 and 7 on the assembled models, the flux's own), and ``U`` is
+    the system's kept band Cholesky factor of the permuted Gram.  A band
+    is widened to the common pair only where the two differ, and not
+    cached on the object, so that a wide band does not outlive its solve;
+    the ``gram`` band, which only the midpoint loop reads, on first read.
+    The operators act on vectors in the band order, with real or complex
+    BLAS as the flux is real or complex.  ``T^H T`` squares the norm of
+    ``T``, so the Lanczos operators act on ``T / scale``, where ``scale`` is
+    the power of two just above ``|T q|`` for the Lanczos start vector
+    ``q`` (:func:`_start`): no Lanczos step then overflows where ``T`` does
+    not.
     """
 
     def __init__(self, gen: GramSystem):
         self._gen = gen
-        self.order = order = _band_order(gen)
+        self.order = _band_order(gen)
         k = gen._band_U.shape[0] - 1
-        self.kl, self.ku = (max(k, w) for w in _bandwidths(gen.flux, order))
-        self.flux = _band(gen.flux, order, self.kl, self.ku)
+        self.kl, self.ku = max(k, gen._flux.kl), max(k, gen._flux.ku)
+        self.flux = gen._flux.widened(self.kl, self.ku).ab
         self.U = gen._band_U.astype(self.flux.dtype, copy=False)
         self._tbsv, self._gbmv, self._nrm2 = blas.get_blas_funcs(
             ("tbsv", "gbmv", "nrm2"), dtype=self.flux.dtype
@@ -304,7 +468,7 @@ class _BandFactors:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _band(self._gen.gram, self.order, self.kl, self.ku)
+        return self._gen._gram.widened(self.kl, self.ku).ab
 
     @cached_property
     def scale(self) -> float:

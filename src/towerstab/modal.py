@@ -60,7 +60,16 @@ import numpy as np
 from scipy.linalg import blas
 
 from .errors import ValidationError
-from .generator import DiscreteGenerator, GramSystem, _beam_size, _frozen
+from .generator import (
+    DiscreteGenerator,
+    GramSystem,
+    _Band,
+    _band_order,
+    _beam_blocks,
+    _beam_size,
+    _frozen,
+    _rank,
+)
 from .timesim import beam_modes
 
 #: Largest number of nonzero rows of ``E`` the modal form takes; each
@@ -104,7 +113,8 @@ def modal_roots(gen: DiscreteGenerator) -> ModalRoots | None:
 
     ``None`` when the generator lacks the beam layout or a premise of the
     form fails on its arrays: the Gram is not exactly ``blkdiag(K, M, G)``
-    with symmetric ``K``, ``M`` and diagonal ``G``, or ``flux - S`` has
+    with symmetric ``K``, ``M`` and diagonal ``G``, the block states' flux
+    scaled to ``G^{-1/2} flux G^{-1/2}`` is not finite, or ``flux - S`` has
     more than ``MAX_RANK`` nonzero rows.  Otherwise the roots and the guard
     of the module docstring.  The trace bound is ``dim eps`` times the
     scale ``sum_i gain_i v_i^T gram^{-1} v_i + sum_k |delta_k| + sum_b
@@ -148,21 +158,30 @@ def _modal_form(gen: GramSystem) -> _ModalForm | None:
 
 
 def _build_modal_form(gen: GramSystem) -> _ModalForm | None:
-    """:func:`_modal_form` after checking the premises, uncached."""
+    """:func:`_modal_form` after checking the premises on the stored bands, uncached."""
     try:
-        n = _beam_size(gen)
+        n = _beam_size(gen.labels)
     except ValidationError:
         return None
-    if np.iscomplexobj(gen.flux):
+    gram, flux = gen._gram, gen._flux
+    if np.iscomplexobj(flux.ab):
         return None
-    gram = gen.gram
-    K, M, G = gram[:n, :n], gram[n:2 * n, n:2 * n], gram[2 * n:, 2 * n:]
-    g = np.diag(G).copy()
-    # count_nonzero allocates nothing: off the diagonal blocks the Gram is zero
-    # exactly when it has no more nonzeros than K, M and the diagonal of G.
-    if np.count_nonzero(gram) != sum(map(np.count_nonzero, (K, M, g))):
+    # The Gram is blkdiag(K, M, diag(g)) exactly when each nonzero couples two
+    # states of one part (each block state a part of its own) and the band
+    # equals its transpose.  The block states keep their places at the end
+    # of the band order, so g is the tail of the band's diagonal.
+    part = np.concatenate([np.zeros(n, int), np.ones(n, int), 2 + np.arange(gen.dim - 2 * n)])
+    part = part[_band_order(gen)]
+    i, j, v = gram.entries()
+    k = max(gram.kl, gram.ku)
+    if (part[i] != part[j])[v != 0].any() or not np.array_equal(
+        gram.widened(k, k).ab, gram.adjoint().widened(k, k).ab
+    ):
         return None
-    if not (np.array_equal(K, K.T) and np.array_equal(M, M.T)):
+    g = gram.diagonal(0)[2 * n:].copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the test below decides
+        scaled = flux.sub(np.arange(2 * n, gen.dim)).dense() / np.sqrt(np.outer(g, g))
+    if not np.isfinite(scaled).all():
         return None
     support = _remainder_rows(gen, n)
     if support is None:
@@ -189,15 +208,14 @@ def _build_modal_form(gen: GramSystem) -> _ModalForm | None:
     P = np.vstack([Z_upper.conj().T, Z_upper.T, Z_block.T])
     R = np.vstack([R_upper, R_upper.conj(), R_block])
     d = np.concatenate([1j * omega, -1j * omega, np.zeros(g.size)])
-    block_starts = np.linalg.eigvals(gen.flux[2 * n:, 2 * n:] / np.sqrt(np.outer(g, g)))
-    return _ModalForm(*map(_frozen, (d, P, R, block_starts)))
+    return _ModalForm(*map(_frozen, (d, P, R, np.linalg.eigvals(scaled))))
 
 
 def _channel_dissipation(gen: DiscreteGenerator, n: int) -> float:
     """``sum_i gain_i v_i^T gram^{-1} v_i`` over the declared channels, through
     the modes: ``K^{-1} = phi Omega^-2 phi^T``, ``M^{-1} = phi phi^T``."""
     omega, phi = beam_modes(gen)
-    g = np.diag(gen.gram)[2 * n:]
+    g = gen._gram.diagonal(0)[2 * n:]  # the block states', last in the band order
     dissipation = 0.0
     for _, gain, v in gen.damping_channels:
         dissipation += gain * float(
@@ -210,22 +228,27 @@ def _channel_dissipation(gen: DiscreteGenerator, n: int) -> float:
 
 def _remainder_rows(gen: GramSystem, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Indices and values of the nonzero rows of ``E = flux - S``, or ``None``
-    when there are more than ``MAX_RANK``; read in chunks of rows."""
-    flux, K = gen.flux, gen.gram[:n, :n]
-    step = max(1, CHUNK // gen.dim)
-    indices, values = [], []
-    for start in range(0, gen.dim, step):
-        E = np.array(flux[start:start + step])
-        i = np.arange(start, start + E.shape[0])
-        q, v = i < n, (i >= n) & (i < 2 * n)
-        E[q, n:2 * n] -= K[i[q]]
-        E[v, :n] += K[i[v] - n]
-        keep = np.flatnonzero(E.any(axis=1))
-        indices.extend(i[keep])
-        values.extend(E[keep])
-        if len(indices) > MAX_RANK:
-            return None
-    return np.array(indices, dtype=int), np.array(values).reshape(len(indices), gen.dim)
+    when there are more than ``MAX_RANK``; ``E`` is formed on the common
+    band of the flux and of ``S``, whose ``+-K`` is read off the Gram's."""
+    order = _band_order(gen)
+    rank = _rank(order)
+    a, b, v = _beam_blocks(gen)[0].entries()
+    S = _Band.from_entries(
+        gen.dim, np.concatenate([rank[a], rank[n + a]]), np.concatenate([rank[n + b], rank[b]]),
+        np.concatenate([v, -v]),
+    )
+    kl, ku = max(S.kl, gen._flux.kl), max(S.ku, gen._flux.ku)
+    E = _Band(gen._flux.widened(kl, ku).ab - S.widened(kl, ku).ab, kl, ku)
+    i, _, values = E.entries()
+    indices = np.sort(order[np.unique(i[values != 0])])
+    if indices.size > MAX_RANK:
+        return None
+    at = np.full(gen.dim, -1)
+    at[rank[indices]] = np.arange(indices.size)
+    a, b, values = E.entries(at, order)
+    rows = np.zeros((indices.size, gen.dim))
+    rows[a, b] = values
+    return indices, rows
 
 
 def _times(weights: np.ndarray, outer: np.ndarray) -> np.ndarray:

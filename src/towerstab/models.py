@@ -23,7 +23,15 @@ import numpy as np
 
 from .beam_fem import BeamMatrices, BeamParameters
 from .errors import SpectrumHit, ValidationError
-from .generator import DampingChannel, DiscreteGenerator
+from .generator import (
+    DampingChannel,
+    DiscreteGenerator,
+    _Band,
+    _bandwidths,
+    _gather,
+    _layout_order,
+    _rank,
+)
 from .passive_core import PassiveSystem, _resolvent_apply, couple_systems
 from .spectral import _as_grid
 
@@ -73,26 +81,46 @@ class HydraulicParameters:
 
 def _beam_core(
     beam: BeamMatrices, params: BeamParameters
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[_Band, _Band, dict[str, np.ndarray]]:
     """Gram, flux and tip unit vectors of the lossless beam on (q, v).
 
-    The Gram is blkdiag(K, M_full), where ``M_full`` is the beam mass matrix
-    with the nacelle mass and inertia added on the tip degrees of freedom;
-    the flux holds the skew pair ``+-K`` once, so its symmetric part is
-    exactly zero.  The third item maps the labels ``tip_velocity`` and
-    ``tip_angular_velocity`` to their unit state vectors.
+    The Gram is blkdiag(K, M_full), where ``K`` and ``M_full`` are the
+    symmetric parts of the beam's stiffness and mass matrices, with the
+    nacelle mass and inertia added on the tip degrees of freedom of
+    ``M_full``; the flux holds the skew pair ``+-K`` once, so its symmetric
+    part is exactly zero.  Both are written straight into their bands in
+    the beam's band order, entry by entry from the beam matrices, with no
+    ``(2 n_dof)**2`` array.  The third item maps the labels ``tip_velocity``
+    and ``tip_angular_velocity`` to their unit state vectors.
     """
     n = beam.n_dof
-    K = 0.5 * (beam.K + beam.K.T)
-    M_full = 0.5 * (beam.Mrho + beam.Mrho.T)
-    M_full[beam.tip_disp_index, beam.tip_disp_index] += params.m
-    M_full[beam.tip_rot_index, beam.tip_rot_index] += params.J
-    flux = np.zeros((2 * n, 2 * n))
-    flux[:n, n:] = K
-    flux[n:, :n] = -K
-    gram = np.zeros((2 * n, 2 * n))
-    gram[:n, :n] = K
-    gram[n:, n:] = M_full
+    order = _layout_order(_beam_labels(beam), 2 * n)
+
+    def stiffness(a, b):
+        return 0.5 * (beam.K[a, b] + beam.K[b, a])
+
+    def mass(a, b):
+        m = 0.5 * (beam.Mrho[a, b] + beam.Mrho[b, a])
+        for t, extra in ((beam.tip_disp_index, params.m), (beam.tip_rot_index, params.J)):
+            m[(a == t) & (b == t)] += extra
+        return m
+
+    def blocks(parts):
+        """Entries of the 2 x 2 block matrix with the n x n blocks ``parts``."""
+        def get(r, c):
+            out = np.zeros(r.shape)
+            for (bi, bj), part in parts.items():
+                at = (r // n == bi) & (c // n == bj)
+                out[at] = part(r[at] - bi * n, c[at] - bj * n)
+            return out
+        return get
+
+    # A state of node j sits at 4 j to 4 j + 3 in the band order, so entries
+    # w apart in K or Mrho are at most 2 w + 5 apart there; the system
+    # stores each band trimmed to its nonzero entries.
+    w = 2 * max(max(_bandwidths(a, np.arange(n))) for a in (beam.K, beam.Mrho)) + 5
+    gram = _gather(blocks({(0, 0): stiffness, (1, 1): mass}), order, w, w)
+    flux = _gather(blocks({(0, 1): stiffness, (1, 0): lambda a, b: -stiffness(a, b)}), order, w, w)
     e = np.zeros((2, 2 * n))
     e[0, n + beam.tip_disp_index] = e[1, n + beam.tip_rot_index] = 1.0
     return gram, flux, {"tip_velocity": e[0], "tip_angular_velocity": e[1]}
@@ -108,8 +136,8 @@ def _beam_labels(beam: BeamMatrices) -> list[str]:
 
 
 def _close_loops(
-    gram: np.ndarray,
-    flux: np.ndarray,
+    gram: _Band,
+    flux: _Band,
     labels: Sequence[str],
     channels: tuple[DampingChannel, ...],
     *loops: DampingChannel,
@@ -118,12 +146,14 @@ def _close_loops(
 
     Each loop takes ``k g g^T`` off the flux and becomes the damping channel
     ``-k (g.z)^2`` of the identity, after the given ``channels``.  The
-    update is made in place on ``flux``, which the caller hands over, and
-    only on the support of ``g``, so it needs no dim**2 temporary.
+    update is made in place on the band ``flux`` (in the band order of
+    ``labels``), which the caller hands over, and only on the support of
+    ``g``.
     """
+    rank = _rank(_layout_order(labels, flux.n))
     for _, k, g in loops:
         s = np.flatnonzero(g)
-        flux[np.ix_(s, s)] -= k * np.outer(g[s], g[s])
+        flux = flux.add(rank[s, None], rank[None, s], -(k * np.outer(g[s], g[s])))
     return DiscreteGenerator(
         gram=gram, flux=flux, labels=labels, damping_channels=channels + loops
     )
@@ -204,9 +234,8 @@ def assemble_hydraulic_feedback(gen: DiscreteGenerator, k: float) -> DiscreteGen
     if k < 0:
         raise ValidationError(f"feedback gain must be nonnegative, got {k}")
     g = -(gen.unit_state("tip_angular_velocity") + gen.unit_state("motor_speed_shift"))
-    return _close_loops(
-        gen.gram, gen.flux.copy(), gen.labels, gen.damping_channels, DampingChannel("feedback", k, g)
-    )
+    loop = DampingChannel("feedback", k, g)
+    return _close_loops(gen._gram, gen._flux.copy(), gen.labels, gen.damping_channels, loop)
 
 
 def scole_tip_block(

@@ -27,8 +27,12 @@ from .generator import (
     DampingChannel,
     DiscreteGenerator,
     GramSystem,
+    _Band,
     _band_order,
-    _beam_size,
+    _beam_blocks,
+    _block_diagonal,
+    _layout_order,
+    _rank,
     _top_hermitian_eigenvalue,
     energy_norm,
     symmetric_part,
@@ -95,7 +99,7 @@ class PassiveSystem(GramSystem):
 
     def is_real(self) -> bool:
         return not any(
-            np.iscomplexobj(mat) for mat in (self.flux, self.gram_B, self.C, self.D)
+            np.iscomplexobj(mat) for mat in (self._flux.ab, self.gram_B, self.C, self.D)
         )
 
 
@@ -118,10 +122,24 @@ class PassivityReport:
     passive: bool
 
 
+def _passivity_band(sys: PassiveSystem) -> tuple[_Band, np.ndarray]:
+    """``N = [[flux, gram_B], [-C, -D]]`` on its band, in the band order of
+    the states followed by the ports, and that order of ``(x, u)``."""
+    n, p = sys.n, sys.p
+    order = np.concatenate([_band_order(sys), np.arange(n, n + p)])
+    x, u = _rank(order)[:n], n + np.arange(p)  # the places of the states and of the ports
+    i, j, v = sys._flux.entries()
+    rows = (i, np.repeat(x, p), np.repeat(u, n), np.repeat(u, p))
+    cols = (j, np.tile(u, n), np.tile(x, p), np.tile(u, p))
+    values = (v, sys.gram_B.ravel(), -sys.C.ravel(), -sys.D.ravel())
+    return _Band.from_entries(n + p, *map(np.concatenate, (rows, cols, values))), order
+
+
 def _passivity_form(sys: PassiveSystem) -> np.ndarray:
-    """Hermitian form whose negativity is equivalent to impedance passivity."""
-    N = np.block([[sys.flux, sys.gram_B], [-sys.C, -sys.D]])
-    return symmetric_part(N)
+    """Hermitian form whose negativity is equivalent to impedance passivity,
+    dense, on ``(x, u)``: ``sym(N)`` of :func:`_passivity_band`."""
+    band, order = _passivity_band(sys)
+    return symmetric_part(band.dense(order))
 
 
 def _defect(sys: PassiveSystem, x: np.ndarray, u: np.ndarray) -> float:
@@ -144,8 +162,7 @@ def verify_passivity(sys: PassiveSystem) -> PassivityReport:
     unit pairs is ``-lambda_max(N)``.  Passive means ``lambda_max <= 1e-10``.
     One banded eigensolve, as for the dissipation defect, ports last.
     """
-    order = np.concatenate([_band_order(sys), np.arange(sys.n, sys.n + sys.p)])
-    lam = _top_hermitian_eigenvalue(_passivity_form(sys), order)
+    lam = _top_hermitian_eigenvalue(_passivity_band(sys)[0])
     return PassivityReport(lambda_max=lam, passive=lam <= PASSIVITY_TOL)
 
 
@@ -291,9 +308,15 @@ def feedback_transform(sys: PassiveSystem, Q: np.ndarray, c: float) -> PassiveSy
     if cond > CONDITION_LIMIT:
         raise NumericalError(f"I + DQ is near-singular (cond = {cond:.3e})")
     IQD = np.eye(p) + Q @ sys.D
+    X = Q @ sla.solve(IDQ, sys.C)
+    # gram_B X on the rows gram_B reaches and the columns X reads
+    rows, cols = np.flatnonzero(sys.gram_B.any(axis=1)), np.flatnonzero(X.any(axis=0))
+    update = sys.gram_B[rows] @ X[:, cols]
+    rank = _rank(_band_order(sys))
+    flux = sys._flux.copy(np.result_type(sys._flux.ab, update))
     out = PassiveSystem(
-        gram=sys.gram,
-        flux=sys.flux - sys.gram_B @ (Q @ sla.solve(IDQ, sys.C)),
+        gram=sys._gram,
+        flux=flux.add(rank[rows, None], rank[None, cols], -update),
         gram_B=sla.solve(IQD.T, sys.gram_B.T).T,
         C=sla.solve(IDQ, sys.C),
         D=sla.solve(IDQ, sys.D),
@@ -340,29 +363,29 @@ def couple_systems(
     L1 = sla.solve(eye + sys2.D @ sys1.D, np.hstack([-sys2.D @ sys1.C, sys2.C]))
     L2 = -sla.solve(IDD, np.hstack([sys1.C, sys1.D @ sys2.C]))
     n1, n2 = sys1.n, sys2.n
-    gram = np.zeros((n1 + n2, n1 + n2))
-    flux = np.zeros((n1 + n2, n1 + n2))
+    if labels is None:
+        labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
+    order = _layout_order(labels, n1 + n2)
+    rank = _rank(order)
+    gram, flux = (
+        _block_diagonal([(getattr(s, name), _band_order(s)) for s in (sys1, sys2)], order)
+        for name in ("_gram", "_flux")
+    )
     channels = []
     taken = {ch.name for ch in sys1.channels}
-    for block, L, rows, clash in (
-        (sys1, L1, slice(0, n1), set()), (sys2, L2, slice(n1, n1 + n2), taken)
-    ):
-        gram[rows, rows] = block.gram
-        flux[rows, rows] = block.flux
+    for block, L, start, clash in ((sys1, L1, 0, set()), (sys2, L2, n1, taken)):
         # gram_B L on the rows gram_B reaches and the columns L reads
-        r = rows.start + np.flatnonzero(block.gram_B.any(axis=1))
+        r = start + np.flatnonzero(block.gram_B.any(axis=1))
         c = np.flatnonzero(L.any(axis=0))
-        flux[np.ix_(r, c)] += block.gram_B[r - rows.start] @ L[:, c]
+        flux = flux.add(rank[r, None], rank[None, c], block.gram_B[r - start] @ L[:, c])
         for name, gain, v in block.channels:
             lifted = np.zeros(n1 + n2)
-            lifted[rows] = v[: block.n]
+            lifted[start:start + block.n] = v[: block.n]
             name = f"sys2.{name}" if name in clash else name
             channels.append(DampingChannel(name, gain, lifted + v[block.n:] @ L))
     # x + 0 is x but for the -0 entries of the beam core's -K, which it makes
     # +0, so no signed zero depends on which entries gram_B L reached
-    flux += 0.0
-    if labels is None:
-        labels = [f"sys1[{i}]" for i in range(n1)] + [f"sys2[{j}]" for j in range(n2)]
+    flux.ab[...] += 0.0
     gen = DiscreteGenerator(
         gram=gram, flux=flux, labels=labels, damping_channels=tuple(channels)
     )
@@ -500,12 +523,13 @@ ETA_EXCLUSION_TOL = 1e-12
 
 def _share_beam_modes(source: GramSystem, target: GramSystem) -> None:
     """Give ``target`` the beam modes of ``source`` when both have the beam
-    layout with bitwise equal ``K`` and ``M``, all that ``beam_modes`` reads."""
+    layout with bitwise equal bands of ``K`` and ``M``, all that
+    ``beam_modes`` reads."""
     try:
-        n = _beam_size(source)
-        same = _beam_size(target) == n and all(
-            np.array_equal(source.gram[b, b].view(np.int64), target.gram[b, b].view(np.int64))
-            for b in (slice(0, n), slice(n, 2 * n))
+        same = all(
+            (a.kl, a.ku) == (b.kl, b.ku)
+            and np.array_equal(a.ab.view(np.int64), b.ab.view(np.int64))
+            for a, b in zip(_beam_blocks(source), _beam_blocks(target))
         )
     except ValidationError:  # no beam layout
         return

@@ -55,12 +55,14 @@ from .errors import NumericalError, ValidationError
 from .generator import (
     DiscreteGenerator,
     GramSystem,
+    _Band,
     _BandFactors,
     _band_times,
-    _bandwidths,
+    _beam_blocks,
     _beam_size,
     _frozen,
     energy_coordinates,
+    symmetric_part,
 )
 
 INITIAL_DATA_PROFILES = ("smooth_modal", "tip_kick", "static_bend")
@@ -245,7 +247,9 @@ def _energy_eigenbasis(gen: DiscreteGenerator):
         return None
     # dT^T = -X^{-T} (T X - X diag(lam))^T: one transposed solve with the LU.
     dT = -sla.lu_solve(lu, (T @ X - X * lam).T, trans=1, check_finite=False).T
-    rho = np.linalg.norm(0.5 * (dT + dT.conj().T), 2)
+    if not np.isfinite(dT).all():  # a backward error that overflows certifies nothing
+        return None
+    rho = np.linalg.norm(symmetric_part(dT), 2)
     if not 4.0 * rho <= 0.5 * IDENTITY_RTOL:
         return None
     return lam, X, lu
@@ -339,7 +343,9 @@ def beam_modes(gen: GramSystem) -> tuple[np.ndarray, np.ndarray]:
     Solves the pencil ``K phi = omega^2 M phi`` of the Gram's ``(q, v)``
     blocks once per generator and caches it, read-only; returns angular
     frequencies (ascending) and mass-normalized mode shapes with a fixed
-    sign convention (positive tip displacement).
+    sign convention (positive tip displacement).  ``K`` and ``M`` are read
+    off the Gram's band (:func:`~towerstab.generator._beam_blocks`) and
+    formed ``n x n`` in Fortran order, in which ``eigh`` overwrites them.
 
     The frequencies are the Rayleigh quotients ``omega_k^2 = phi_k^T K
     phi_k`` of the computed shapes, which the solver returns M-normalized
@@ -351,15 +357,16 @@ def beam_modes(gen: GramSystem) -> tuple[np.ndarray, np.ndarray]:
     omega_k^2`` relative.
     """
     if gen._modes is None:
-        n = _beam_size(gen)
-        K, M = gen.gram[:n, :n], gen.gram[n:2 * n, n:2 * n]
-        _, phi = sla.eigh(K, M)
-        for j in range(phi.shape[1]):
+        K, M = _beam_blocks(gen)
+        band = _bands(K)
+        K, M = (B.dense(layout="F") for B in (K, M))
+        _, phi = sla.eigh(K, M, overwrite_a=True, overwrite_b=True)
+        n = phi.shape[0]
+        for j in range(n):
             anchor = phi[-2, j] if abs(phi[-2, j]) > 1e-12 else phi[np.argmax(np.abs(phi[:, j])), j]
             if anchor < 0:
                 phi[:, j] = -phi[:, j]
         omega2 = np.empty(n)
-        band = _bands(K)
         for c in range(0, n, MODE_BLOCK):
             shapes = phi[:, c:c + MODE_BLOCK]
             omega2[c:c + MODE_BLOCK] = np.einsum("ij,ij->j", shapes, _band_product(band, shapes))
@@ -368,13 +375,14 @@ def beam_modes(gen: GramSystem) -> tuple[np.ndarray, np.ndarray]:
     return gen._modes
 
 
-def _bands(K: np.ndarray) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """The nonzero diagonals of ``K``, scaled by ``2**-exponent`` so that no
+def _bands(K: _Band) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """The diagonals of the band ``K``, scaled by ``2**-exponent`` so that no
     entry exceeds 1 (exact), each as ``(offset, high, low)`` halves of
     :func:`_split`; and that exponent."""
-    width = max(_bandwidths(K, np.arange(K.shape[0])))
-    exponent = int(np.frexp(np.abs(K).max())[1])
-    diagonals = [np.ldexp(np.diagonal(K, k), -exponent)[:, None] for k in range(-width, width + 1)]
+    width = max(K.kl, K.ku)
+    K = K.widened(width, width)
+    exponent = int(np.frexp(np.abs(K.ab).max())[1])
+    diagonals = [np.ldexp(K.diagonal(k), -exponent)[:, None] for k in range(-width, width + 1)]
     return exponent, [(k, *_split(d)) for k, d in zip(range(-width, width + 1), diagonals)]
 
 
@@ -436,7 +444,7 @@ def classical_initial_data(
     w(x) = x^2 with zero velocity.  Auxiliary (damper, drivetrain) states
     start at zero.
     """
-    n = _beam_size(gen)
+    n = _beam_size(gen.labels)
     z = np.zeros(gen.dim)
     if profile == "smooth_modal":
         omega, phi = beam_modes(gen)

@@ -1,4 +1,5 @@
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -83,16 +84,27 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+class Traced(NamedTuple):
+    """Bytes traced by tracemalloc: the ``peak`` during a call, and those
+    ``kept`` after it, while its result is still held."""
+
+    peak: int
+    kept: int
+
+
 @pytest.fixture
 def traced_peak():
-    """``peak(fn)``: call ``fn()`` under tracemalloc and return the peak of the
-    memory it traced, in bytes (numpy reports its array buffers to it)."""
+    """``peak(fn)``: call ``fn()`` under tracemalloc and return the
+    :class:`Traced` bytes of the call (numpy reports its array buffers to
+    tracemalloc)."""
 
-    def peak(fn) -> int:
+    def peak(fn) -> Traced:
         tracemalloc.start()
         try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
+            result = fn()  # held, so that what it keeps is still traced
+            kept, top = tracemalloc.get_traced_memory()
+            del result
+            return Traced(peak=top, kept=kept)
         finally:
             tracemalloc.stop()
 

@@ -533,6 +533,24 @@ class TestExitCodes:
             assert checks[name]["status"] == "fail"
             assert checks[name]["error"].startswith(prefix), checks[name]
 
+    @pytest.mark.parametrize(
+        "overrides", [{"model": "tmd", "d1": 1e308}, {"model": "hydraulic_feedback", "k_fb": 1e308}]
+    )
+    def test_symmetric_parts_of_a_finite_flux_do_not_overflow(self, tmp_path, overrides):
+        """The flux holds -1e308 twice across its diagonal, whose sum
+        overflows: halved before the sum, the symmetric parts of the
+        dissipation defect and of the passivity form stay finite, and the
+        run ends in exit 3 with a status for every check instead of scipy's
+        ``ValueError`` on infinite entries."""
+        path = write_config(tmp_path, n_elements=4, T=0.5, **overrides)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert set(checks) == set(cli.CHECK_NAMES)
+        assert checks["dissipativity"]["status"] == "pass"
+        assert checks["dissipativity"]["defect"] <= 0.0
+
     def test_diverging_step_loop_fails_without_warnings(self):
         """A diverging run is decided by the loop's finiteness test alone:
         no numpy warning escapes on the way, and the failure names the step
@@ -634,7 +652,7 @@ class TestRendering:
         columns = list(np.random.default_rng(0).standard_normal((500, 500)))
         peak = traced_peak(
             lambda: cli.write_columns_csv(tmp_path / "c.csv", [str(j) for j in range(500)], columns)
-        )
+        ).peak
         assert peak < 3e6, peak
         written = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)
         assert np.array_equal(written, np.array(columns).T)
@@ -660,7 +678,7 @@ class TestRendering:
         against 24 MB for the whole structured table."""
         t = np.linspace(0.0, 1.0, 10**6)
         columns = [t, np.exp(-t), np.sin(t)]
-        peak = traced_peak(lambda: cli.write_columns_npy(tmp_path / "t.npy", ["t", "E", "v"], columns))
+        peak = traced_peak(lambda: cli.write_columns_npy(tmp_path / "t.npy", ["t", "E", "v"], columns)).peak
         assert peak < 2e6, peak
 
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
@@ -800,11 +818,22 @@ class TestAssemblyMemory:
     def test_runner_peak_at_256_elements(self, traced_peak, model, bound_mib):
         """The loops close on the support of their input maps and the blocks
         couple on the support of ``gram_B L``, with no dim**2 temporaries:
-        the peak is the kept Gram and flux (dim 1024, 16.1 MiB) and, on the
-        hydraulic models, the coupled tip block (16.1 MiB more) while it
-        lives; with the temporaries it was 44.1 and 52.5 MiB."""
+        with them the peak was 44.1 and 52.5 MiB."""
         cfg = cli.load_config(None, {"model": model, "n_elements": 256})
-        assert traced_peak(lambda: cli.Runner(cfg)) < bound_mib * 2**20
+        assert traced_peak(lambda: cli.Runner(cfg)).peak < bound_mib * 2**20
+
+    @pytest.mark.parametrize("model, bound_mib", [("combined", 12.0), ("tmd", 18.7)])
+    def test_runner_keeps_bands_only(self, traced_peak, model, bound_mib):
+        """Every Gram and flux is stored as its band and written there by the
+        assembly, so at 256 elements (dim 1024) a runner keeps under 1 MiB:
+        the dense Gram and flux of the model (and, on tmd, of its tip block)
+        kept 16.1 and 32.3 MiB.  The peak is the beam's dense K and Mrho
+        with the assembly's O(dim) temporaries, at most half of the 24.1 and
+        37.4 MiB that the dense assembly traced."""
+        cfg = cli.load_config(None, {"model": model, "n_elements": 256})
+        traced = traced_peak(lambda: cli.Runner(cfg))
+        assert traced.kept < 2**20
+        assert traced.peak <= bound_mib * 2**20
 
 
 class TestDefaults:

@@ -7,6 +7,8 @@ representation that drops a term, or a generator without the beam layout,
 goes to the dense route.
 """
 
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -113,6 +115,23 @@ class TestRoute:
         spectrum = spectral.energy_spectrum(gen)
         assert spectrum.route == "dense"
         assert np.array_equal(spectrum.eigenvalues, _energy_eigenvalues(gen))
+
+    def test_form_declines_a_block_it_cannot_scale(self, tmp_path):
+        """At ``m1 = 1e-308`` the damper's Gram entries square to 0 in
+        ``outer(g, g)``, so its flux scaled by them is not finite: the form
+        declines, the dense route decides the spectrum, and the run ends in
+        exit 3 with per-check statuses instead of a ``LinAlgError``."""
+        gen = build("tmd", 4, m1=1e-308)
+        assert modal._modal_form(gen) is None
+        assert modal.modal_roots(gen) is None
+        assert spectral.energy_spectrum(gen).route == "dense"
+        path = tmp_path / "config.json"
+        path.write_text('{"model": "tmd", "m1": 1e-308, "n_elements": 4, "T": 0.5}')
+        out = tmp_path / "out"
+        assert cli.main(["verify-all", "--config", str(path), "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert set(checks) == set(cli.CHECK_NAMES)
+        assert (checks["spectrum"]["status"], checks["spectrum"]["route"]) == ("pass", "dense")
 
     def test_undamped_model_has_real_parts_exactly_zero(self):
         gen = build("combined", 64, a=0.0, b=0.0)

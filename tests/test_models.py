@@ -193,6 +193,43 @@ class TestAssembledOnce:
         assert gram_checks == ["gram"] * 3
 
 
+class TestStoredBands:
+    """The Gram and the flux are stored as bands only; ``gram`` and ``flux``
+    are dense read-only arrays formed from them on each read."""
+
+    @pytest.mark.parametrize("model", cli.MODEL_KINDS)
+    def test_dense_reads_are_read_only_and_not_kept(self, model):
+        gen = cli.build_generator(cli.RunConfig.from_dict({"model": model, "n_elements": 4}))
+        for name in ("gram", "flux"):
+            dense = getattr(gen, name)
+            with pytest.raises(ValueError, match="read-only"):
+                dense[0, 0] = 1.0
+            assert getattr(gen, name) is not dense
+        assert not any(
+            isinstance(a, np.ndarray) and a.size >= gen.dim**2 for a in vars(gen).values()
+        )
+
+    @pytest.mark.parametrize("labelled", [True, False], ids=["beam-layout", "identity-order"])
+    def test_dense_input_reads_back_with_its_band_bytes(self, desk_models, labelled):
+        """Signed zeros everywhere: the read equals the input, and inside the
+        band of its nonzero entries, in the band order, it has the same
+        bytes (outside it, the zeros read back as +0)."""
+        base = desk_models["combined"]
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], size=(base.dim, base.dim))
+        gram, flux = np.array(base.gram), base.flux * signs
+        labels = base.labels if labelled else [f"s{i}" for i in range(base.dim)]
+        gen = ts.DiscreteGenerator(gram=gram, flux=flux, labels=labels)
+        order = generator._band_order(gen)
+        rank = generator._rank(order)
+        offset = rank[None, :] - rank[:, None]
+        for read, given in ((gen.gram, gram), (gen.flux, flux)):
+            assert np.array_equal(read, given)
+            kl, ku = generator._bandwidths(given, order)
+            inside = (offset >= -kl) & (offset <= ku)
+            assert np.array_equal(read.view(np.int64)[inside], given.view(np.int64)[inside])
+            assert not np.signbit(read[~inside]).any()
+
+
 class TestHydraulicFeedback:
     def test_zero_gain_leaves_generator_unchanged(self, desk_models):
         base = desk_models["hydraulic"]
