@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .generator import check_spd
+from .generator import _Band, _frozen, check_spd
 
 Coefficient = Callable[[float], float]
 
@@ -64,17 +64,28 @@ def _constant(value: float) -> Coefficient:
 class BeamMatrices:
     """Assembled quadratic forms of the beam energy norm.
 
-    ``K`` and ``Mrho`` are symmetric positive definite; ``tip_disp_index``
-    and ``tip_rot_index`` point at the w(1) and w_x(1) degrees of freedom.
+    ``K_band`` and ``Mrho_band``, read-only bands (:class:`_Band`) of width
+    ``min(3, n_dof - 1)`` in the natural dof order, are the only stored
+    form of the symmetric positive definite ``K`` and ``Mrho``, which read
+    back dense and read-only, formed on each read.  ``tip_disp_index`` and
+    ``tip_rot_index`` point at the w(1) and w_x(1) degrees of freedom.
     """
 
-    K: np.ndarray
-    Mrho: np.ndarray
+    K_band: _Band
+    Mrho_band: _Band
     tip_disp_index: int
     tip_rot_index: int
     n_dof: int
     n_elements: int
     h: float
+
+    @property
+    def K(self) -> np.ndarray:
+        return _frozen(self.K_band.dense())
+
+    @property
+    def Mrho(self) -> np.ndarray:
+        return _frozen(self.Mrho_band.dense())
 
     def node_coordinates(self) -> np.ndarray:
         """Positions of the nodes carrying degrees of freedom (excludes x=0)."""
@@ -124,39 +135,45 @@ def _sample_coefficient(fn: Coefficient, x: np.ndarray, name: str) -> np.ndarray
 def build_beam_matrices(params: BeamParameters, n_elements: int) -> BeamMatrices:
     """Assemble stiffness and mass matrices on a uniform mesh.
 
-    Coefficients are sampled at the quadrature points only; no interpolation
-    of ``rho`` or ``EI`` is performed.  They are also checked, not used, at
-    x = 0 and x = 1.  Raises :class:`ValidationError` on a sample that is
-    not finite and positive, naming the location.
+    Each element's 4 x 4 matrices are added straight into the bands, in
+    element order, with no ``n_dof**2`` array.  Coefficients are sampled
+    at the quadrature points only; no interpolation of ``rho`` or ``EI``
+    is performed.  They are also checked, not used, at x = 0 and x = 1.
+    Raises :class:`ValidationError` on a sample that is not finite and
+    positive, naming the location.
     """
     if n_elements < 1:
         raise ValidationError(f"n_elements must be >= 1, got {n_elements}")
     n_dof = 2 * n_elements
     h = 1.0 / n_elements
-    K = np.zeros((n_dof + 2, n_dof + 2))
-    M = np.zeros((n_dof + 2, n_dof + 2))
+    k = min(3, n_dof - 1)  # an element couples dofs at most 3 apart
+    K, M = (_Band(np.zeros((2 * k + 1, n_dof), order="F"), k, k) for _ in range(2))
     H = _hermite_values(GAUSS_POINTS, h)
     B = _hermite_curvatures(GAUSS_POINTS, h)
+    # Entry (a, b) of element e's matrices is K[2 e - 2 + a, 2 e - 2 + b] once
+    # the clamped node's value and slope dofs are dropped: band row k + a - b,
+    # column 2 e - 2 + b.  The first element keeps only its entries a, b >= 2.
+    a, b = np.divmod(np.arange(16), 4)
+    rows, cols = k + a - b, b - 2
+    first = (a >= 2) & (b >= 2)
     for e in range(n_elements):
         x = (e + GAUSS_POINTS) * h
         ei = _sample_coefficient(params.EI, x, "EI")
         rho = _sample_coefficient(params.rho, x, "rho")
         Ke = np.einsum("g,ig,jg->ij", GAUSS_WEIGHTS * h * ei, B, B)
         Me = np.einsum("g,ig,jg->ij", GAUSS_WEIGHTS * h * rho, H, H)
-        sl = slice(2 * e, 2 * e + 4)
-        K[sl, sl] += Ke
-        M[sl, sl] += Me
+        at = first if e == 0 else slice(None)
+        K.ab[rows[at], cols[at] + 2 * e] += Ke.ravel()[at]
+        M.ab[rows[at], cols[at] + 2 * e] += Me.ravel()[at]
     ends = np.array([0.0, 1.0])
     _sample_coefficient(params.EI, ends, "EI")
     _sample_coefficient(params.rho, ends, "rho")
-    # Clamp: drop the value and slope dofs of the node at x = 0.
-    K = K[2:, 2:]
-    M = M[2:, 2:]
-    check_spd(K, "K")
-    check_spd(M, "Mrho")
+    for band, name in ((K, "K"), (M, "Mrho")):
+        check_spd(band, name)
+        _frozen(band.ab)
     return BeamMatrices(
-        K=K,
-        Mrho=M,
+        K_band=K,
+        Mrho_band=M,
         tip_disp_index=n_dof - 2,
         tip_rot_index=n_dof - 1,
         n_dof=n_dof,

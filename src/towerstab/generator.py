@@ -65,7 +65,7 @@ class _Band(NamedTuple):
     every entry of ``B`` outside the band is zero, and so are the corners of
     ``ab`` outside the matrix.  A Gram system stores its Gram and flux in
     this form, in its band order (:func:`_band_order`), on the band of
-    their nonzero entries."""
+    their nonzero entries, and the beam its ``K`` and ``Mrho``."""
 
     ab: np.ndarray
     kl: int
@@ -81,8 +81,15 @@ class _Band(NamedTuple):
 
     @classmethod
     def of(cls, A: np.ndarray, order: np.ndarray) -> _Band:
-        """The band of a dense ``A[order][:, order]``, sized from every nonzero."""
-        return _gather(lambda r, c: A[r, c], order, *_bandwidths(A, order), A.dtype)
+        """The band of a dense ``A[order][:, order]``, sized from every nonzero
+        and read one diagonal at a time, in ``O(dim)`` temporaries; every
+        entry inside it keeps its bytes, signed zeros included."""
+        n, (kl, ku) = order.size, _bandwidths(A, order)
+        band = cls(np.zeros((kl + ku + 1, n), A.dtype, order="F"), kl, ku)
+        for d in range(-kl, ku + 1):  # B[i, i + d] for the rows i that have it
+            i = np.arange(max(0, -d), n - max(0, d))
+            band.diagonal(d)[...] = A[order[i], order[i + d]]
+        return band
 
     @classmethod
     def from_entries(cls, n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> _Band:
@@ -154,21 +161,18 @@ class _Band(NamedTuple):
         return A
 
 
-def check_spd(
-    M: np.ndarray | _Band, name: str = "gram", order: np.ndarray | None = None
-) -> np.ndarray:
+def check_spd(M: np.ndarray | _Band, name: str = "gram") -> np.ndarray:
     """Validate that a square ``M`` is symmetric positive definite, on its band.
 
-    ``M`` is a :class:`_Band`, or a dense array taken in ``order`` (the
-    identity by default) on the band of its nonzero entries.  Returns the
-    upper band Cholesky factor of that band.  Raises
-    :class:`ValidationError` if an entry is not finite, if ``M`` is not
-    symmetric to within ``SYMMETRY_RTOL`` relative or if any Cholesky pivot
-    fails.
+    ``M`` is a :class:`_Band`, or a dense array taken on the band of its
+    nonzero entries.  Returns the upper band Cholesky factor of that band.
+    Raises :class:`ValidationError` if an entry is not finite, if ``M`` is
+    not symmetric to within ``SYMMETRY_RTOL`` relative or if any Cholesky
+    pivot fails.
     """
     if not isinstance(M, _Band):
         M = np.asarray(M, dtype=float)
-        M = _Band.of(M, np.arange(M.shape[0]) if order is None else order)
+        M = _Band.of(M, np.arange(M.shape[0]))
     k = max(M.kl, M.ku)
     upper, lower = (B.widened(k, k).ab[: k + 1] for B in (M, M.adjoint()))
     if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
@@ -400,19 +404,6 @@ def _bandwidths(A: np.ndarray, order: np.ndarray) -> tuple[int, int]:
     rank = _rank(order)
     offset = rank[cols] - rank[rows]
     return max(0, -int(offset.min(initial=0))), max(0, int(offset.max(initial=0)))
-
-
-def _gather(get: Callable, order: np.ndarray, kl: int, ku: int, dtype=float) -> _Band:
-    """The band on ``(kl, ku)`` of ``A[order][:, order]`` for the matrix ``A``
-    that ``get(rows, cols)`` reads entrywise, one diagonal at a time, in
-    ``O(dim (kl + ku))`` time and ``O(dim)`` temporaries."""
-    n = order.size
-    kl, ku = min(kl, n - 1), min(ku, n - 1)  # no wider than the matrix
-    band = _Band(np.zeros((kl + ku + 1, n), dtype, order="F"), kl, ku)
-    for d in range(-kl, ku + 1):  # B[i, i + d] for the rows i that have it
-        i = np.arange(max(0, -d), n - max(0, d))
-        band.diagonal(d)[...] = get(order[i], order[i + d])
-    return band
 
 
 def _block_diagonal(blocks: Sequence[tuple[_Band, np.ndarray]], order: np.ndarray) -> _Band:

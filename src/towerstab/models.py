@@ -27,8 +27,7 @@ from .generator import (
     DampingChannel,
     DiscreteGenerator,
     _Band,
-    _bandwidths,
-    _gather,
+    _block_diagonal,
     _layout_order,
     _rank,
 )
@@ -88,42 +87,30 @@ def _beam_core(
     symmetric parts of the beam's stiffness and mass matrices, with the
     nacelle mass and inertia added on the tip degrees of freedom of
     ``M_full``; the flux holds the skew pair ``+-K`` once, so its symmetric
-    part is exactly zero.  Both are written straight into their bands in
-    the beam's band order, entry by entry from the beam matrices, with no
-    ``(2 n_dof)**2`` array.  The third item maps the labels ``tip_velocity``
+    part is exactly zero.  Both are written straight from the beam's bands
+    into their own, in the beam's band order, with no ``(2 n_dof)**2`` or
+    ``n_dof**2`` array.  The third item maps the labels ``tip_velocity``
     and ``tip_angular_velocity`` to their unit state vectors.
     """
     n = beam.n_dof
     order = _layout_order(_beam_labels(beam), 2 * n)
-
-    def stiffness(a, b):
-        return 0.5 * (beam.K[a, b] + beam.K[b, a])
-
-    def mass(a, b):
-        m = 0.5 * (beam.Mrho[a, b] + beam.Mrho[b, a])
-        for t, extra in ((beam.tip_disp_index, params.m), (beam.tip_rot_index, params.J)):
-            m[(a == t) & (b == t)] += extra
-        return m
-
-    def blocks(parts):
-        """Entries of the 2 x 2 block matrix with the n x n blocks ``parts``."""
-        def get(r, c):
-            out = np.zeros(r.shape)
-            for (bi, bj), part in parts.items():
-                at = (r // n == bi) & (c // n == bj)
-                out[at] = part(r[at] - bi * n, c[at] - bj * n)
-            return out
-        return get
-
-    # A state of node j sits at 4 j to 4 j + 3 in the band order, so entries
-    # w apart in K or Mrho are at most 2 w + 5 apart there; the system
-    # stores each band trimmed to its nonzero entries.
-    w = 2 * max(max(_bandwidths(a, np.arange(n))) for a in (beam.K, beam.Mrho)) + 5
-    gram = _gather(blocks({(0, 0): stiffness, (1, 1): mass}), order, w, w)
-    flux = _gather(blocks({(0, 1): stiffness, (1, 0): lambda a, b: -stiffness(a, b)}), order, w, w)
+    K, M = (_symmetric(band) for band in (beam.K_band, beam.Mrho_band))
+    M.diagonal(0)[[beam.tip_disp_index, beam.tip_rot_index]] += (params.m, params.J)
+    gram = _block_diagonal([(K, np.arange(n)), (M, np.arange(n))], order)
+    rank = _rank(order)
+    i, j, k = K.entries(rank[:n], rank[n:])  # K is exactly symmetric: -K is its transpose
+    flux = _Band.from_entries(2 * n, np.r_[i, j], np.r_[j, i], np.r_[k, -k])
     e = np.zeros((2, 2 * n))
     e[0, n + beam.tip_disp_index] = e[1, n + beam.tip_rot_index] = 1.0
     return gram, flux, {"tip_velocity": e[0], "tip_angular_velocity": e[1]}
+
+
+def _symmetric(band: _Band) -> _Band:
+    """``0.5 (B + B^T)`` of a real band ``B``, on its widest side ``k``
+    both ways; each entry is ``0.5 (B[i, j] + B[j, i])``, bit for bit the
+    same at ``(i, j)`` and ``(j, i)``."""
+    k = max(band.kl, band.ku)
+    return _Band(0.5 * (band.widened(k, k).ab + band.adjoint().widened(k, k).ab), k, k)
 
 
 def _beam_labels(beam: BeamMatrices) -> list[str]:

@@ -252,9 +252,10 @@ def _modal_norms(form, grid: np.ndarray, norm_T: float) -> np.ndarray:
     """
     d, P, R = form.d, form.P, form.R
     s = np.abs(grid)
-    weight = np.linalg.norm(P, axis=1) * np.linalg.norm(R, axis=1) * (
-        np.linalg.norm(P) * np.linalg.norm(R)
-    )
+    with np.errstate(over="ignore"):  # a weight past the float range is inf: bordered
+        weight = np.linalg.norm(P, axis=1) * np.linalg.norm(R, axis=1) * (
+            np.linalg.norm(P) * np.linalg.norm(R)
+        )
     step = max(1, STACK_ENTRIES // d.size)
     bordered = np.concatenate([
         _bordered(d, weight, s[k:k + step], norm_T).sum(axis=1)

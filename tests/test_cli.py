@@ -551,6 +551,25 @@ class TestExitCodes:
         assert checks["dissipativity"]["status"] == "pass"
         assert checks["dissipativity"]["defect"] <= 0.0
 
+    def test_infinite_loop_gain_borders_modes_without_warnings(self, tmp_path):
+        """The modal form's ``R`` rows carry the 1e308 loop gain, so the
+        bordering weights of the resolvent scan overflow: they read ``inf``
+        (every mode bordered) with no numpy warning, and every check keeps
+        its status."""
+        cfg = {"model": "hydraulic_feedback", "k_fb": 1e308, "n_elements": 4}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, out_dir=str(tmp_path / "out"))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify-all", "--config", str(path)]) == cli.EXIT_CHECK_FAILED
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        failed = {"spectrum", "scan", "kernel", "dissipation_identity", "decay"}
+        not_run = {"coupling_bound", "transfer_cross_validation"}
+        assert {name: check["status"] for name, check in checks.items()} == {
+            name: "fail" if name in failed else "not run" if name in not_run else "pass"
+            for name in cli.CHECK_NAMES
+        }
+
     def test_diverging_step_loop_fails_without_warnings(self):
         """A diverging run is decided by the loop's finiteness test alone:
         no numpy warning escapes on the way, and the failure names the step
@@ -827,13 +846,27 @@ class TestAssemblyMemory:
         """Every Gram and flux is stored as its band and written there by the
         assembly, so at 256 elements (dim 1024) a runner keeps under 1 MiB:
         the dense Gram and flux of the model (and, on tmd, of its tip block)
-        kept 16.1 and 32.3 MiB.  The peak is the beam's dense K and Mrho
-        with the assembly's O(dim) temporaries, at most half of the 24.1 and
-        37.4 MiB that the dense assembly traced."""
+        kept 16.1 and 32.3 MiB.  The peak bound, half of the 24.1 and 37.4
+        MiB that the dense assembly traced, was set when the beam's dense K
+        and Mrho were in it (1.4 and 2.0 MiB since the beam is banded)."""
         cfg = cli.load_config(None, {"model": model, "n_elements": 256})
         traced = traced_peak(lambda: cli.Runner(cfg))
         assert traced.kept < 2**20
         assert traced.peak <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("model", ["combined", "tmd"])
+    def test_runner_at_1024_elements_is_linear_in_n_dof(self, traced_peak, model):
+        """The beam is built in band storage and assembled from its bands, so
+        no n_dof**2 array exists on the way: at 1024 elements (n_dof 2048)
+        a runner keeps at most 2 KiB per beam dof (680 and 1343 bytes
+        measured on combined and tmd) and peaks at at most 8 KiB per beam
+        dof (2.9 and 4.0 KiB measured), half of one dense n_dof**2 float
+        array.  With the dense K and Mrho the peak was 71.3 and 72.0 MiB."""
+        n_dof = 2048
+        cfg = cli.load_config(None, {"model": model, "n_elements": n_dof // 2})
+        traced = traced_peak(lambda: cli.Runner(cfg))
+        assert traced.kept <= 2 * 1024 * n_dof
+        assert traced.peak <= 8 * 1024 * n_dof
 
 
 class TestDefaults:
