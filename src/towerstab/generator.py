@@ -171,7 +171,7 @@ def check_spd(M: np.ndarray | _Band, name: str = "gram") -> np.ndarray:
     pivot fails.
     """
     if not isinstance(M, _Band):
-        M = np.asarray(M, dtype=float)
+        M = _real(M, name)
         M = _Band.of(M, np.arange(M.shape[0]))
     k = max(M.kl, M.ku)
     upper, lower = (B.widened(k, k).ab[: k + 1] for B in (M, M.adjoint()))
@@ -220,7 +220,7 @@ class GramSystem:
         labels: Sequence[str] | None = None,
     ):
         if not isinstance(gram, _Band):
-            gram = np.asarray(gram, dtype=float)
+            gram = _real(gram, "gram")
             if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
                 raise DimensionError(f"gram must be square, got shape {gram.shape}")
         flux = flux if isinstance(flux, _Band) else self._matrix(flux)
@@ -245,7 +245,7 @@ class GramSystem:
 
     @staticmethod
     def _matrix(M: np.ndarray) -> np.ndarray:
-        return np.asarray(M, dtype=float)
+        return _real(M, "flux")
 
     @property
     def gram(self) -> np.ndarray:
@@ -278,6 +278,15 @@ class GramSystem:
             return (self.labels or ()).index(label)
         except ValueError:
             raise KeyError(f"no coordinate labelled {label!r}") from None
+
+
+def _real(M, name: str) -> np.ndarray:
+    """``M`` as a float array; a complex ``M`` raises :class:`ValidationError`
+    rather than losing its imaginary part."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        raise ValidationError(f"{name} must be real, got a {M.dtype} array")
+    return M.astype(float, copy=False)
 
 
 def _stored(a: np.ndarray | _Band, order: np.ndarray) -> _Band:
@@ -530,7 +539,6 @@ def _top_eigenvalues(
     Q: np.ndarray,
     tol: Callable[[np.ndarray, np.ndarray], np.ndarray],
     keep: Callable[[np.ndarray], None] | None = None,
-    scipy_blas: bool = False,
 ) -> np.ndarray:
     """Largest eigenvalue of each of a stack of Hermitian positive
     semidefinite operators, one per row of the unit start vectors ``Q``.
@@ -541,14 +549,14 @@ def _top_eigenvalues(
     ``dstein``, ``O(k)`` at step ``k``.  A row stops once its Ritz residual
     ``beta_k |y_k|``, which bounds the distance of ``theta`` to an
     eigenvalue, is at most ``tol(theta, rows)`` (``rows`` its indices into
-    ``Q``), or at ``k = dim``, where ``theta`` is exact; a row whose step
+    ``Q``; ``dim eps theta`` for :func:`energy_norm`, the scale of a dense
+    SVD of ``T``, and ``spectral._ritz_tolerance`` for the inverse runs),
+    or at ``k = dim``, where ``theta`` is exact; a row whose step
     overflows, ``beta_k^2`` included, gets ``inf``.  Stopped rows are
     dropped once a quarter have stopped, and ``keep(mask)`` filters the
-    caller's per-row state the same way.  The products run one row per
-    BLAS call, so a row's ``theta`` does not depend on the stack: numpy's
-    stacked, or with ``scipy_blas`` scipy's, for an operator that runs on
-    scipy's BLAS, beside which numpy's threaded products would leave
-    numpy's own OpenBLAS workers spinning.
+    caller's per-row state the same way.  The Gram-Schmidt products are
+    numpy's stacked products, one row per BLAS call, so a row's ``theta``
+    does not depend on the stack.
     """
     n_rows, dim = Q.shape
     theta = np.full(n_rows, np.inf)
@@ -556,7 +564,6 @@ def _top_eigenvalues(
     running = np.ones(n_rows, dtype=bool)  # rows that have not stopped
     q = Q
     Qh = np.empty((n_rows, 0, dim), dtype=Q.dtype)  # Lanczos vectors
-    gemv, nrm2 = blas.get_blas_funcs(("gemv", "nrm2"), (Q,))
     alpha, beta = np.empty((n_rows, dim)), np.empty((n_rows, dim))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives theta = inf
         for k in range(dim):
@@ -566,17 +573,11 @@ def _top_eigenvalues(
             w = apply(q)
             Qk = Qh[:, : k + 1]
             for first in (True, False):  # a second pass restores orthogonality lost to cancellation
-                if scipy_blas:
-                    c = np.empty(Qk.shape[:2], Q.dtype)
-                    for i, Qi in enumerate(Qk):
-                        c[i] = gemv(1.0, Qi.T, w[i], trans=2)
-                        w[i] = gemv(-1.0, Qi.T, c[i], beta=1.0, y=w[i], overwrite_y=1)
-                else:
-                    c = (Qk @ w.conj()[:, :, None])[:, :, 0].conj()
-                    w -= (c[:, None, :] @ Qk)[:, 0]
+                c = (Qk @ w.conj()[:, :, None])[:, :, 0].conj()
+                w -= (c[:, None, :] @ Qk)[:, 0]
                 if first:
                     alpha[:, k] = c[:, k].real
-            beta[:, k] = [nrm2(x) for x in w] if scipy_blas else np.linalg.norm(w, axis=1)
+            beta[:, k] = np.linalg.norm(w, axis=1)
             rows = np.flatnonzero(running & np.isfinite(beta[:, k] ** 2))  # dstebz squares beta
             ritz, y = np.empty(rows.size), np.empty(rows.size)
             for j, i in enumerate(rows.tolist()):
@@ -609,15 +610,18 @@ def energy_norm(gen: GramSystem) -> float:
     The one definition of the energy norm.  Lanczos (:func:`_top_eigenvalues`,
     one row) on ``T^H T = U^{-T} F^H M^{-1} F U^{-1}``, each step two banded
     products with the flux and four solves with the Gram's kept band factor
-    (:class:`_BandFactors`), until the Ritz residual is at most ``2 eps
-    theta``, which moves ``sigma_max = theta^{1/2}`` by at most ``eps``
-    relative.
+    (:class:`_BandFactors`), until the Ritz residual is at most ``dim eps
+    theta``, which moves ``sigma_max = theta^{1/2}`` by at most ``dim eps /
+    2`` relative: the accuracy scale of a backward-stable dense SVD of
+    ``T``.  A rule near ``eps theta`` would sit on the roundoff plateau of
+    the last Ritz-vector component of the nearly double top singular
+    value, where the last bit of a product decides the step count.
     """
     if gen._norm is None:
         b = _BandFactors(gen)
         (theta,) = _top_eigenvalues(
             lambda X: b.normal(X[0])[None], _start(gen.dim, b.flux.dtype)[None],
-            lambda t, _: 2.0 * _EPS * t, scipy_blas=True,
+            lambda t, _: gen.dim * _EPS * t,
         )
         gen._norm = b.scale * float(np.sqrt(theta))
     return gen._norm

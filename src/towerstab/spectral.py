@@ -452,7 +452,7 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
     if inverse is not None:  # it acts on T / bands.scale
         (theta,) = _top_eigenvalues(
             lambda X: inverse(X[0])[None], _start(gen.dim, bands.flux.dtype)[None],
-            lambda t, _: _ritz_tolerance(t, sigma_max / bands.scale), scipy_blas=True,
+            lambda t, _: _ritz_tolerance(t, sigma_max / bands.scale),
         )
         sigma_min = bands.scale / float(np.sqrt(theta))
         if sigma_min > KERNEL_TOL * sigma_max:

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import towerstab as ts
+from towerstab import generator, spectral
 
 DESK_SEED = 20250810
 
@@ -82,6 +83,29 @@ def linalg_calls(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    """The Lanczos steps of every ``generator._top_eigenvalues`` call made
+    while the test runs, in order: the number of times the call applied its
+    operator, which for a stack of rows is the steps of its longest row."""
+    steps = []
+    top_eigenvalues = generator._top_eigenvalues
+
+    def counted(apply, *args, **kwargs):
+        call = len(steps)
+        steps.append(0)
+
+        def counting(X):
+            steps[call] += 1
+            return apply(X)
+
+        return top_eigenvalues(counting, *args, **kwargs)
+
+    for module in (generator, spectral):
+        monkeypatch.setattr(module, "_top_eigenvalues", counted)
+    return steps
 
 
 class Traced(NamedTuple):

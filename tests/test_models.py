@@ -230,6 +230,40 @@ class TestStoredBands:
             assert not np.signbit(read[~inside]).any()
 
 
+class TestRealGramAndFlux:
+    """A generator's Gram and flux, and a block's Gram, are real: a complex
+    one is rejected by name, not cast to float with its imaginary part
+    dropped.  A block keeps its complex flux, ``gram_B``, ``C`` and ``D``."""
+
+    HERMITIAN = np.array([[2.0, 1j], [-1j, 2.0]])
+
+    @pytest.mark.parametrize("name", ["gram", "flux"])
+    def test_generator_rejects_a_complex_matrix(self, name):
+        arrays = {"gram": 2.0 * np.eye(2), "flux": -np.eye(2), name: self.HERMITIAN}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.ValidationError, match=f"{name} must be real"):
+                ts.DiscreteGenerator(**arrays, labels=["a", "b"])
+
+    def test_block_rejects_a_complex_gram(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.ValidationError, match="gram must be real"):
+                ts.PassiveSystem(
+                    gram=self.HERMITIAN, flux=-np.eye(2), gram_B=np.ones((2, 1)),
+                    C=np.ones((1, 2)), D=np.zeros((1, 1)),
+                )
+
+    def test_complex_gain_block_still_builds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = ts.random_passive_system(4, 1, seed=2)
+            block = ts.feedback_transform(base, np.array([[1.5 + 0.7j]]), 1.5)
+        assert not block.is_real()
+        assert np.iscomplexobj(block.flux) and np.iscomplexobj(block.C)
+        assert np.isrealobj(block.gram)
+
+
 class TestHydraulicFeedback:
     def test_zero_gain_leaves_generator_unchanged(self, desk_models):
         base = desk_models["hydraulic"]
