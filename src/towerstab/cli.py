@@ -653,7 +653,8 @@ def emit_report(
         out.mkdir(parents=True, exist_ok=True)
         written = []
         path = out / "report.json"
-        path.write_text(render_json(report.to_dict()) + "\n")
+        with _whole_file(path, "w") as fh:
+            fh.write(render_json(report.to_dict()) + "\n")
         written.append(path)
         if runner is not None and matrices:
             gen = runner.gen
@@ -663,7 +664,8 @@ def emit_report(
                 write_columns_csv(p, [str(k) for k in matrix.shape], matrix.T)
                 written.append(p)
             p = out / "labels.txt"
-            p.write_text("\n".join(gen.labels) + "\n")
+            with _whole_file(p, "w") as fh:
+                fh.write("\n".join(gen.labels) + "\n")
             written.append(p)
         if runner is not None and runner.scan is not None:
             p = out / "scan.csv"

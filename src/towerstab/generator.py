@@ -45,6 +45,14 @@ SYMMETRY_RTOL = 1e-12
 DISSIPATIVITY_TOL = 1e-10
 _EPS = np.finfo(float).eps
 
+#: Complex entries of the largest temporary of a stacked computation (128
+#: kB).  A stacked solve or SVD of shifted matrices takes up to this many
+#: matrix entries: the checks' grids of 120 to 400 frequencies on the 1-3-state
+#: control blocks fit in one stack, while a beam-sized system (dim >= 91)
+#: takes one frequency at a time.  The modal resolvent route and the modal
+#: root solves take ``STACK_ENTRIES // dim`` frequencies or roots at once.
+STACK_ENTRIES = 1 << 13
+
 
 class DampingChannel(NamedTuple):
     """One term of a closed-form dissipation identity.
@@ -238,7 +246,7 @@ class GramSystem:
         self._band_U = check_spd(self._gram, "gram")
         self._A: np.ndarray | None = None
         self._norm: float | None = None
-        self._coords: EnergyCoordinates | None = None
+        self._T: np.ndarray | None = None
         self._eigenvalues = None  # a spectral.Spectrum once computed
         self._modes: tuple[np.ndarray, np.ndarray] | None = None
         self._modal = None  # a modal._ModalForm, or False without one, once built
@@ -258,8 +266,19 @@ class GramSystem:
         return _frozen(self._flux.dense(_band_order(self)))
 
     def _factor(self) -> np.ndarray:
-        """Upper Cholesky factor ``U`` of the (validated) Gram, ``gram = U^T U``."""
-        return sla.cholesky(self.gram, lower=False)
+        """Upper Cholesky factor ``U`` of the (validated) Gram, ``gram = U^T U``.
+
+        The kept band factor, read densely in the natural state order.  The
+        band order keeps the displacements, the velocities and the block
+        states each in their own order, and no Gram of an assembly, a block
+        or a coupling has an entry between those groups, so its factor has
+        none either and the read is upper triangular.  A Gram that couples
+        them is factored densely.
+        """
+        U = _Band(self._band_U, 0, self._band_U.shape[0] - 1).dense(_band_order(self))
+        if np.tril(U, -1).any():
+            return sla.cholesky(self.gram, lower=False)
+        return U
 
     @property
     def A(self) -> np.ndarray:
@@ -627,18 +646,6 @@ def energy_norm(gen: GramSystem) -> float:
     return gen._norm
 
 
-class EnergyCoordinates(NamedTuple):
-    """Generator or block in coordinates where the Gram is the identity.
-
-    ``T = U A U^{-1}`` with ``M = U^T U``; energy operator norms of functions
-    of ``A`` equal Euclidean norms of the same functions of ``T``.
-    ``norm_A`` is :func:`energy_norm`, the energy operator norm of ``A``.
-    """
-
-    T: np.ndarray
-    norm_A: float
-
-
 def transform_flux(flux: np.ndarray, U: np.ndarray) -> np.ndarray:
     """``U^{-T} flux U^{-1}``, the generator in energy coordinates.
 
@@ -673,16 +680,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def energy_coordinates(gen: GramSystem) -> EnergyCoordinates:
-    """Similarity transform of a generator or block by the Cholesky factor of its Gram.
+def energy_coordinates(gen: GramSystem) -> np.ndarray:
+    """``T = U A U^{-1}``, a generator or block in coordinates where the Gram
+    ``M = U^T U`` is the identity, read-only.
 
-    Computed on the first call and cached on the object; later calls
-    return the same object.
+    Energy operator norms of functions of ``A`` equal Euclidean norms of the
+    same functions of ``T``.  Computed on the first call and cached on the
+    object; later calls return the same array.
     """
-    if gen._coords is None:
-        T = transform_flux(gen.flux, gen._factor())
-        gen._coords = EnergyCoordinates(T=_frozen(T), norm_A=energy_norm(gen))
-    return gen._coords
+    if gen._T is None:
+        gen._T = _frozen(transform_flux(gen.flux, gen._factor()))
+    return gen._T
 
 
 def _energy_eigenvalues(gen: GramSystem) -> np.ndarray:
@@ -693,7 +701,7 @@ def _energy_eigenvalues(gen: GramSystem) -> np.ndarray:
     the spectrum is cached there, not here.
     """
     try:
-        lam = sla.eigvals(energy_coordinates(gen).T)
+        lam = sla.eigvals(energy_coordinates(gen))
     except sla.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     return _frozen(lam)

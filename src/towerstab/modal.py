@@ -31,11 +31,11 @@ sum_j conj(R_j) P_j^T / (d_j - lambda)`` over the rows of ``P`` and ``R``
   start on the real axis, a complex one in the upper half plane, its
   conjugate being the root of the conjugate start.
 
-Roots are solved in chunks, so no temporary holds more than ``CHUNK``
-complex entries.  Products go through scipy's BLAS, not numpy's ``@``:
-numpy and scipy each load their own OpenBLAS, and a threaded numpy product
-leaves its workers spinning while the scipy factorisations that follow run
-(on two cores a dense Schur factorisation took twice as long after one).
+Roots are solved in chunks of at most ``STACK_ENTRIES`` complex entries.
+Products go through scipy's BLAS, not numpy's ``@``: numpy and scipy each
+load their own OpenBLAS, and a threaded numpy product leaves its workers
+spinning while the scipy factorisations that follow run (on two cores a
+dense Schur factorisation took twice as long after one).
 
 The form is built once per object and cached on it: the resolvent norms
 of :func:`towerstab.spectral.resolvent_norms` read the same ``D``, ``P``
@@ -61,6 +61,7 @@ from scipy.linalg import blas
 
 from .errors import ValidationError
 from .generator import (
+    STACK_ENTRIES,
     DiscreteGenerator,
     GramSystem,
     _Band,
@@ -79,9 +80,6 @@ MAX_RANK = 8
 #: Newton steps a root may take before it counts as not converged; every
 #: root of the six models converges in 4 to 5.
 NEWTON_STEPS = 30
-
-#: Complex entries per temporary of the root solves (128 kB).
-CHUNK = 1 << 13
 
 _EPS = np.finfo(float).eps
 
@@ -126,7 +124,7 @@ def modal_roots(gen: DiscreteGenerator) -> ModalRoots | None:
     if form is None:
         return None
     n = (form.d.size - form.block_starts.size) // 2
-    dissipation = _channel_dissipation(gen, n)
+    dissipation = _channel_dissipation(gen)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             delta, beam_ok = _beam_deltas(form, n)
@@ -211,18 +209,16 @@ def _build_modal_form(gen: GramSystem) -> _ModalForm | None:
     return _ModalForm(*map(_frozen, (d, P, R, np.linalg.eigvals(scaled))))
 
 
-def _channel_dissipation(gen: DiscreteGenerator, n: int) -> float:
-    """``sum_i gain_i v_i^T gram^{-1} v_i`` over the declared channels, through
-    the modes: ``K^{-1} = phi Omega^-2 phi^T``, ``M^{-1} = phi phi^T``."""
-    omega, phi = beam_modes(gen)
-    g = gen._gram.diagonal(0)[2 * n:]  # the block states', last in the band order
+def _channel_dissipation(gen: DiscreteGenerator) -> float:
+    """``sum_i gain_i v_i^T gram^{-1} v_i = sum_i gain_i |U^{-T} v_i|^2`` over
+    the declared channels, one banded solve each with the Gram's kept band
+    factor ``U``: a reference that does not read the beam modes, whose
+    form the guard checks."""
+    U, order = gen._band_U, _band_order(gen)
     dissipation = 0.0
     for _, gain, v in gen.damping_channels:
-        dissipation += gain * float(
-            np.sum((blas.dgemv(1.0, phi.T, v[:n]) / omega) ** 2)
-            + np.sum(blas.dgemv(1.0, phi.T, v[n:2 * n]) ** 2)
-            + np.sum(v[2 * n:] ** 2 / g)
-        )
+        w = blas.dtbsv(U.shape[0] - 1, U, v[order], trans=1)
+        dissipation += gain * blas.ddot(w, w)
     return dissipation
 
 
@@ -278,7 +274,7 @@ def _beam_deltas(form: _ModalForm, n: int) -> tuple[np.ndarray, bool]:
         return delta, True
     outer = _outer_rows(form)
     eye = np.eye(m)
-    chunk = max(1, CHUNK // dim)
+    chunk = max(1, STACK_ENTRIES // dim)
     for start in range(0, n, chunk):
         ks = np.arange(start, min(n, start + chunk))
         offsets = d[None, :] - d[ks, None]  # d_j - d_k, exactly 0 at j = k

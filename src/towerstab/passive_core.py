@@ -24,6 +24,7 @@ import scipy.linalg as sla
 from .errors import DimensionError, NumericalError, SpectrumHit, ValidationError
 from .generator import (
     DISSIPATIVITY_TOL,
+    STACK_ENTRIES,
     DampingChannel,
     DiscreteGenerator,
     GramSystem,
@@ -37,7 +38,7 @@ from .generator import (
     energy_norm,
     symmetric_part,
 )
-from .spectral import STACK_ENTRIES, _as_grid, _hit_level, resolvent_norms
+from .spectral import _as_grid, _hit_level, resolvent_norms
 from .timesim import beam_modes
 
 PASSIVITY_TOL = 1e-10

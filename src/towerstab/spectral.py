@@ -37,6 +37,7 @@ import scipy.linalg as sla
 from .errors import NumericalError, SpectrumHit, ValidationError
 from .generator import (
     _EPS,
+    STACK_ENTRIES,
     DiscreteGenerator,
     GramSystem,
     _BandFactors,
@@ -130,15 +131,6 @@ def energy_spectrum(gen: GramSystem) -> Spectrum:
 SPECTRUM_HIT_FACTOR = 10.0
 
 
-#: Entries of the largest stack of shifted matrices that one stacked solve
-#: or SVD takes (128 kB complex): the checks' grids of 120 to 400
-#: frequencies on the 1-3-state control blocks fit in one stack, while a
-#: beam-sized system (dim >= 91) takes one frequency at a time.  The modal
-#: resolvent route runs ``STACK_ENTRIES // dim`` frequencies at once, so each
-#: of its Lanczos vectors spans at most this many entries over the chunk.
-STACK_ENTRIES = 1 << 13
-
-
 def _hit_level(s, norm_T: float):
     """``sigma_min(is - T)`` at or below which ``is`` is a spectrum hit
     (elementwise for an array of ``s``)."""
@@ -221,7 +213,7 @@ def resolvent_norms(gen: GramSystem, s_grid) -> np.ndarray:
     form = _modal_form(gen)
     if form is not None:
         return _modal_norms(form, grid, norm_T)
-    T = energy_coordinates(gen).T
+    T = energy_coordinates(gen)
     eye = np.eye(gen.dim)
     smin = np.empty(grid.size)
     step = max(1, STACK_ENTRIES // T.size)
@@ -457,5 +449,5 @@ def kernel_check(gen: DiscreteGenerator) -> tuple[int, float]:
         sigma_min = bands.scale / float(np.sqrt(theta))
         if sigma_min > KERNEL_TOL * sigma_max:
             return 0, sigma_min
-    sv = sla.svdvals(energy_coordinates(gen).T)
+    sv = sla.svdvals(energy_coordinates(gen))
     return int(np.count_nonzero(sv < KERNEL_TOL * sigma_max)), float(sv[-1])

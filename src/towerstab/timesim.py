@@ -230,7 +230,7 @@ def _energy_eigenbasis(gen: DiscreteGenerator):
     pairs ``(lam_j, x_j)``, ``(conj lam_j, conj x_j)`` in adjacent columns
     (LAPACK's ``geev`` layout, which gives a real eigenvalue a real vector).
     """
-    T = energy_coordinates(gen).T
+    T = energy_coordinates(gen)
     try:
         lam, X = sla.eig(T)
         lu = sla.lu_factor(X)

@@ -33,7 +33,7 @@ import scipy.linalg as sla
 
 import towerstab as ts
 from towerstab.errors import SpectrumHit
-from towerstab.generator import energy_coordinates
+from towerstab.generator import energy_coordinates, energy_norm
 from towerstab.spectral import _resolvent_from_shift, power_fit
 
 SEED = 20250810
@@ -113,14 +113,14 @@ def test_criterion_1_resolvent_growth_exponent(model):
 def _peak_anchored_fit(gen):
     """Resolvent growth measured at the damped eigenfrequencies, where the
     norm attains ~ 1/|Re lambda|; numerically singular shifts are skipped."""
-    ec = energy_coordinates(gen)
-    lam = sla.eigvals(ec.T)
+    T = energy_coordinates(gen)
+    lam = sla.eigvals(T)
     s_mesh = np.abs(lam.imag).max()
     freqs = np.sort(lam.imag[(lam.imag >= 2.0) & (lam.imag <= 0.5 * s_mesh)])
     points, values = [], []
     for s in freqs:
         try:
-            values.append(_resolvent_from_shift(ec.T, s, ec.norm_A))
+            values.append(_resolvent_from_shift(T, s, energy_norm(gen)))
             points.append(s)
         except SpectrumHit:
             continue
@@ -171,7 +171,7 @@ def test_criterion_2_axis_freeness():
         scan = ts.scan_resolvent(gen, 2.0, 0.5 * s_mesh, 200, "log")
         assert len(scan.excluded) == 0, model
         dim, smin = ts.kernel_check(gen)
-        smax = float(sla.svdvals(energy_coordinates(gen).T)[0])
+        smax = float(sla.svdvals(energy_coordinates(gen))[0])
         assert dim == 0, model
         assert smin > 1e-8 * smax, model
         details.append(f"{model}: maxRe={rep.max_real_part:.2e}")

@@ -16,8 +16,8 @@ import scipy
 
 import towerstab as ts
 import towerstab.cli as cli
-from towerstab import beam_fem, models, passive_core, spectral, timesim
-from towerstab.generator import energy_coordinates
+from towerstab import beam_fem, generator, models, passive_core, spectral, timesim
+from towerstab.generator import energy_norm
 
 
 def write_config(tmp_path, **overrides):
@@ -360,6 +360,29 @@ class TestCouplingCheck:
             [(4, 128)], [(4, 128)], [(6, 256)], [(6, dim)], [(6, 256)]
         ]
 
+    @pytest.mark.parametrize("model", ["tmd", "hydraulic"])
+    def test_verify_all_factors_no_gram_densely(self, linalg_calls, monkeypatch, model):
+        """At 16 elements with the simulation on, counting calls of every
+        size, no Gram is factored densely: the only Cholesky factorisations
+        are the banded ones of the beam's K and Mrho and of each Gram system
+        built, when it is validated."""
+        built = []
+        init = generator.GramSystem.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(generator.GramSystem, "__init__", counted)
+        cfg = cli.RunConfig.from_dict({"model": model, "n_elements": 16})
+        runner = cli.Runner(cfg)
+        runner.run_all()
+        assert all(c.status == "pass" for c in runner.report().checks if c.status != "not run")
+        factored = [(name, s) for name, s in linalg_calls if "cholesky" in name]
+        assert factored == [("cholesky_banded", [(4, 32)])] * 2 + [
+            ("cholesky_banded", [system._band_U.shape]) for system in built
+        ]
+
     @pytest.mark.parametrize("model", ["combined", "torque", "force", "hydraulic_feedback"])
     def test_uncoupled_model_records_why_not_run(self, tmp_path, model):
         runner = cli.Runner(cli.load_config(str(write_config(tmp_path, model=model)), {}))
@@ -612,7 +635,7 @@ class TestKernelEvidence:
         runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
         runner.check_kernel()
         evidence = runner.results[-1].evidence
-        assert evidence["sigma_max"] == energy_coordinates(runner.gen).norm_A
+        assert evidence["sigma_max"] == energy_norm(runner.gen)
 
 
 class TestPartialRuns:
@@ -757,6 +780,16 @@ class TestSplitWriter:
                 with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
                     cli.emit_report(runner.report(), tmp_path / name, runner)
             assert not (tmp_path / name / name).exists()
+
+    @pytest.mark.parametrize("name", ["report.json", "labels.txt"])
+    def test_text_file_failing_mid_write(self, tmp_path, monkeypatch, name):
+        """``report.json`` or ``labels.txt`` whose write fails after its first
+        bytes reached the file leaves no partial file."""
+        runner = cli.Runner(cli.load_config(str(write_config(tmp_path)), {}))
+        self.disk_fills_up(monkeypatch, name, room=100)
+        with pytest.raises(ts.ToolkitError, match="cannot write artifacts.*No space left"):
+            cli.emit_report(runner.report(), tmp_path / "o", runner, matrices=True)
+        assert not (tmp_path / "o" / name).exists()
 
     def test_csv_that_cannot_be_opened_is_left_alone(self, tmp_path, monkeypatch):
         """``open`` of the table itself fails: the file already there keeps

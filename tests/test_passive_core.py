@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import towerstab as ts
 from towerstab import cli, generator, modal, models, passive_core, spectral
 from towerstab.cli import RunConfig
-from towerstab.generator import energy_coordinates
+from towerstab.generator import energy_coordinates, energy_norm
 from towerstab.passive_core import _defect
 
 
@@ -332,13 +332,13 @@ class TestFeedbackTransform:
         assert len(solves) == 1
         assert report.excluded == () and np.array_equal(report.s_values, grid)
 
-        ec = energy_coordinates(out)
+        T = energy_coordinates(out)
         U = sla.cholesky(out.gram)
         B = sla.solve_triangular(U, out.gram_B, trans="T")
         C = out.C @ np.linalg.inv(U)
         for k, s in enumerate(grid):
-            R = np.linalg.inv(1j * s * np.eye(out.n) - ec.T)
-            r = spectral._resolvent_from_shift(ec.T, s, ec.norm_A)
+            R = np.linalg.inv(1j * s * np.eye(out.n) - T)
+            r = spectral._resolvent_from_shift(T, s, energy_norm(out))
             rb, cr, h = (np.linalg.norm(X, 2) for X in (R @ B, C @ R, C @ R @ B + out.D))
             assert report.resolvent[k] == pytest.approx(r, rel=1e-10)
             for margin, expected in (
@@ -499,11 +499,11 @@ class TestCoupledResolventBound:
         sys2 = gen.blocks[1]
         grid = spectral._frequency_grid(0.5, 0.5 * ts.mesh_frequency(gen), 120, "log")
         assert grid.size * sys2.n**2 <= spectral.STACK_ENTRIES
-        ec = energy_coordinates(sys2)
+        T, norm_T = energy_coordinates(sys2), energy_norm(sys2)
         norms = ts.resolvent_norms(sys2, grid)
         for s, norm in zip(grid, norms):
-            dense = spectral._resolvent_from_shift(ec.T, s, ec.norm_A)
-            tol = sys2.n * np.finfo(float).eps * (s + ec.norm_A) * dense
+            dense = spectral._resolvent_from_shift(T, s, norm_T)
+            tol = sys2.n * np.finfo(float).eps * (s + norm_T) * dense
             assert abs(norm / dense - 1.0) <= tol, s
 
     @pytest.mark.parametrize("model", ["tmd", "hydraulic"])

@@ -49,13 +49,13 @@ def assert_matches_dense_svd(system, s_values):
     the two sigma_min agree to ORACLE_C * dim * eps * (|s| + |T|), and where
     one side reports a spectrum hit the other lies within that tolerance
     of the hit threshold."""
-    ec = energy_coordinates(system)
+    T, norm_T = energy_coordinates(system), energy_norm(system)
     norms = ts.resolvent_norms(system, s_values)
     for s, norm in zip(s_values, norms):
-        scale = abs(s) + ec.norm_A
+        scale = abs(s) + norm_T
         tol = ORACLE_C * system.dim * EPS * scale
         smin = None if np.isinf(norm) else 1.0 / norm
-        dense = sigma_min_or_hit(lambda: spectral._resolvent_from_shift(ec.T, s, ec.norm_A))
+        dense = sigma_min_or_hit(lambda: spectral._resolvent_from_shift(T, s, norm_T))
         if smin is None or dense is None:
             other = dense if smin is None else smin
             assert other is None or other <= spectral.SPECTRUM_HIT_FACTOR * EPS * scale + tol
@@ -64,7 +64,7 @@ def assert_matches_dense_svd(system, s_values):
 
 
 def damped_frequencies(system):
-    lam = sla.eigvals(energy_coordinates(system).T)
+    lam = sla.eigvals(energy_coordinates(system))
     return np.sort(lam.imag[lam.imag > 0])
 
 
@@ -109,7 +109,7 @@ class TestResolventNorm:
 
     def test_spectrum_hit_at_undamped_eigenfrequency(self, desk_beam, desk_params):
         gen = ts.assemble_combined(desk_beam, desk_params, 0.0, 0.0)
-        lam = sla.eigvals(energy_coordinates(gen).T)
+        lam = sla.eigvals(energy_coordinates(gen))
         omega = np.sort(lam.imag[lam.imag > 0])[0]
         with pytest.raises(ts.SpectrumHit):
             ts.resolvent_norm(gen, omega)
@@ -123,7 +123,7 @@ class TestResolventNorm:
 
     def test_dominates_inverse_spectral_distance(self, desk_models):
         gen = desk_models["tmd"]
-        lam = sla.eigvals(energy_coordinates(gen).T)
+        lam = sla.eigvals(energy_coordinates(gen))
         for s in (0.5, 2.0, 9.0, 30.0):
             dist = np.abs(1j * s - lam).min()
             assert ts.resolvent_norm(gen, s) >= (1.0 / dist) * (1 - 1e-8)
@@ -155,7 +155,7 @@ class TestScan:
 
     def test_excluded_points_propagate(self, desk_beam, desk_params):
         gen = ts.assemble_combined(desk_beam, desk_params, 0.0, 0.0)
-        lam = sla.eigvals(energy_coordinates(gen).T)
+        lam = sla.eigvals(energy_coordinates(gen))
         omega = np.sort(lam.imag[lam.imag > 0])[1]
         scan = ts.scan_resolvent(gen, omega, 2 * omega, 5, "linear")
         assert omega in scan.excluded
@@ -214,8 +214,22 @@ class TestEnergyData:
 
     def test_norm_is_the_cached_energy_norm(self, desk_models):
         gen = desk_models["combined"]
-        assert energy_coordinates(gen).norm_A == energy_norm(gen)
         assert energy_norm(gen) is energy_norm(gen)
+
+    def test_gram_coupling_the_beam_groups_is_factored_densely(self, desk_models):
+        """A Gram that couples displacements and velocities has a band
+        factor whose read in the natural order is not triangular; the
+        factor and the energy coordinates then come from a dense Cholesky."""
+        base = desk_models["tmd"]
+        X = np.random.default_rng(0).standard_normal((base.dim, base.dim))
+        gram = X @ X.T + base.dim * np.eye(base.dim)
+        gram = 0.5 * (gram + gram.T)
+        gen = ts.DiscreteGenerator(gram=gram, flux=base.flux, labels=base.labels)
+        U = gen._factor()
+        assert np.array_equal(U, np.triu(U))
+        assert np.allclose(U.T @ U, gram, rtol=0, atol=base.dim * EPS * np.abs(gram).max())
+        T = transform_flux(base.flux, sla.cholesky(gram, lower=False))
+        assert np.array_equal(energy_coordinates(gen), T)
 
     def test_block_coordinates_computed_once(self, desk_hydraulic):
         block = ts.hydraulic_block(desk_hydraulic)
@@ -233,7 +247,7 @@ class TestEnergyData:
             assert abs(1.0 / ts.resolvent_norm(block, s) - smin) <= tol
 
 
-class TestSchurResolvent:
+class TestModalResolvent:
     @pytest.mark.parametrize("n_elements", [4, 16])
     @pytest.mark.parametrize("model", cli.MODEL_KINDS)
     def test_matches_dense_svd(self, model, n_elements):
@@ -280,15 +294,14 @@ class TestSchurResolvent:
         agrees with a 40-digit SVD of the same double-precision T to
         ORACLE_C * dim * eps * (|s| + |T|) / sigma_min relative."""
         gen = desk_model(model, 4)
-        ec = energy_coordinates(gen)
         n = gen.dim
         with mpmath.workdps(40):
-            T = mpmath.matrix(ec.T.tolist())
+            T = mpmath.matrix(energy_coordinates(gen).tolist())
             for s in damped_frequencies(gen):
                 shifted = mpmath.mpc(0, s) * mpmath.eye(n) - T
                 smin = float(min(mpmath.svd_c(shifted, compute_uv=False)))
                 rel = abs(ts.resolvent_norm(gen, s) * smin - 1.0)
-                assert rel <= ORACLE_C * n * EPS * (s + ec.norm_A) / smin, (s, rel)
+                assert rel <= ORACLE_C * n * EPS * (s + energy_norm(gen)) / smin, (s, rel)
 
 
     @pytest.mark.parametrize("model", ["hydraulic", "tmd"])
